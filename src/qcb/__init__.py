@@ -13,8 +13,8 @@ from .canonical import (
     marsh_path,
 )
 from .crystal import SpinColumn, Word, component_bfs, raise_to_highest, spin_apply, vec_edge, word_apply, word_eps_phi
-from .laurent import InexactDivision, LaurentPoly, NegativePower, divide_exact, quantum_factorial, quantum_int
-from .modvec import ModuleVector, apply_monomial, highest_vector, module_f_divided
+from .laurent import InexactDivision, LaurentPoly, NegativePower, SparseVector, divide_exact, quantum_factorial, quantum_int
+from .modvec import apply_monomial, highest_vector, module_f_divided
 from .rootdata import AlgebraKind, NonIntegralPairing, cartan_exponent, letter_leq_B, letter_weight2, qi_exponent
 from .shapes import (
     Column,
@@ -39,8 +39,7 @@ from .shapes import (
     weight2_of_tabloid,
     word_to_tabloid,
 )
-from .spinmod import SpinVector, spin_module_f, spin_t_exponent
-from .wedge import StepLimitExceeded, WedgeVector, straighten, tensor_lift_f, wedge_f, wedge_f_divided, wedge_t_exponent
+from .wedge import StepLimitExceeded, straighten, tensor_lift_f, wedge_f, wedge_f_divided
 
 __version__ = "0.1.0"
 

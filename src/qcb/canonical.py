@@ -12,11 +12,12 @@ the expansions assembled into one matrix per weight space.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 from .crystal import Word, raise_to_highest, spin_apply, spin_eps_phi, vec_edge, word_apply, word_eps_phi
-from .laurent import LaurentPoly
-from .modvec import ModuleVector, apply_monomial
+from .laurent import LaurentPoly, SparseVector
+from .modvec import apply_monomial
 from .rootdata import AlgebraKind, Weight2
 from .shapes import (
     Column,
@@ -31,7 +32,7 @@ from .shapes import (
     tabloid_sort_key,
     weight2_of_tabloid,
 )
-from .wedge import WedgeVector, wedge_f, wedge_f_divided
+from .wedge import wedge_f, wedge_f_divided
 
 
 class NotAdmissible(ValueError):
@@ -147,11 +148,11 @@ def marsh_path(col: Column) -> list[tuple[int, int]]:
     return steps
 
 
-def global_column(col: Column) -> WedgeVector:
+def global_column(col: Column) -> SparseVector:
     """The canonical basis vector of an admissible column, on the column basis."""
     path = marsh_path(col)
     base = Column(col.kind, _column_highest_target(col))
-    v = WedgeVector.unit(base)
+    v = SparseVector.unit(base)
     for i, p in reversed(path):
         v = wedge_f_divided(v, i, p)
     return v
@@ -247,10 +248,10 @@ def a_path(tab: Tabloid) -> APath:
     return APath(tuple(steps), False, top, tuple(inters))
 
 
-def a_vector(tab: Tabloid) -> ModuleVector:
+def a_vector(tab: Tabloid) -> SparseVector:
     """The bar-invariant monomial vector attached to an orthogonal tableau."""
     path = a_path(tab)
-    return apply_monomial(ModuleVector.unit(path.base), list(path.steps))
+    return apply_monomial(SparseVector.unit(path.base), list(path.steps))
 
 
 def _gamma_symmetrize(c: LaurentPoly) -> LaurentPoly:
@@ -295,10 +296,10 @@ class CanonicalMatrix:
 
 
 def _correct_group(
-    vectors: list[ModuleVector], tableaux: list[Tabloid]
-) -> tuple[list[ModuleVector], list[tuple[int, int, LaurentPoly]]]:
+    vectors: list[SparseVector], tableaux: list[Tabloid]
+) -> tuple[list[SparseVector], list[tuple[int, int, LaurentPoly]]]:
     """Unitriangular correction of one weight space, in increasing order."""
-    out: list[ModuleVector] = []
+    out: list[SparseVector] = []
     log: list[tuple[int, int, LaurentPoly]] = []
     for idx, vec in enumerate(vectors):
         v = vec
@@ -336,10 +337,13 @@ def canonical_matrix(
     for t in tableaux:
         groups.setdefault(weight2_of_tabloid(t), []).append(t)
     group_items = sorted(groups.items())
-    if jobs > 1 and len(group_items) > 1:
+    # the fork start method starts every worker at once, so never ask for
+    # more than there are cores or weight spaces
+    workers = min(jobs, os.cpu_count() or 1, len(group_items))
+    if workers > 1:
         import concurrent.futures
 
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as ex:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as ex:
             results = list(ex.map(_group_worker, group_items))
     else:
         results = [_group_worker(item) for item in group_items]

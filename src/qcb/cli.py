@@ -19,8 +19,8 @@ import sys
 
 from .canonical import a_path, a_vector, canonical_matrix, global_column, marsh_path
 from .checks import run_all
-from .crystal import component_bfs, enumerate_spin_columns, word_apply
-from .laurent import LaurentPoly
+from .crystal import component_bfs, enumerate_spin_columns, word_apply, word_sort_key
+from .laurent import LaurentPoly, SparseVector
 from .rootdata import AlgebraKind, parse_weight
 from .shapes import (
     enumerate_columns,
@@ -30,6 +30,7 @@ from .shapes import (
     parse_tabloid,
     shape_for_lambda,
     tabloid_reading,
+    tabloid_sort_key,
 )
 
 USAGE_EXIT = 64
@@ -213,6 +214,12 @@ def _cmd_crystal(kind: AlgebraKind, args) -> dict:
     }
 
 
+def _json_terms(vec: SparseVector, key: str, sort_key) -> list[dict]:
+    """The terms of a vector, ascending in the total order on their labels."""
+    terms = sorted(vec.terms, key=lambda bc: sort_key(bc[0]))
+    return [{key: str(b), "coeff": c.json_terms()} for b, c in terms]
+
+
 def _cmd_marsh(kind: AlgebraKind, args) -> dict:
     col = parse_column(args.column, kind)
     path = marsh_path(col)
@@ -221,7 +228,7 @@ def _cmd_marsh(kind: AlgebraKind, args) -> dict:
         "command": "marsh",
         "column": str(col),
         "path": [list(s) for s in path],
-        "terms": vec.json()["terms"],
+        "terms": _json_terms(vec, "column", lambda col: word_sort_key(col.word())),
     }
 
 
@@ -236,7 +243,7 @@ def _cmd_apath(kind: AlgebraKind, args) -> dict:
         "direct": ap.direct,
         "base": str(ap.base),
         "intermediates": [str(t) for t in ap.intermediates],
-        "terms": vec.json()["terms"],
+        "terms": _json_terms(vec, "tabloid", tabloid_sort_key),
     }
 
 

@@ -8,6 +8,10 @@ safe to share.
 The canonical textual form lists terms in ascending exponent order, e.g.
 ``q^-1+2+q^3``; the JSON form is a list of ``[exponent, coefficient]`` pairs,
 ascending by exponent.
+
+``SparseVector`` holds the Z[q, q^-1]-combinations of basis elements that
+every stage of the algorithm works with: columns of a q-wedge module,
+tabloids of a tensor module, and spin columns.
 """
 
 from __future__ import annotations
@@ -195,7 +199,7 @@ class LaurentPoly:
 
     # -- rendering -------------------------------------------------------
 
-    def __str__(self) -> str:
+    def _render(self, power: str, times: str) -> str:
         if not self._terms:
             return "0"
         parts = []
@@ -203,11 +207,14 @@ class LaurentPoly:
             if e == 0:
                 body = str(abs(c))
             else:
-                var = "q" if e == 1 else f"q^{e}"
-                body = var if abs(c) == 1 else f"{abs(c)}*{var}"
+                var = "q" if e == 1 else power.format(e)
+                body = var if abs(c) == 1 else f"{abs(c)}{times}{var}"
             sign = "-" if c < 0 else ("+" if parts else "")
             parts.append(sign + body)
         return "".join(parts)
+
+    def __str__(self) -> str:
+        return self._render("q^{}", "*")
 
     def __repr__(self) -> str:
         return f"LaurentPoly('{self}')"
@@ -216,18 +223,7 @@ class LaurentPoly:
         return [[e, c] for e, c in self.terms()]
 
     def latex(self) -> str:
-        if not self._terms:
-            return "0"
-        parts = []
-        for e, c in self.terms():
-            if e == 0:
-                body = str(abs(c))
-            else:
-                var = "q" if e == 1 else f"q^{{{e}}}"
-                body = var if abs(c) == 1 else f"{abs(c)}{var}"
-            sign = "-" if c < 0 else ("+" if parts else "")
-            parts.append(sign + body)
-        return "".join(parts)
+        return self._render("q^{{{}}}", "")
 
 
 def _wrap(d: dict[int, int]) -> LaurentPoly:
@@ -239,6 +235,84 @@ def _wrap(d: dict[int, int]) -> LaurentPoly:
 
 _ZERO = LaurentPoly()
 _ONE = LaurentPoly({0: 1})
+_MINUS_ONE = LaurentPoly({0: -1})
+
+
+class SparseVector:
+    """A finitely supported map from hashable basis labels to Laurent coefficients.
+
+    The labels are columns, tabloids or spin columns; no coefficient is zero.
+    Values are immutable after construction.  Term order carries no meaning,
+    so whoever prints a vector sorts its terms.
+    """
+
+    __slots__ = ("_terms",)
+
+    _terms: dict
+
+    def __init__(self, terms: dict | None = None):
+        object.__setattr__(self, "_terms", {b: c for b, c in terms.items() if c} if terms else {})
+
+    def __setattr__(self, name, value):
+        raise AttributeError("SparseVector is immutable")
+
+    def __reduce__(self):
+        return (SparseVector, (self._terms,))
+
+    @staticmethod
+    def unit(label) -> "SparseVector":
+        return _vector({label: _ONE})
+
+    @staticmethod
+    def zero() -> "SparseVector":
+        return _ZERO_VECTOR
+
+    @property
+    def terms(self):
+        """A read-only view of the (label, coefficient) pairs."""
+        return self._terms.items()
+
+    def coeff(self, label) -> LaurentPoly:
+        return self._terms.get(label, _ZERO)
+
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def scale(self, s: LaurentPoly) -> "SparseVector":
+        if s.is_zero():
+            return _ZERO_VECTOR
+        return _vector({b: c * s for b, c in self._terms.items()})
+
+    def __add__(self, other: "SparseVector") -> "SparseVector":
+        d = dict(self._terms)
+        for b, c in other._terms.items():
+            s = d[b] + c if b in d else c
+            if s:
+                d[b] = s
+            else:
+                del d[b]
+        return _vector(d)
+
+    def __sub__(self, other: "SparseVector") -> "SparseVector":
+        return self + other.scale(_MINUS_ONE)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SparseVector):
+            return NotImplemented
+        return self._terms == other._terms
+
+    def __repr__(self) -> str:
+        return f"SparseVector({self._terms!r})"
+
+
+def _vector(d: dict) -> SparseVector:
+    """Wrap a dict already free of zero coefficients."""
+    v = SparseVector.__new__(SparseVector)
+    object.__setattr__(v, "_terms", d)
+    return v
+
+
+_ZERO_VECTOR = SparseVector()
 
 
 def quantum_int(m: int, d: int) -> LaurentPoly:

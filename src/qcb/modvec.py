@@ -14,69 +14,15 @@ action (f^(k) = 0 on a spin factor for k >= 2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .crystal import SpinColumn, spin_apply
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, SparseVector
 from .rootdata import AlgebraKind, cartan_exponent, qi_exponent
-from .shapes import Shape, Tabloid, highest_tabloid, shape_for_lambda, tabloid_sort_key
+from .shapes import Shape, Tabloid, highest_tabloid, shape_for_lambda
 from .wedge import wedge_f_divided
 
 
-@dataclass(frozen=True)
-class ModuleVector:
-    """A finitely supported map from tabloids of one shape to coefficients."""
-
-    shape: Shape
-    terms: tuple[tuple[Tabloid, LaurentPoly], ...]
-
-    @staticmethod
-    def make(shape: Shape, data: dict[Tabloid, LaurentPoly]) -> "ModuleVector":
-        items = [(t, v) for t, v in data.items() if not v.is_zero()]
-        items.sort(key=lambda tv: tabloid_sort_key(tv[0]))
-        return ModuleVector(shape, tuple(items))
-
-    @staticmethod
-    def unit(t: Tabloid) -> "ModuleVector":
-        return ModuleVector(t.shape, ((t, LaurentPoly.one()),))
-
-    def as_dict(self) -> dict[Tabloid, LaurentPoly]:
-        return dict(self.terms)
-
-    def coeff(self, t: Tabloid) -> LaurentPoly:
-        for s, v in self.terms:
-            if s == t:
-                return v
-        return LaurentPoly.zero()
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def scale(self, s: LaurentPoly) -> "ModuleVector":
-        if s.is_zero():
-            return ModuleVector(self.shape, ())
-        return ModuleVector(self.shape, tuple((t, v * s) for t, v in self.terms))
-
-    def __add__(self, other: "ModuleVector") -> "ModuleVector":
-        if self.shape != other.shape:
-            raise ValueError("cannot add vectors of different shapes")
-        d = dict(self.terms)
-        for t, v in other.terms:
-            d[t] = d.get(t, LaurentPoly.zero()) + v
-        return ModuleVector.make(self.shape, d)
-
-    def __sub__(self, other: "ModuleVector") -> "ModuleVector":
-        return self + other.scale(LaurentPoly.const(-1))
-
-    def json(self) -> dict:
-        return {
-            "shape": list(self.shape.heights),
-            "terms": [{"tabloid": str(t), "coeff": v.json_terms()} for t, v in self.terms],
-        }
-
-
-def highest_vector(lam: tuple[int, ...], kind: AlgebraKind) -> ModuleVector:
-    return ModuleVector.unit(highest_tabloid(shape_for_lambda(lam, kind)))
+def highest_vector(lam: tuple[int, ...], kind: AlgebraKind) -> SparseVector:
+    return SparseVector.unit(highest_tabloid(shape_for_lambda(lam, kind)))
 
 
 def _factors(t: Tabloid) -> tuple:
@@ -94,17 +40,14 @@ def _tabloid_from_factors(shape: Shape, factors: tuple) -> Tabloid:
     return Tabloid(shape, spin, cols)
 
 
-def _factor_divided(f, i: int, k: int) -> list[tuple[object, LaurentPoly]]:
-    """f_i^(k) on a single tensor factor, as basis-element -> coefficient."""
+def _factor_divided(f, i: int, k: int) -> SparseVector:
+    """f_i^(k) on a single tensor factor (a spin column or a column)."""
     if isinstance(f, SpinColumn):
         if k == 0:
-            return [(f, LaurentPoly.one())]
-        if k == 1:
-            g = spin_apply(f, i, "f")
-            return [(g, LaurentPoly.one())] if g is not None else []
-        return []
-    out = wedge_f_divided(f, i, k)
-    return list(out.terms)
+            return SparseVector.unit(f)
+        g = spin_apply(f, i, "f") if k == 1 else None
+        return SparseVector.unit(g) if g is not None else SparseVector.zero()
+    return wedge_f_divided(f, i, k)
 
 
 def _expand_divided(factors: tuple, i: int, m: int, kind: AlgebraKind, d: int) -> dict[tuple, LaurentPoly]:
@@ -112,19 +55,19 @@ def _expand_divided(factors: tuple, i: int, m: int, kind: AlgebraKind, d: int) -
     if not factors:
         return {(): LaurentPoly.one()} if m == 0 else {}
     if len(factors) == 1:
-        return {(g,): c for g, c in _factor_divided(factors[0], i, m)}
+        return {(g,): c for g, c in _factor_divided(factors[0], i, m).terms}
     head, rest = factors[0], factors[1:]
     a = cartan_exponent(head.weight2(), i, kind)
     out: dict[tuple, LaurentPoly] = {}
     for k in range(m + 1):
-        head_terms = _factor_divided(head, i, k)
-        if not head_terms:
+        head_vec = _factor_divided(head, i, k)
+        if head_vec.is_zero():
             continue
         rest_terms = _expand_divided(rest, i, m - k, kind, d)
         if not rest_terms:
             continue
         scale = LaurentPoly.q(d * (m - k) * (a - k))
-        for g, cg in head_terms:
+        for g, cg in head_vec.terms:
             for tail, ct in rest_terms.items():
                 key = (g,) + tail
                 add = cg * ct * scale
@@ -133,11 +76,11 @@ def _expand_divided(factors: tuple, i: int, m: int, kind: AlgebraKind, d: int) -
     return {k: v for k, v in out.items() if not v.is_zero()}
 
 
-def module_f_divided(v: ModuleVector, i: int, m: int) -> ModuleVector:
-    """Apply the divided power f_i^(m) to a module vector."""
-    if m == 0:
+def module_f_divided(v: SparseVector, i: int, m: int) -> SparseVector:
+    """Apply the divided power f_i^(m) to a vector on the tabloid basis."""
+    if m == 0 or v.is_zero():
         return v
-    shape = v.shape
+    shape = next(iter(v.terms))[0].shape
     kind = shape.kind
     d = qi_exponent(kind, i)
     acc: dict[Tabloid, LaurentPoly] = {}
@@ -147,10 +90,10 @@ def module_f_divided(v: ModuleVector, i: int, m: int) -> ModuleVector:
             cur = acc.get(t)
             add = c * coeff
             acc[t] = add if cur is None else cur + add
-    return ModuleVector.make(shape, acc)
+    return SparseVector(acc)
 
 
-def apply_monomial(v0: ModuleVector, path: list[tuple[int, int]]) -> ModuleVector:
+def apply_monomial(v0: SparseVector, path: list[tuple[int, int]]) -> SparseVector:
     """Apply a monomial of divided powers, rightmost factor first."""
     v = v0
     for i, r in reversed(path):

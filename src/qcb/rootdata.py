@@ -69,10 +69,6 @@ def letter_leq_B(x: Letter, y: Letter, n: int) -> bool:
     return letter_key(x, n) <= letter_key(y, n)
 
 
-def bar_letter(x: Letter) -> Letter:
-    return -x
-
-
 def alphabet(kind: AlgebraKind) -> tuple[Letter, ...]:
     """All letters in ascending key order (n precedes -n for D)."""
     n = kind.rank
@@ -99,10 +95,6 @@ def weight2_zero(n: int) -> Weight2:
 
 def weight2_add(a: Weight2, b: Weight2) -> Weight2:
     return tuple(x + y for x, y in zip(a, b, strict=True))
-
-
-def weight2_neg(a: Weight2) -> Weight2:
-    return tuple(-x for x in a)
 
 
 def cartan_exponent(w2: Weight2, i: int, kind: AlgebraKind) -> int:
@@ -151,7 +143,3 @@ def parse_weight(text: str, n: int) -> Weight2:
         else:
             out.append(2 * int(t))
     return tuple(out)
-
-
-def format_letter(x: Letter) -> str:
-    return str(x)

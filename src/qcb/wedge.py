@@ -20,11 +20,10 @@ rule factor by factor, and straightening; wedge_f must agree with it exactly.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .crystal import vec_edge, word_apply, word_eps_phi
-from .laurent import LaurentPoly, divide_exact, quantum_factorial
+from .laurent import LaurentPoly, SparseVector, divide_exact, quantum_factorial
 from .rootdata import AlgebraKind, Letter, cartan_exponent, letter_key, letter_weight2, qi_exponent
 from .shapes import Column, _key_tie, is_valid_column_letters
 
@@ -41,59 +40,6 @@ def step_limit(p: int) -> int:
     if env:
         return int(env)
     return max(DEFAULT_STEP_FACTOR * p * p, 16)
-
-
-@dataclass(frozen=True)
-class WedgeVector:
-    """A finitely supported map from height-p columns to Laurent coefficients."""
-
-    kind: AlgebraKind
-    p: int
-    terms: tuple[tuple[Column, LaurentPoly], ...]
-
-    @staticmethod
-    def make(kind: AlgebraKind, p: int, data: dict[Column, LaurentPoly]) -> "WedgeVector":
-        items = [(c, v) for c, v in data.items() if not v.is_zero()]
-        items.sort(key=lambda cv: tuple(letter_key(x, kind.rank) for x in cv[0].letters))
-        return WedgeVector(kind, p, tuple(items))
-
-    @staticmethod
-    def unit(col: Column) -> "WedgeVector":
-        return WedgeVector(col.kind, col.height, ((col, LaurentPoly.one()),))
-
-    @staticmethod
-    def zero(kind: AlgebraKind, p: int) -> "WedgeVector":
-        return WedgeVector(kind, p, ())
-
-    def as_dict(self) -> dict[Column, LaurentPoly]:
-        return dict(self.terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def coeff(self, col: Column) -> LaurentPoly:
-        for c, v in self.terms:
-            if c == col:
-                return v
-        return LaurentPoly.zero()
-
-    def scale(self, s: LaurentPoly) -> "WedgeVector":
-        if s.is_zero():
-            return WedgeVector.zero(self.kind, self.p)
-        return WedgeVector(self.kind, self.p, tuple((c, v * s) for c, v in self.terms))
-
-    def __add__(self, other: "WedgeVector") -> "WedgeVector":
-        d = dict(self.terms)
-        for c, v in other.terms:
-            d[c] = d.get(c, LaurentPoly.zero()) + v
-        return WedgeVector.make(self.kind, self.p, d)
-
-    def json(self) -> dict:
-        return {
-            "p": self.p,
-            "kind": self.kind.family,
-            "terms": [{"column": str(c), "coeff": v.json_terms()} for c, v in self.terms],
-        }
 
 
 # -- straightening ------------------------------------------------------------
@@ -149,9 +95,8 @@ def _rewrite_pair(kind: AlgebraKind, a: Letter, b: Letter) -> list[tuple[tuple[L
 
 
 @lru_cache(maxsize=None)
-def _straighten_cached(kind: AlgebraKind, letters: tuple[Letter, ...]) -> WedgeVector:
-    p = len(letters)
-    limit = step_limit(p)
+def _straighten_cached(kind: AlgebraKind, letters: tuple[Letter, ...]) -> SparseVector:
+    limit = step_limit(len(letters))
     acc: dict[Column, LaurentPoly] = {}
     work: list[tuple[tuple[Letter, ...], LaurentPoly, int]] = [(letters, LaurentPoly.one(), 0)]
     while work:
@@ -165,10 +110,10 @@ def _straighten_cached(kind: AlgebraKind, letters: tuple[Letter, ...]) -> WedgeV
             raise StepLimitExceeded(f"straightening {letters} exceeded {limit} rewrites")
         for (x, y), c in _rewrite_pair(kind, mono[j], mono[j + 1]):
             work.append((mono[:j] + (x, y) + mono[j + 2 :], coeff * c, depth + 1))
-    return WedgeVector.make(kind, p, acc)
+    return SparseVector(acc)
 
 
-def straighten(kind: AlgebraKind, letters: tuple[Letter, ...]) -> WedgeVector:
+def straighten(kind: AlgebraKind, letters: tuple[Letter, ...]) -> SparseVector:
     """Expand an arbitrary wedge monomial on the column basis."""
     return _straighten_cached(kind, tuple(letters))
 
@@ -341,7 +286,7 @@ def _flip(col: Column) -> Column:
     return Column(col.kind, tuple(-x if abs(x) == n else x for x in col.letters))
 
 
-def wedge_f(col: Column, i: int) -> WedgeVector:
+def wedge_f(col: Column, i: int) -> SparseVector:
     """The Chevalley operator f_i applied to the basis vector of one column."""
     kind = col.kind
     n = kind.rank
@@ -356,42 +301,37 @@ def wedge_f(col: Column, i: int) -> WedgeVector:
     out: dict[Column, LaurentPoly] = {}
     for c, v in rows:
         out[c] = out.get(c, LaurentPoly.zero()) + v
-    return WedgeVector.make(kind, col.height, out)
+    return SparseVector(out)
 
 
-def wedge_t_exponent(col: Column, i: int) -> int:
-    """Exponent a with t_i v_C = q_i^a v_C."""
-    return cartan_exponent(col.weight2(), i, col.kind)
-
-
-def wedge_f_vector(v: WedgeVector, i: int) -> WedgeVector:
-    out = WedgeVector.zero(v.kind, v.p)
-    for c, coeff in v.terms:
-        out = out + wedge_f(c, i).scale(coeff)
-    return out
+def _combine(pairs) -> SparseVector:
+    """The sum of vec.scale(s) over (vec, s) pairs, accumulated in one dict."""
+    acc: dict[Column, LaurentPoly] = {}
+    for vec, s in pairs:
+        for c, v in vec.terms:
+            cur = acc.get(c)
+            acc[c] = v * s if cur is None else cur + v * s
+    return SparseVector(acc)
 
 
 @lru_cache(maxsize=None)
-def _divided_on_column(col: Column, i: int, k: int) -> WedgeVector:
+def _divided_on_column(col: Column, i: int, k: int) -> SparseVector:
+    v = SparseVector.unit(col)
     if k == 0:
-        return WedgeVector.unit(col)
-    v = WedgeVector.unit(col)
+        return v
     for _ in range(k):
-        v = wedge_f_vector(v, i)
+        v = _combine((wedge_f(c, i), s) for c, s in v.terms)
         if v.is_zero():
             return v
     fact = quantum_factorial(k, qi_exponent(col.kind, i))
-    return WedgeVector(v.kind, v.p, tuple((c, divide_exact(p, fact)) for c, p in v.terms))
+    return SparseVector({c: divide_exact(p, fact) for c, p in v.terms})
 
 
-def wedge_f_divided(v: WedgeVector | Column, i: int, k: int) -> WedgeVector:
+def wedge_f_divided(v: SparseVector | Column, i: int, k: int) -> SparseVector:
     """The divided power f_i^(k) = f_i^k / [k]!, exactly."""
     if isinstance(v, Column):
         return _divided_on_column(v, i, k)
-    out = WedgeVector.zero(v.kind, v.p)
-    for c, coeff in v.terms:
-        out = out + _divided_on_column(c, i, k).scale(coeff)
-    return out
+    return _combine((_divided_on_column(c, i, k), s) for c, s in v.terms)
 
 
 # -- tensor-lift oracle ---------------------------------------------------------
@@ -409,17 +349,17 @@ def _vector_rep_f(kind: AlgebraKind, x: Letter, i: int) -> list[tuple[Letter, La
     return [(y, LaurentPoly.one())] if y is not None else []
 
 
-def tensor_lift_f(col: Column, i: int) -> WedgeVector:
+def tensor_lift_f(col: Column, i: int) -> SparseVector:
     """Oracle for wedge_f: coproduct action on the tensor lift, then straighten."""
     kind = col.kind
     d = qi_exponent(kind, i)
     letters = col.letters
-    out = WedgeVector.zero(kind, col.height)
+    pairs = []
     t_prefix = LaurentPoly.one()
     for j, x in enumerate(letters):
         for y, c in _vector_rep_f(kind, x, i):
             mono = letters[:j] + (y,) + letters[j + 1 :]
-            out = out + straighten(kind, mono).scale(t_prefix * c)
+            pairs.append((straighten(kind, mono), t_prefix * c))
         a = cartan_exponent(letter_weight2(x, kind.rank), i, kind)
         t_prefix = t_prefix * LaurentPoly.q(d * a)
-    return out
+    return _combine(pairs)

@@ -168,6 +168,48 @@ def test_canonical_matrix_empty_weight_space():
     assert M.rows == () and M.cols == () and not M.entries
 
 
+def test_canonical_matrix_clamps_workers(monkeypatch):
+    """--jobs never asks the pool for more workers than cores or weight spaces.
+
+    The pool is replaced by an in-process fake that records max_workers, so
+    no worker process is started."""
+    import concurrent.futures
+    import os
+
+    requested = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    lam = (1, 1)
+    groups = len({weight2_of_tabloid(t) for t in enumerate_tableaux(lam, B2)})
+    serial = canonical_matrix(lam, B2)
+    assert groups > 3 and requested == []
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert canonical_matrix(lam, B2, jobs=1000) == serial
+    assert requested == [3]
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 1000)
+    assert canonical_matrix(lam, B2, jobs=1000) == serial
+    assert requested == [3, groups]
+
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: one core
+    assert canonical_matrix(lam, B2, jobs=1000) == serial
+    assert requested == [3, groups]
+
+
 def test_canonical_matrix_gamma_log_is_bar_symmetric():
     for kind, lam in ((B2, (0, 3)), (B3, (0, 1, 1))):
         M = canonical_matrix(lam, kind)

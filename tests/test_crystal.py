@@ -14,7 +14,7 @@ from qcb.crystal import (
     word_apply,
     word_eps_phi,
 )
-from qcb.rootdata import AlgebraKind, alphabet
+from qcb.rootdata import AlgebraKind, alphabet, cartan_exponent
 
 B2 = AlgebraKind("B", 2)
 B3 = AlgebraKind("B", 3)
@@ -170,3 +170,27 @@ def test_spin_word_factor():
     v = word_apply(w, 2, "f")
     assert v.spin.letters() == (1, -2) and v.letters == (1,)
     assert str(v) == "s:1,-2/1"
+
+
+def test_spin_t_exponents():
+    top = SpinColumn.highest(B3)
+    assert cartan_exponent(top.weight2(), 3, B3) == 1
+    assert cartan_exponent(top.weight2(), 1, B3) == 0
+    mixed = SpinColumn(B3, frozenset({2}))  # letters 1, 3, -2
+    assert cartan_exponent(mixed.weight2(), 1, B3) == 1
+
+
+def test_spin_orbit_of_highest_generates_everything():
+    for kind, want in ((B3, 8), (D3, 4)):
+        seen = {SpinColumn.highest(kind)}
+        frontier = list(seen)
+        while frontier:
+            nxt = []
+            for s in frontier:
+                for i in range(1, kind.rank + 1):
+                    t = spin_apply(s, i, "f")
+                    if t is not None and t not in seen:
+                        seen.add(t)
+                        nxt.append(t)
+            frontier = nxt
+        assert len(seen) == want

@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -5,6 +7,7 @@ from qcb.laurent import (
     InexactDivision,
     LaurentPoly,
     NegativePower,
+    SparseVector,
     divide_exact,
     quantum_factorial,
     quantum_int,
@@ -95,6 +98,11 @@ def test_text_form():
     assert str(P((0, -3), (2, 2))) == "-3+2*q^2"
     assert str(LaurentPoly.zero()) == "0"
     assert P((5, 1), (9, -1)).json_terms() == [[5, 1], [9, -1]]
+    assert P((5, 1), (9, -1)).latex() == "q^{5}-q^{9}"
+    assert P((-1, 1), (1, 1)).latex() == "q^{-1}+q"
+    assert P((0, -3), (2, 2)).latex() == "-3+2q^{2}"
+    assert P((1, -1), (3, 4)).latex() == "-q+4q^{3}"
+    assert LaurentPoly.zero().latex() == "0"
 
 
 def test_immutability_and_hash():
@@ -102,3 +110,20 @@ def test_immutability_and_hash():
     with pytest.raises(AttributeError):
         p._terms = {}
     assert hash(P((1, 1), (3, 2))) == hash(P((3, 2), (1, 1)))
+
+
+def test_sparse_vector_arithmetic():
+    q = LaurentPoly.q
+    a, b = SparseVector.unit("a"), SparseVector.unit("b")
+    assert SparseVector.zero().is_zero() and not a.is_zero()
+    assert SparseVector({"a": LaurentPoly.zero()}) == SparseVector.zero()
+    v = a.scale(q(1)) + b
+    assert v == SparseVector({"b": LaurentPoly.one(), "a": q(1)})
+    assert v.coeff("a") == q(1) and v.coeff("c").is_zero()
+    assert (v - b) == a.scale(q(1))
+    assert (v - v).is_zero() and (v - v) == SparseVector.zero()
+    assert v.scale(LaurentPoly.zero()).is_zero()
+    assert sorted(v.terms) == [("a", q(1)), ("b", LaurentPoly.one())]
+    assert pickle.loads(pickle.dumps(v)) == v
+    with pytest.raises(AttributeError):
+        v._terms = {}

@@ -6,10 +6,10 @@ pins the recursion's q-powers."""
 import random
 
 from qcb.crystal import SpinColumn, spin_apply
-from qcb.laurent import LaurentPoly, divide_exact, quantum_factorial
-from qcb.modvec import ModuleVector, _factors, _tabloid_from_factors, apply_monomial, highest_vector, module_f_divided
+from qcb.laurent import LaurentPoly, SparseVector, divide_exact, quantum_factorial
+from qcb.modvec import _factors, _tabloid_from_factors, apply_monomial, highest_vector, module_f_divided
 from qcb.rootdata import AlgebraKind, cartan_exponent, qi_exponent
-from qcb.shapes import highest_tabloid, shape_for_lambda, weight2_of_tabloid
+from qcb.shapes import tabloid_sort_key, weight2_of_tabloid
 from qcb.wedge import wedge_f
 
 B2 = AlgebraKind("B", 2)
@@ -17,12 +17,11 @@ B3 = AlgebraKind("B", 3)
 D3 = AlgebraKind("D", 3)
 
 
-def plain_f(v: ModuleVector, i: int) -> ModuleVector:
-    shape = v.shape
-    kind = shape.kind
+def plain_f(v: SparseVector, i: int, kind: AlgebraKind) -> SparseVector:
     d = qi_exponent(kind, i)
     acc = {}
     for tab, coeff in v.terms:
+        shape = tab.shape
         factors = _factors(tab)
         tpref = LaurentPoly.one()
         for j, f in enumerate(factors):
@@ -35,15 +34,15 @@ def plain_f(v: ModuleVector, i: int) -> ModuleVector:
                 t = _tabloid_from_factors(shape, factors[:j] + (g,) + factors[j + 1 :])
                 acc[t] = acc.get(t, LaurentPoly.zero()) + coeff * c * tpref
             tpref = tpref * LaurentPoly.q(d * cartan_exponent(f.weight2(), i, kind))
-    return ModuleVector.make(shape, acc)
+    return SparseVector(acc)
 
 
-def brute_divided(v: ModuleVector, i: int, m: int) -> ModuleVector:
+def brute_divided(v: SparseVector, i: int, m: int, kind: AlgebraKind) -> SparseVector:
     out = v
     for _ in range(m):
-        out = plain_f(out, i)
-    fact = quantum_factorial(m, qi_exponent(v.shape.kind, i))
-    return ModuleVector.make(v.shape, {t: divide_exact(c, fact) for t, c in out.terms})
+        out = plain_f(out, i, kind)
+    fact = quantum_factorial(m, qi_exponent(kind, i))
+    return SparseVector({t: divide_exact(c, fact) for t, c in out.terms})
 
 
 def test_divided_power_example():
@@ -71,7 +70,7 @@ def test_recursion_matches_brute_force():
         for _ in range(10):
             i = rng.randrange(1, kind.rank + 1)
             m = rng.randrange(0, 3)
-            assert module_f_divided(v, i, m).terms == brute_divided(v, i, m).terms
+            assert module_f_divided(v, i, m) == brute_divided(v, i, m, kind)
             nv = module_f_divided(v, rng.randrange(1, kind.rank + 1), rng.randrange(1, 3))
             if not nv.is_zero():
                 v = nv
@@ -79,7 +78,8 @@ def test_recursion_matches_brute_force():
 
 def test_weight_homogeneity():
     v = highest_vector((1, 1, 2), B3)
-    mu = weight2_of_tabloid(v.terms[0][0])
+    ((top, _c),) = v.terms
+    mu = weight2_of_tabloid(top)
     out = module_f_divided(v, 3, 2)
     for t, _c in out.terms:
         assert weight2_of_tabloid(t) == (mu[0], mu[1], mu[2] - 4)
@@ -98,14 +98,14 @@ def test_apply_monomial():
         2,
         1,
     )
-    assert out.terms == lhs.terms
+    assert out == lhs
 
 
 def test_highest_vector_spin_shapes():
-    t = highest_vector((1, 1, 3), B3).terms[0][0]
+    ((t, _c),) = highest_vector((1, 1, 3), B3).terms
     assert t.spin.letters() == (1, 2, 3)
     assert str(t) == "s:1,2,3/1,2,3/1,2/1"
-    t = highest_vector((0, 2, 1), D3).terms[0][0]
+    ((t, _c),) = highest_vector((0, 2, 1), D3).terms
     assert t.spin.letters() == (1, 2, -3)
     assert [c.letters for c in t.columns] == [(1, 2)]
 
@@ -124,7 +124,7 @@ def test_recursion_split_associativity():
             nv = module_f_divided(v, i, rng.randrange(1, 3))
             if not nv.is_zero():
                 v = nv
-        tab = v.terms[0][0]
+        tab = min((t for t, _c in v.terms), key=tabloid_sort_key)
         factors = _factors(tab)
         for i in range(1, kind.rank + 1):
             d = d_by_i[i]

@@ -1,0 +1,46 @@
+"""The benchmark's traced run patches names inside the package.
+
+``perfbench/tracing.py`` replaces functions by name in several modules and
+reads ``cache_info()`` and ``len(vec.terms)``; a rename in the package would
+otherwise break the traced run silently.  This runs the tracer on a small
+``qcb canonical`` call in a fresh interpreter.
+"""
+
+import json
+import os
+import subprocess
+import sys
+import textwrap
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+SCRIPT = textwrap.dedent(
+    """
+    import json, os, sys
+
+    import tracing
+
+    tracer = tracing.Tracer()
+    tracing.install(tracer)
+    import qcb.cli as cli
+
+    argv = ["--type", "B", "--rank", "2", "canonical", "--lambda", "1,1"]
+    rc = cli.main(argv + ["--output", os.path.join(sys.argv[1], "out.json")])
+    print(json.dumps({"rc": rc, "maxima": tracer.maxima, "caches": tracing.cache_counters()}))
+    """
+)
+
+
+def test_tracer_installs_on_canonical(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")])
+    env["PYTHONDONTWRITEBYTECODE"] = "1"
+    proc = subprocess.run(
+        [sys.executable, "-c", SCRIPT, str(tmp_path)], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert "trace map is stale" not in proc.stderr
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["rc"] == 0
+    assert doc["maxima"]["max_support"] > 0
+    assert {"straighten_hits", "divided_misses", "is_admissible_hits"} <= set(doc["caches"])

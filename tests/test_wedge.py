@@ -1,16 +1,16 @@
 import pytest
 
-from qcb.laurent import LaurentPoly
-from qcb.rootdata import AlgebraKind, letter_weight2, weight2_add
+from qcb.cli import _json_terms
+from qcb.crystal import word_sort_key
+from qcb.laurent import LaurentPoly, SparseVector
+from qcb.rootdata import AlgebraKind, cartan_exponent, letter_weight2, weight2_add
 from qcb.shapes import Column, enumerate_columns
 from qcb.wedge import (
     StepLimitExceeded,
-    WedgeVector,
     straighten,
     tensor_lift_f,
     wedge_f,
     wedge_f_divided,
-    wedge_t_exponent,
 )
 
 B2 = AlgebraKind("B", 2)
@@ -63,9 +63,12 @@ def test_wedge_f_examples():
 
 
 def test_wedge_t_exponent():
-    assert wedge_t_exponent(Column(B2, (1, 2)), 1) == 0
-    assert wedge_t_exponent(Column(B2, (1, 2)), 2) == 2
-    assert wedge_t_exponent(Column(B3, (0, 0)), 2) == 0
+    def t_exponent(col, i):
+        return cartan_exponent(col.weight2(), i, col.kind)
+
+    assert t_exponent(Column(B2, (1, 2)), 1) == 0
+    assert t_exponent(Column(B2, (1, 2)), 2) == 2
+    assert t_exponent(Column(B3, (0, 0)), 2) == 0
 
 
 def test_divided_powers():
@@ -141,10 +144,12 @@ def test_step_limit_env(monkeypatch):
 
 
 def test_vector_addition_and_json():
-    a = WedgeVector.unit(Column(B2, (1, 2)))
+    a = SparseVector.unit(Column(B2, (1, 2)))
     b = a.scale(P((1, 1)))
     s = a + b
     assert terms_of(s) == {"1,2": "1+q"}
-    doc = s.json()
-    assert doc["p"] == 2 and doc["kind"] == "B"
-    assert doc["terms"] == [{"column": "1,2", "coeff": [[0, 1], [1, 1]]}]
+    doc = _json_terms(s, "column", lambda col: word_sort_key(col.word()))
+    assert doc == [{"column": "1,2", "coeff": [[0, 1], [1, 1]]}]
+    # the JSON form lists columns in the letter order, whatever the insertion order
+    v = SparseVector({Column(B2, (2, -2)): P((0, 1)), Column(B2, (1, 2)): P((1, 1))})
+    assert [t["column"] for t in _json_terms(v, "column", lambda col: word_sort_key(col.word()))] == ["1,2", "2,-2"]
