@@ -15,7 +15,7 @@ from .canonical import (
 from .crystal import SpinColumn, Word, component_bfs, raise_to_highest, spin_apply, vec_edge, word_apply, word_eps_phi
 from .laurent import InexactDivision, LaurentPoly, NegativePower, SparseVector, divide_exact, quantum_factorial, quantum_int
 from .modvec import apply_monomial, highest_vector, module_f_divided
-from .rootdata import AlgebraKind, NonIntegralPairing, cartan_exponent, letter_leq_B, letter_weight2, qi_exponent
+from .rootdata import AlgebraKind, InvariantViolation, NonIntegralPairing, cartan_exponent, letter_leq_B, letter_weight2, qi_exponent
 from .shapes import (
     Column,
     MalformedWord,
@@ -23,6 +23,7 @@ from .shapes import (
     Shape,
     ShapeMismatch,
     Tabloid,
+    component_words,
     decompose_lambda,
     enumerate_columns,
     enumerate_tableaux,
@@ -36,6 +37,7 @@ from .shapes import (
     shape_of,
     tabloid_leq,
     tabloid_reading,
+    tabloid_weight_counts,
     weight2_of_tabloid,
     word_to_tabloid,
 )

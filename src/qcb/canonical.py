@@ -4,24 +4,30 @@ Stage one walks an admissible column up to its highest-weight vertex by
 raising the leftmost movable letter, recording the divided powers whose
 product rebuilds the column's global basis vector (Marsh's algorithm).
 Stage two extends the walk to a whole orthogonal tableau, producing the
-bar-invariant monomial vector A(T).  Stage three corrects A(T) down the
-total order with bar-symmetric coefficients until the expansion is regular
-at q=0, which pins the canonical basis G(T); the corrections are logged and
-the expansions assembled into one matrix per weight space.
+bar-invariant monomial vector A(T); each step lands on a tableau whose own
+walk is the rest, so A(T) = f_i^(r) A(next(T)) costs one divided power.
+Stage three corrects A(T) down the total order with bar-symmetric
+coefficients until the expansion is regular at q=0, which pins the
+canonical basis G(T); the corrections are logged and the expansions
+assembled into one matrix per weight space.
 """
 
 from __future__ import annotations
 
 import os
+from collections import Counter
 from dataclasses import dataclass
+from typing import Callable
 
 from .crystal import Word, raise_to_highest, spin_apply, spin_eps_phi, vec_edge, word_apply, word_eps_phi
 from .laurent import LaurentPoly, SparseVector
 from .modvec import apply_monomial
-from .rootdata import AlgebraKind, Weight2
+from .rootdata import AlgebraKind, InvariantViolation, Weight2
 from .shapes import (
     Column,
+    Shape,
     Tabloid,
+    component_words,
     enumerate_tableaux,
     enumerate_tabloids,
     highest_tabloid,
@@ -29,7 +35,7 @@ from .shapes import (
     is_orthogonal_tableau,
     shape_for_lambda,
     tabloid_reading,
-    tabloid_sort_key,
+    tabloid_weight_counts,
     weight2_of_tabloid,
 )
 from .wedge import wedge_f, wedge_f_divided
@@ -91,7 +97,7 @@ def _marsh_color(col: Column) -> int:
         for i in range(1, n + 1):
             if vec_edge(z, i, "e", kind) is not None:
                 return i
-        raise AssertionError("movable letter with no raising edge")
+        raise InvariantViolation(f"movable letter {z} of {col} has no raising edge")
     m = n - 1
     sel = {m, n, -n, -m}
     w = tuple(x for x in letters if x in sel)
@@ -108,7 +114,7 @@ def _marsh_color(col: Column) -> int:
     for i in range(1, n + 1):
         if vec_edge(z, i, "e", kind) is not None:
             return i
-    raise AssertionError("movable letter with no raising edge")
+    raise InvariantViolation(f"movable letter {z} of {col} has no raising edge")
 
 
 def _column_highest_target(col: Column) -> tuple[int, ...]:
@@ -136,11 +142,13 @@ def marsh_path(col: Column) -> list[tuple[int, int]]:
     while cur.letters != target:
         i = _marsh_color(cur)
         eps, _ = word_eps_phi(cur.word(), i)
-        assert eps in (1, 2), f"raising multiplicity {eps} out of range"
+        if eps not in (1, 2):
+            raise InvariantViolation(f"raising multiplicity {eps} out of range at {cur}")
         w: Word | None = cur.word()
         for _ in range(eps):
             w = word_apply(w, i, "e")
-            assert w is not None
+            if w is None:
+                raise InvariantViolation(f"e_{i} vanished on column {cur}")
         cur = Column(col.kind, w.letters)
         steps.append((i, eps))
         if len(steps) > MAX_RAISING_STEPS:
@@ -162,16 +170,85 @@ def _word_is_highest(w: Word) -> bool:
     return all(word_eps_phi(w, i)[0] == 0 for i in range(1, w.kind.rank + 1))
 
 
-def _spin_step(cur: Tabloid) -> tuple[int, Tabloid]:
+Member = Callable[[Tabloid], bool]
+Count = Callable[[Tabloid], int]
+
+
+def _spin_step(cur: Tabloid, member: Member) -> tuple[int, int, Tabloid]:
     """Raise the spin column alone, by the smallest color that stays in the crystal."""
     for j in range(1, cur.shape.kind.rank + 1):
         g2 = spin_apply(cur.spin, j, "e")
         if g2 is None:
             continue
         cand = Tabloid(cur.shape, g2, cur.columns)
-        if is_orthogonal_tableau(cand):
-            return j, cand
-    raise AssertionError(f"no spin raise leaves {cur} in the crystal")
+        if member(cand):
+            return j, 1, cand
+    raise InvariantViolation(f"no spin raise leaves {cur} in the crystal")
+
+
+def _raise_once(cur: Tabloid, member: Member, count: Count) -> tuple[int, int, Tabloid] | None:
+    """One step (i, r, next) of the raising walk, with next = e_i^r cur.
+
+    None means the walk ends at cur: it is the highest tableau, or a spin
+    tableau whose weight space holds one tabloid.  ``member`` decides
+    whether a tabloid is an orthogonal tableau and ``count`` gives the
+    number of tabloids of a tabloid's weight.
+    """
+    shape = cur.shape
+    if cur == highest_tabloid(shape):
+        return None
+    kind = shape.kind
+    cols = cur.columns
+    if cur.spin is not None and _word_is_highest(Word(kind, tabloid_reading(cur).letters)):
+        if count(cur) == 1:
+            # alone in its weight space: the tabloid vector is already
+            # the canonical one and the walk may stop here
+            return None
+        return _spin_step(cur, member)
+    not_highest = [j for j, c in enumerate(cols) if not _word_is_highest(c.word())]
+    k = max(not_highest)
+    colk = cols[k]
+    i1 = _marsh_color(colk)
+    if cur.spin is not None and spin_apply(cur.spin, i1, "f") is not None:
+        # the spin column blocks this node (its t-eigenvalue spoils the
+        # unit coefficient); raise the spin itself instead
+        return _spin_step(cur, member)
+    if k == 0:
+        low = 0
+    elif not wedge_f(colk, i1).is_zero() or word_eps_phi(cols[k - 1].word(), i1)[0] == 0:
+        low = k
+    else:
+        low = None
+        for cand in range(0, k):
+            if all(wedge_f(cols[j], i1).is_zero() for j in range(cand + 1, k + 1)) and all(
+                word_eps_phi(cols[j].word(), i1)[0] > 0 for j in range(cand, k + 1)
+            ):
+                low = cand
+                break
+        if low is None:
+            raise InvariantViolation(f"no admissible left end for the raising block of {cur}")
+    new_cols = list(cols)
+    r = 0
+    for j in range(low, k + 1):
+        eps, _ = word_eps_phi(cols[j].word(), i1)
+        r += eps
+        w: Word | None = cols[j].word()
+        for _ in range(eps):
+            w = word_apply(w, i1, "e")
+            if w is None:
+                raise InvariantViolation(f"e_{i1} vanished on column {cols[j]}")
+        new_cols[j] = Column(kind, w.letters)
+    new_spin = cur.spin
+    if cur.spin is not None and spin_eps_phi(cur.spin, i1)[0] == 1:
+        # the spin column sits leftmost in the tensor order; when it can
+        # absorb a raising step it must, or the replayed divided power
+        # picks up a stray power of q_i on the target tabloid
+        new_spin = spin_apply(cur.spin, i1, "e")
+        r += 1
+    nxt = Tabloid(shape, new_spin, tuple(new_cols))
+    if not member(nxt):
+        raise InvariantViolation(f"raising left the crystal at {nxt}")
+    return i1, r, nxt
 
 
 def a_path(tab: Tabloid) -> APath:
@@ -179,79 +256,88 @@ def a_path(tab: Tabloid) -> APath:
     if not is_orthogonal_tableau(tab):
         raise NotOrthogonalTableau(str(tab))
     shape = tab.shape
-    kind = shape.kind
-    top = highest_tabloid(shape)
+
+    def count(t: Tabloid) -> int:
+        return len(enumerate_tabloids(shape, weight2_of_tabloid(t)))
+
     steps: list[tuple[int, int]] = []
     inters: list[Tabloid] = []
     cur = tab
-    guard = 0
-    while cur != top:
-        guard += 1
-        if guard > MAX_RAISING_STEPS:
+    while (step := _raise_once(cur, is_orthogonal_tableau, count)) is not None:
+        if len(steps) >= MAX_RAISING_STEPS:
             raise IterationLimit(f"raising walk from {tab} did not terminate")
-        cols = cur.columns
-        if cur.spin is not None and _word_is_highest(Word(kind, tabloid_reading(cur).letters)):
-            if len(enumerate_tabloids(shape, weight2_of_tabloid(cur))) == 1:
-                # alone in its weight space: the tabloid vector is already
-                # the canonical one and the walk may stop here
-                return APath(tuple(steps), True, cur, tuple(inters))
-            j, cur = _spin_step(cur)
-            steps.append((j, 1))
-            inters.append(cur)
-            continue
-        not_highest = [j for j, c in enumerate(cols) if not _word_is_highest(c.word())]
-        k = max(not_highest)
-        colk = cols[k]
-        i1 = _marsh_color(colk)
-        if cur.spin is not None and spin_apply(cur.spin, i1, "f") is not None:
-            # the spin column blocks this node (its t-eigenvalue spoils the
-            # unit coefficient); raise the spin itself instead
-            j, cur = _spin_step(cur)
-            steps.append((j, 1))
-            inters.append(cur)
-            continue
-        if k == 0:
-            low = 0
-        elif not wedge_f(colk, i1).is_zero() or word_eps_phi(cols[k - 1].word(), i1)[0] == 0:
-            low = k
-        else:
-            low = None
-            for cand in range(0, k):
-                if all(wedge_f(cols[j], i1).is_zero() for j in range(cand + 1, k + 1)) and all(
-                    word_eps_phi(cols[j].word(), i1)[0] > 0 for j in range(cand, k + 1)
-                ):
-                    low = cand
-                    break
-            assert low is not None, "no admissible left end for the raising block"
-        new_cols = list(cols)
-        r = 0
-        for j in range(low, k + 1):
-            eps, _ = word_eps_phi(cols[j].word(), i1)
-            r += eps
-            w: Word | None = cols[j].word()
-            for _ in range(eps):
-                w = word_apply(w, i1, "e")
-                assert w is not None
-            new_cols[j] = Column(kind, w.letters)
-        new_spin = cur.spin
-        if cur.spin is not None and spin_eps_phi(cur.spin, i1)[0] == 1:
-            # the spin column sits leftmost in the tensor order; when it can
-            # absorb a raising step it must, or the replayed divided power
-            # picks up a stray power of q_i on the target tabloid
-            new_spin = spin_apply(cur.spin, i1, "e")
-            r += 1
-        nxt = Tabloid(shape, new_spin, tuple(new_cols))
-        assert is_orthogonal_tableau(nxt), f"raising left the crystal at {nxt}"
-        steps.append((i1, r))
-        inters.append(nxt)
-        cur = nxt
-    return APath(tuple(steps), False, top, tuple(inters))
+        i, r, cur = step
+        steps.append((i, r))
+        inters.append(cur)
+    return APath(tuple(steps), cur != highest_tabloid(shape), cur, tuple(inters))
 
 
 def a_vector(tab: Tabloid) -> SparseVector:
     """The bar-invariant monomial vector attached to an orthogonal tableau."""
     path = a_path(tab)
     return apply_monomial(SparseVector.unit(path.base), list(path.steps))
+
+
+class _Walk:
+    """What the raising walk needs to know about one module, per call.
+
+    Membership is a lookup in the readings of the crystal component.  The
+    tabloid counts per weight are computed on the first spin early-exit
+    test, once per call (or per pool worker).
+    """
+
+    def __init__(self, shape: Shape, words: set[Word]):
+        self.shape = shape
+        self.words = words
+        self.counts: dict[Weight2, int] | None = None
+
+    def member(self, t: Tabloid) -> bool:
+        return tabloid_reading(t) in self.words
+
+    def count(self, t: Tabloid) -> int:
+        if self.counts is None:
+            self.counts = tabloid_weight_counts(self.shape)
+        return self.counts[weight2_of_tabloid(t)]
+
+
+class _MonomialBuilder:
+    """A(T) for a set of tableaux, each as f_i^(r) A(next(T)).
+
+    ``steps`` maps every tableau on the raising walks of the requested ones
+    to its step (i, r, next(T)), or to None where its walk ends.  A built
+    vector is kept only while some tableau still to be built raises to it.
+    """
+
+    def __init__(self, walk: _Walk, tabs: list[Tabloid]):
+        steps: dict[Tabloid, tuple[int, int, Tabloid] | None] = {}
+        for t in tabs:
+            while t not in steps:
+                step = steps[t] = _raise_once(t, walk.member, walk.count)
+                if step is None:
+                    break
+                t = step[2]
+        self.steps = steps
+        self.pending = Counter(step[2] for step in steps.values() if step is not None)
+        self.memo: dict[Tabloid, SparseVector] = {}
+
+    def vector(self, tab: Tabloid) -> SparseVector:
+        chain = []
+        t = tab
+        while t not in self.memo and self.steps[t] is not None:
+            if len(chain) >= MAX_RAISING_STEPS:
+                raise IterationLimit(f"raising walk from {tab} did not terminate")
+            chain.append(t)
+            t = self.steps[t][2]
+        v = self.memo[t] if t in self.memo else SparseVector.unit(t)
+        for c in reversed(chain):
+            i, r, above = self.steps[c]
+            v = apply_monomial(v, [(i, r)])
+            self.pending[above] -= 1
+            if not self.pending[above]:
+                self.memo.pop(above, None)
+            if self.pending[c]:
+                self.memo[c] = v
+        return v
 
 
 def _gamma_symmetrize(c: LaurentPoly) -> LaurentPoly:
@@ -309,17 +395,39 @@ def _correct_group(
                 continue
             v = v - out[j].scale(gamma)
             rest = v.coeff(tableaux[j])
-            assert rest.is_zero() or rest.min_exp() >= 1, "correction left a bad coefficient"
+            if not (rest.is_zero() or rest.min_exp() >= 1):
+                raise InvariantViolation(f"correction left {rest} at {tableaux[j]}")
             log.append((idx, j, gamma))
-        assert v.coeff(tableaux[idx]) == LaurentPoly.one(), "diagonal is not 1"
+        if v.coeff(tableaux[idx]) != LaurentPoly.one():
+            raise InvariantViolation(f"diagonal of {tableaux[idx]} is not 1")
         out.append(v)
     return out, log
 
 
+# the pool workers' _Walk, set by _init_worker in each worker process
+_worker_walk: _Walk | None = None
+
+
+def _init_worker(walk: _Walk) -> None:
+    global _worker_walk
+    _worker_walk = walk
+
+
+def _corrected_groups(walk: _Walk, group_items: list[tuple[Weight2, list[Tabloid]]]) -> list:
+    """Correct the weight spaces in turn, sharing one memo of A(T)."""
+    build = _MonomialBuilder(walk, [t for _mu, tabs in group_items for t in tabs])
+    return [_correct_group([build.vector(t) for t in tabs], tabs) for _mu, tabs in group_items]
+
+
 def _group_worker(item: tuple[Weight2, list[Tabloid]]):
-    _mu, tabs = item
-    vectors = [a_vector(t) for t in tabs]
-    return _correct_group(vectors, tabs)
+    """One weight space in a pool worker, which builds its own raising walks."""
+    return _corrected_groups(_worker_walk, [item])[0]
+
+
+def _level(mu: Weight2) -> int:
+    """A linear form that every raising operator increases."""
+    n = len(mu)
+    return sum((n - k) * a for k, a in enumerate(mu))
 
 
 def canonical_matrix(
@@ -330,44 +438,54 @@ def canonical_matrix(
 ) -> CanonicalMatrix:
     """Expand the canonical basis (one weight space when weight2 is given)."""
     shape = shape_for_lambda(lam, kind)
-    tableaux = enumerate_tableaux(lam, kind, weight2=weight2)
+    words = component_words(shape)
+    tableaux = enumerate_tableaux(lam, kind, weight2=weight2, words=words)
     if not tableaux:
         return CanonicalMatrix(kind, tuple(lam), weight2, (), (), {}, ())
     groups: dict[Weight2, list[Tabloid]] = {}
     for t in tableaux:
         groups.setdefault(weight2_of_tabloid(t), []).append(t)
-    group_items = sorted(groups.items())
+    walk = _Walk(shape, words)
+    # highest weight spaces first: then next(T) is built before T
+    group_items = sorted(groups.items(), key=lambda item: -_level(item[0]))
     # the fork start method starts every worker at once, so never ask for
     # more than there are cores or weight spaces
     workers = min(jobs, os.cpu_count() or 1, len(group_items))
     if workers > 1:
         import concurrent.futures
 
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as ex:
+        with concurrent.futures.ProcessPoolExecutor(
+            max_workers=workers, initializer=_init_worker, initargs=(walk,)
+        ) as ex:
             results = list(ex.map(_group_worker, group_items))
     else:
-        results = [_group_worker(item) for item in group_items]
+        results = _corrected_groups(walk, group_items)
 
-    col_index = {t: i for i, t in enumerate(tableaux)}
     if weight2 is not None:
         rows = tuple(enumerate_tabloids(shape, weight2))
+        row_weights = [weight2] * len(rows)
     else:
-        seen: set[Tabloid] = set()
-        for mu, _tabs in group_items:
-            seen.update(enumerate_tabloids(shape, mu))
-        rows = tuple(sorted(seen, key=tabloid_sort_key))
+        # one sorted pass over all tabloids, after the pool has forked
+        kept = [(t, mu) for t in enumerate_tabloids(shape) if (mu := weight2_of_tabloid(t)) in groups]
+        rows = tuple(t for t, _mu in kept)
+        row_weights = [mu for _t, mu in kept]
+    # the rows ascend in the total order, so row indices compare readings
     row_index = {t: i for i, t in enumerate(rows)}
-
+    col_index = {t: i for i, t in enumerate(tableaux)}
     entries: dict[tuple[int, int], LaurentPoly] = {}
     gamma: list[tuple[int, int, LaurentPoly]] = []
     for (mu, tabs), (vecs, log) in zip(group_items, results):
         for t, v in zip(tabs, vecs):
-            ci = col_index[t]
+            ci, diag = col_index[t], row_index[t]
             for tau, coeff in v.terms:
-                assert coeff.min_exp() >= 0, "entry escaped Z[q]"
-                assert weight2_of_tabloid(tau) == mu, "entry escaped the weight space"
-                assert tabloid_sort_key(tau) <= tabloid_sort_key(t), "entry above the diagonal"
-                entries[(row_index[tau], ci)] = coeff
+                r = row_index.get(tau)
+                if coeff.min_exp() < 0:
+                    raise InvariantViolation(f"entry {coeff} at {tau} in G({t}) escaped Z[q]")
+                if r is None or row_weights[r] != mu:
+                    raise InvariantViolation(f"G({t}) escaped its weight space at {tau}")
+                if r > diag:
+                    raise InvariantViolation(f"G({t}) has {tau} above the diagonal")
+                entries[(r, ci)] = coeff
         for idx, j, g in log:
             gamma.append((col_index[tabs[idx]], col_index[tabs[j]], g))
     gamma.sort()

@@ -8,7 +8,7 @@ space), ``check`` (invariant suite).  Output is JSON, CSV or LaTeX and is
 byte-deterministic for a fixed invocation.
 
 Exit codes: 0 success, 1 domain error (bad input data), 2 internal
-assertion failure, 64 flag errors.
+invariant violation, 64 flag errors.
 """
 
 from __future__ import annotations

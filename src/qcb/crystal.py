@@ -17,7 +17,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .rootdata import AlgebraKind, Letter, check_letter, letter_key, letter_weight2, weight2_add, weight2_zero
+from .rootdata import (
+    AlgebraKind,
+    InvariantViolation,
+    Letter,
+    cache_hash,
+    check_letter,
+    letter_key,
+    letter_weight2,
+    weight2_add,
+    weight2_zero,
+)
 
 
 def _f_edges(kind: AlgebraKind, i: int) -> tuple[tuple[Letter, Letter], ...]:
@@ -68,6 +78,7 @@ def letter_eps_phi(x: Letter, i: int, kind: AlgebraKind) -> tuple[int, int]:
     return eps, phi
 
 
+@cache_hash
 @dataclass(frozen=True)
 class SpinColumn:
     """A height-n spin column: one letter from each pair {k, -k}.
@@ -234,7 +245,8 @@ def word_apply(w: Word, i: int, direction: str) -> Word | None:
                 pos = j
                 break
     new = _apply_factor(factors[pos], i, direction, w.kind)
-    assert new is not None, "signature rule selected a dead factor"
+    if new is None:
+        raise InvariantViolation("signature rule selected a dead factor")
     if w.spin is None:
         letters = list(w.letters)
         letters[pos] = new

@@ -20,6 +20,40 @@ class NonIntegralPairing(ArithmeticError):
     """A Cartan pairing came out non-integral (mixed-parity weight)."""
 
 
+class InvariantViolation(RuntimeError):
+    """An internal consistency check failed: a bug, never bad input.
+
+    Raised explicitly instead of by ``assert`` so the checks also run
+    under ``python -O``.
+    """
+
+
+def cache_hash(cls):
+    """Make a frozen dataclass compute its field hash once per instance.
+
+    The value is kept out of pickles: a hash involving a string is salted
+    per process, so one computed in another interpreter would be wrong here.
+    """
+    field_hash = cls.__hash__
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            h = field_hash(self)
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
+
+    cls.__hash__ = __hash__
+    cls.__getstate__ = __getstate__
+    return cls
+
+
 @dataclass(frozen=True)
 class AlgebraKind:
     """The algebra family (B = odd orthogonal, D = even orthogonal) and rank."""

@@ -5,13 +5,14 @@ weight) plus a weight in the cone spanned by the wedge fundamental weights;
 the latter is drawn as a Young diagram whose columns index tensor slots.  A
 tabloid is an arbitrary filling of that diagram by valid columns (plus an
 optional spin column in front); orthogonal tableaux are the tabloids whose
-reading lies in the crystal of the irreducible module, decided here by
-raising the reading to its highest-weight vertex.
+reading lies in the crystal of the irreducible module: the component of the
+highest tableau's reading, or equivalently the readings that raise to it.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -27,6 +28,7 @@ from .rootdata import (
     AlgebraKind,
     Letter,
     Weight2,
+    cache_hash,
     check_letter,
     letter_key,
     letter_weight2,
@@ -75,6 +77,7 @@ def is_valid_column_letters(kind: AlgebraKind, letters: tuple[Letter, ...]) -> b
     return True
 
 
+@cache_hash
 @dataclass(frozen=True)
 class Column:
     """A column filling, letters top to bottom."""
@@ -104,6 +107,7 @@ class Column:
         return ",".join(str(x) for x in self.letters)
 
 
+@cache_hash
 @dataclass(frozen=True)
 class Shape:
     """Column heights plus the spin slot and the type-D height-n marker."""
@@ -139,6 +143,7 @@ class Shape:
         return self.spin_class is not None
 
 
+@cache_hash
 @dataclass(frozen=True)
 class Tabloid:
     """A filling of a shape: optional spin column plus one column per slot."""
@@ -259,6 +264,7 @@ def lambda_of_shape(shape: Shape) -> tuple[int, ...]:
     return tuple(lam)
 
 
+@lru_cache(maxsize=None)
 def highest_tabloid(shape: Shape) -> Tabloid:
     """The tableau whose k-th row holds letter k (n-th row -n for minus shapes)."""
     kind = shape.kind
@@ -382,16 +388,35 @@ def enumerate_columns(kind: AlgebraKind, p: int, admissible_only: bool = False) 
     return tuple(cols)
 
 
-def enumerate_tabloids(shape: Shape, weight2: Weight2 | None = None) -> list[Tabloid]:
-    """All tabloids of the shape (optionally of one weight), sorted ascending."""
+def _slot_choices(shape: Shape) -> list[list]:
+    """The fillings of each slot: the spin column first, then the columns."""
     kind = shape.kind
-    n = kind.rank
-    slot_choices: list[list] = []
+    slots: list[list] = []
     if shape.has_spin():
         sign = None if shape.spin_class == "B" else shape.spin_class[1]
-        slot_choices.append(enumerate_spin_columns(kind, sign))
+        slots.append(enumerate_spin_columns(kind, sign))
     for h in shape.heights:
-        slot_choices.append(list(enumerate_columns(kind, h)))
+        slots.append(list(enumerate_columns(kind, h)))
+    return slots
+
+
+def tabloid_weight_counts(shape: Shape) -> Counter[Weight2]:
+    """The number of tabloids of the shape of each weight."""
+    counts = Counter({weight2_zero(shape.kind.rank): 1})
+    for choices in _slot_choices(shape):
+        slot = Counter(choice.weight2() for choice in choices)
+        nxt: Counter[Weight2] = Counter()
+        for w, c in counts.items():
+            for sw, k in slot.items():
+                nxt[weight2_add(w, sw)] += c * k
+        counts = nxt
+    return counts
+
+
+def enumerate_tabloids(shape: Shape, weight2: Weight2 | None = None) -> list[Tabloid]:
+    """All tabloids of the shape (optionally of one weight), sorted ascending."""
+    n = shape.kind.rank
+    slot_choices = _slot_choices(shape)
     remaining = [0] * (len(slot_choices) + 1)
     for j in range(len(slot_choices) - 1, -1, -1):
         cap = n if (shape.has_spin() and j == 0) else 2 * slot_choices[j][0].height
@@ -421,16 +446,28 @@ def enumerate_tabloids(shape: Shape, weight2: Weight2 | None = None) -> list[Tab
     return out
 
 
+def component_words(shape: Shape) -> set[Word]:
+    """The readings of all orthogonal tableaux: the highest one's crystal component."""
+    return component_bfs(tabloid_reading(highest_tabloid(shape)))
+
+
 def enumerate_tableaux(
-    lam: tuple[int, ...], kind: AlgebraKind, weight2: Weight2 | None = None
+    lam: tuple[int, ...],
+    kind: AlgebraKind,
+    weight2: Weight2 | None = None,
+    words: set[Word] | None = None,
 ) -> list[Tabloid]:
-    """Orthogonal tableaux of highest weight lam, via the crystal component."""
+    """Orthogonal tableaux of highest weight lam, sorted ascending.
+
+    ``words`` is the shape's ``component_words`` when the caller already
+    holds them; otherwise they are computed here.
+    """
     shape = shape_for_lambda(lam, kind)
-    start = tabloid_reading(highest_tabloid(shape))
-    words = component_bfs(start)
-    tabs = [word_to_tabloid(w, shape) for w in words]
+    if words is None:
+        words = component_words(shape)
     if weight2 is not None:
-        tabs = [t for t in tabs if weight2_of_tabloid(t) == weight2]
+        words = [w for w in words if w.weight2() == weight2]
+    tabs = [word_to_tabloid(w, shape) for w in words]
     tabs.sort(key=tabloid_sort_key)
     return tabs
 

@@ -24,7 +24,7 @@ from functools import lru_cache
 
 from .crystal import vec_edge, word_apply, word_eps_phi
 from .laurent import LaurentPoly, SparseVector, divide_exact, quantum_factorial
-from .rootdata import AlgebraKind, Letter, cartan_exponent, letter_key, letter_weight2, qi_exponent
+from .rootdata import AlgebraKind, InvariantViolation, Letter, cartan_exponent, letter_key, letter_weight2, qi_exponent
 from .shapes import Column, _key_tie, is_valid_column_letters
 
 
@@ -155,13 +155,14 @@ def _substitute(col: Column, i: int, new_wi: tuple[Letter, ...]) -> Column:
         merged.sort(key=lambda x: _key_tie(x, n, kind.family))
         letters = tuple(merged)
     if not is_valid_column_letters(kind, letters):
-        raise AssertionError(f"substitution produced an invalid column {letters}")
+        raise InvariantViolation(f"substitution produced an invalid column {letters}")
     return Column(kind, letters)
 
 
 def _crystal_image(col: Column, i: int) -> Column:
     moved = word_apply(col.word(), i, "f")
-    assert moved is not None, "phi said a lowering was possible"
+    if moved is None:
+        raise InvariantViolation("phi said a lowering was possible")
     return Column(col.kind, moved.letters)
 
 
@@ -230,7 +231,8 @@ def _table_D_subtop(col: Column) -> list[tuple[Column, LaurentPoly]]:
     has_mb = bool(w) and w[-1] == -m
     block = w[(1 if has_m else 0) : len(w) - (1 if has_mb else 0)]
     ln = len(block)
-    assert block == _alt_word(block[0], ln) if block else True
+    if block and block != _alt_word(block[0], ln):
+        raise InvariantViolation(f"block {block} of {col} does not alternate")
     starts_nbar = bool(block) and block[0] == -n
     one = LaurentPoly.one()
 
@@ -276,7 +278,8 @@ def _table_D_subtop(col: Column) -> list[tuple[Column, LaurentPoly]]:
 
     _, phi = word_eps_phi(col.word(), m)
     if phi == 1:
-        assert not any(w[j] == -n and w[j + 1] == n for j in range(len(w) - 1))
+        if any(w[j] == -n and w[j + 1] == n for j in range(len(w) - 1)):
+            raise InvariantViolation(f"uncovered -n n pair in {col}")
         return [(_crystal_image(col, m), one)]
     return []
 

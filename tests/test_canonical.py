@@ -13,9 +13,14 @@ from qcb.laurent import LaurentPoly
 from qcb.rootdata import AlgebraKind
 from qcb.shapes import (
     Column,
+    component_words,
     enumerate_columns,
     enumerate_tableaux,
+    enumerate_tabloids,
+    is_orthogonal_tableau,
     parse_tabloid,
+    shape_for_lambda,
+    tabloid_reading,
     tabloid_sort_key,
     weight2_of_tabloid,
 )
@@ -24,6 +29,7 @@ B2 = AlgebraKind("B", 2)
 B3 = AlgebraKind("B", 3)
 B4 = AlgebraKind("B", 4)
 D3 = AlgebraKind("D", 3)
+D4 = AlgebraKind("D", 4)
 
 
 def terms_of(vec):
@@ -154,6 +160,54 @@ def test_spin_shape_a_vectors():
                 assert tabloid_sort_key(tau) <= tabloid_sort_key(t)
 
 
+# small modules for the stage-two oracles: two B and one D module with a
+# spin column, and one D module without
+ORACLE_MODULES = [(B2, (1, 1)), (B3, (0, 1, 1)), (D4, (1, 0, 1, 1)), (D4, (0, 0, 1, 2))]
+
+
+@pytest.mark.parametrize("kind,lam", ORACLE_MODULES)
+def test_memoised_a_vectors_match_replay(kind, lam):
+    """A(T) built as f_i^(r) A(next(T)) from the memo equals the replayed
+    monomial of a_path, both for the whole module at once (serial run) and
+    for one weight space at a time (pool workers); the memo empties."""
+    from qcb.canonical import _MonomialBuilder, _Walk
+
+    shape = shape_for_lambda(lam, kind)
+    walk = _Walk(shape, component_words(shape))
+    tabs = enumerate_tableaux(lam, kind)
+    replayed = {t: a_vector(t) for t in tabs}
+    build = _MonomialBuilder(walk, tabs)
+    assert {t: build.vector(t) for t in tabs} == replayed
+    assert not build.memo
+    mu = weight2_of_tabloid(tabs[len(tabs) // 2])
+    space = [t for t in tabs if weight2_of_tabloid(t) == mu]
+    build = _MonomialBuilder(walk, space)
+    assert [build.vector(t) for t in space] == [replayed[t] for t in space]
+    assert not build.memo
+
+
+@pytest.mark.parametrize("kind,lam", ORACLE_MODULES)
+def test_a_path_suffix_is_walk_of_next(kind, lam):
+    """The raising walk is memoryless: a_path(T) minus its first step is
+    a_path(next(T)), with the same base and exit."""
+    for t in enumerate_tableaux(lam, kind):
+        ap = a_path(t)
+        if not ap.steps:
+            continue
+        nxt = a_path(ap.intermediates[0])
+        assert ap.steps[1:] == nxt.steps, t
+        assert ap.intermediates[1:] == nxt.intermediates, t
+        assert (ap.base, ap.direct) == (nxt.base, nxt.direct), t
+
+
+@pytest.mark.parametrize("kind,lam", ORACLE_MODULES)
+def test_membership_by_lookup_matches_raising(kind, lam):
+    shape = shape_for_lambda(lam, kind)
+    words = component_words(shape)
+    for t in enumerate_tabloids(shape):
+        assert is_orthogonal_tableau(t) == (tabloid_reading(t) in words), t
+
+
 def test_canonical_matrix_fundamental_matches_global():
     M = canonical_matrix((0, 2), B2)
     assert not M.gamma
@@ -179,8 +233,10 @@ def test_canonical_matrix_clamps_workers(monkeypatch):
     requested = []
 
     class FakePool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer=None, initargs=()):
             requested.append(max_workers)
+            if initializer is not None:
+                initializer(*initargs)
 
         def __enter__(self):
             return self

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
@@ -130,3 +132,36 @@ def test_console_entry_point():
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "column,admissible"
     assert len(proc.stdout.splitlines()) == 6
+
+
+OPTIMIZED_SCRIPT = textwrap.dedent(
+    """
+    import sys
+
+    import qcb.canonical
+    from qcb.cli import main
+    from qcb.laurent import LaurentPoly
+
+    assert False, "python -O keeps asserts"  # stripped under -O
+    if sys.argv[1] == "broken":
+        # skip every correction; this weight space needs one by q^-1 + q
+        qcb.canonical._gamma_symmetrize = lambda c: LaurentPoly.zero()
+    argv = ["--type", "B", "--rank", "3", "canonical", "--lambda", "1,1,2", "--weight", "0,2,-1"]
+    sys.exit(main(argv + ["--output", sys.argv[2]]))
+    """
+)
+
+
+@pytest.mark.parametrize("mode,code", [("good", 0), ("broken", 2)])
+def test_invariants_survive_optimize_flag(tmp_path, mode, code):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", OPTIMIZED_SCRIPT, mode, str(tmp_path / "out.json")],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == code, proc.stderr
+    if code:
+        assert "internal check failed" in proc.stderr and "Traceback" not in proc.stderr

@@ -33,6 +33,11 @@ CASES = {
     "canonical_B3_weight.json": [
         "--type", "B", "--rank", "3", "canonical", "--lambda", "1,1,2", "--weight", "0,2,-1",
     ],
+    "canonical_B3_spin.json": ["--type", "B", "--rank", "3", "canonical", "--lambda", "0,1,1"],
+    "canonical_D4_spin.json": ["--type", "D", "--rank", "4", "canonical", "--lambda", "0,1,0,1"],
+    "canonical_B4_spin_weight.json": [
+        "--type", "B", "--rank", "4", "canonical", "--lambda", "1,1,0,1", "--weight", "1/2,1/2,1/2,1/2",
+    ],
 }
 
 

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+from collections import Counter
 from math import comb
 
 import pytest
@@ -24,6 +28,7 @@ from qcb.shapes import (
     tabloid_leq,
     tabloid_reading,
     tabloid_sort_key,
+    tabloid_weight_counts,
     weight2_of_tabloid,
     word_to_tabloid,
 )
@@ -214,3 +219,40 @@ def test_membership_splits_weight_space():
     assert sum(flags) == 11
     members = {str(t) for t, ok in zip(rows, flags) if ok}
     assert {str(t) for t in enumerate_tableaux((1, 1, 2), B3, weight2=(0, 4, -2))} == members
+
+
+@pytest.mark.parametrize(
+    "kind,lam", [(B2, (1, 1)), (B3, (1, 1, 2)), (D3, (1, 1, 1)), (AlgebraKind("D", 4), (0, 0, 1, 2))]
+)
+def test_tabloid_weight_counts(kind, lam):
+    shape = shape_for_lambda(lam, kind)
+    assert tabloid_weight_counts(shape) == Counter(weight2_of_tabloid(t) for t in enumerate_tabloids(shape))
+
+
+PICKLE_SCRIPT = """
+import pickle, sys
+from qcb.rootdata import AlgebraKind
+from qcb.shapes import parse_tabloid
+
+tab = parse_tabloid("s:-1,2,3/2,0,-3/2,-3/1", AlgebraKind("B", 3))
+if sys.argv[1] == "dump":
+    hash(tab)  # fill the cached hashes before pickling
+    sys.stdout.buffer.write(pickle.dumps(tab))
+else:
+    loaded = pickle.loads(sys.stdin.buffer.read())
+    assert hash(loaded) == hash(tab) and {tab: 1}[loaded] == 1
+    assert {loaded.spin: 1}[tab.spin] == 1 and {loaded.columns[0]: 1}[tab.columns[0]] == 1
+"""
+
+
+def test_cached_hash_does_not_travel_through_pickle():
+    """Hashes involve salted string hashes, so a pickled cache would be wrong
+    in an interpreter with another hash seed."""
+
+    def run(seed, mode, data=None):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        return subprocess.run(
+            [sys.executable, "-c", PICKLE_SCRIPT, mode], input=data, capture_output=True, env=env, check=True
+        ).stdout
+
+    run("2", "load", run("1", "dump"))
