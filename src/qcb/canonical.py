@@ -14,7 +14,6 @@ assembled into one matrix per weight space.
 
 from __future__ import annotations
 
-import os
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
@@ -25,7 +24,6 @@ from .modvec import apply_monomial
 from .rootdata import AlgebraKind, InvariantViolation, Weight2
 from .shapes import (
     Column,
-    Shape,
     Tabloid,
     component_words,
     enumerate_tableaux,
@@ -278,26 +276,14 @@ def a_vector(tab: Tabloid) -> SparseVector:
     return apply_monomial(SparseVector.unit(path.base), list(path.steps))
 
 
-class _Walk:
-    """What the raising walk needs to know about one module, per call.
+def _in_component(t: Tabloid) -> bool:
+    """Membership by lookup in the shape's cached crystal component."""
+    return tabloid_reading(t) in component_words(t.shape)
 
-    Membership is a lookup in the readings of the crystal component.  The
-    tabloid counts per weight are computed on the first spin early-exit
-    test, once per call (or per pool worker).
-    """
 
-    def __init__(self, shape: Shape, words: set[Word]):
-        self.shape = shape
-        self.words = words
-        self.counts: dict[Weight2, int] | None = None
-
-    def member(self, t: Tabloid) -> bool:
-        return tabloid_reading(t) in self.words
-
-    def count(self, t: Tabloid) -> int:
-        if self.counts is None:
-            self.counts = tabloid_weight_counts(self.shape)
-        return self.counts[weight2_of_tabloid(t)]
+def _weight_count(t: Tabloid) -> int:
+    """The number of tabloids of t's weight, from the shape's cached counts."""
+    return tabloid_weight_counts(t.shape)[weight2_of_tabloid(t)]
 
 
 class _MonomialBuilder:
@@ -308,11 +294,11 @@ class _MonomialBuilder:
     vector is kept only while some tableau still to be built raises to it.
     """
 
-    def __init__(self, walk: _Walk, tabs: list[Tabloid]):
+    def __init__(self, tabs: list[Tabloid]):
         steps: dict[Tabloid, tuple[int, int, Tabloid] | None] = {}
         for t in tabs:
             while t not in steps:
-                step = steps[t] = _raise_once(t, walk.member, walk.count)
+                step = steps[t] = _raise_once(t, _in_component, _weight_count)
                 if step is None:
                     break
                 t = step[2]
@@ -404,26 +390,6 @@ def _correct_group(
     return out, log
 
 
-# the pool workers' _Walk, set by _init_worker in each worker process
-_worker_walk: _Walk | None = None
-
-
-def _init_worker(walk: _Walk) -> None:
-    global _worker_walk
-    _worker_walk = walk
-
-
-def _corrected_groups(walk: _Walk, group_items: list[tuple[Weight2, list[Tabloid]]]) -> list:
-    """Correct the weight spaces in turn, sharing one memo of A(T)."""
-    build = _MonomialBuilder(walk, [t for _mu, tabs in group_items for t in tabs])
-    return [_correct_group([build.vector(t) for t in tabs], tabs) for _mu, tabs in group_items]
-
-
-def _group_worker(item: tuple[Weight2, list[Tabloid]]):
-    """One weight space in a pool worker, which builds its own raising walks."""
-    return _corrected_groups(_worker_walk, [item])[0]
-
-
 def _level(mu: Weight2) -> int:
     """A linear form that every raising operator increases."""
     n = len(mu)
@@ -434,38 +400,27 @@ def canonical_matrix(
     lam: tuple[int, ...],
     kind: AlgebraKind,
     weight2: Weight2 | None = None,
-    jobs: int = 1,
 ) -> CanonicalMatrix:
     """Expand the canonical basis (one weight space when weight2 is given)."""
     shape = shape_for_lambda(lam, kind)
-    words = component_words(shape)
-    tableaux = enumerate_tableaux(lam, kind, weight2=weight2, words=words)
+    tableaux = enumerate_tableaux(lam, kind, weight2=weight2)
     if not tableaux:
         return CanonicalMatrix(kind, tuple(lam), weight2, (), (), {}, ())
     groups: dict[Weight2, list[Tabloid]] = {}
     for t in tableaux:
         groups.setdefault(weight2_of_tabloid(t), []).append(t)
-    walk = _Walk(shape, words)
-    # highest weight spaces first: then next(T) is built before T
+    # highest weight spaces first: then next(T) is built before T, and one
+    # memo of A(next(T)) serves every weight space
     group_items = sorted(groups.items(), key=lambda item: -_level(item[0]))
-    # the fork start method starts every worker at once, so never ask for
-    # more than there are cores or weight spaces
-    workers = min(jobs, os.cpu_count() or 1, len(group_items))
-    if workers > 1:
-        import concurrent.futures
-
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=workers, initializer=_init_worker, initargs=(walk,)
-        ) as ex:
-            results = list(ex.map(_group_worker, group_items))
-    else:
-        results = _corrected_groups(walk, group_items)
+    build = _MonomialBuilder(tableaux)
+    results = [_correct_group([build.vector(t) for t in tabs], tabs) for _mu, tabs in group_items]
+    del build  # its raising table is not needed by the rows pass below
 
     if weight2 is not None:
         rows = tuple(enumerate_tabloids(shape, weight2))
         row_weights = [weight2] * len(rows)
     else:
-        # one sorted pass over all tabloids, after the pool has forked
+        # one sorted pass over all tabloids
         kept = [(t, mu) for t in enumerate_tabloids(shape) if (mu := weight2_of_tabloid(t)) in groups]
         rows = tuple(t for t, _mu in kept)
         row_weights = [mu for _t, mu in kept]

@@ -79,7 +79,8 @@ def _build_parser() -> _Parser:
     c = add("canonical", "canonical basis matrix")
     c.add_argument("--lambda", dest="lam", required=True)
     c.add_argument("--weight", help="restrict to one weight (epsilon coordinates, a/2 allowed)")
-    c.add_argument("--jobs", type=int, default=1, help="parallel weight spaces")
+    # accepted for old command lines and ignored: the computation runs in one process
+    c.add_argument("--jobs", type=int, default=1, help=argparse.SUPPRESS)
 
     c = add("check", "run the invariant suite")
     c.add_argument("--max-rank-b", type=int, default=3)
@@ -250,7 +251,7 @@ def _cmd_apath(kind: AlgebraKind, args) -> dict:
 def _cmd_canonical(kind: AlgebraKind, args) -> dict:
     lam = _parse_lambda(args.lam, kind.rank)
     weight2 = parse_weight(args.weight, kind.rank) if args.weight else None
-    M = canonical_matrix(lam, kind, weight2=weight2, jobs=max(1, args.jobs))
+    M = canonical_matrix(lam, kind, weight2=weight2)
     doc = M.json()
     doc["command"] = "canonical"
     return doc

@@ -400,8 +400,9 @@ def _slot_choices(shape: Shape) -> list[list]:
     return slots
 
 
+@lru_cache(maxsize=8)
 def tabloid_weight_counts(shape: Shape) -> Counter[Weight2]:
-    """The number of tabloids of the shape of each weight."""
+    """The number of tabloids of the shape of each weight (cached: do not mutate)."""
     counts = Counter({weight2_zero(shape.kind.rank): 1})
     for choices in _slot_choices(shape):
         slot = Counter(choice.weight2() for choice in choices)
@@ -446,25 +447,17 @@ def enumerate_tabloids(shape: Shape, weight2: Weight2 | None = None) -> list[Tab
     return out
 
 
-def component_words(shape: Shape) -> set[Word]:
+# each entry holds a whole crystal component, so keep only a few shapes
+@lru_cache(maxsize=8)
+def component_words(shape: Shape) -> frozenset[Word]:
     """The readings of all orthogonal tableaux: the highest one's crystal component."""
-    return component_bfs(tabloid_reading(highest_tabloid(shape)))
+    return frozenset(component_bfs(tabloid_reading(highest_tabloid(shape))))
 
 
-def enumerate_tableaux(
-    lam: tuple[int, ...],
-    kind: AlgebraKind,
-    weight2: Weight2 | None = None,
-    words: set[Word] | None = None,
-) -> list[Tabloid]:
-    """Orthogonal tableaux of highest weight lam, sorted ascending.
-
-    ``words`` is the shape's ``component_words`` when the caller already
-    holds them; otherwise they are computed here.
-    """
+def enumerate_tableaux(lam: tuple[int, ...], kind: AlgebraKind, weight2: Weight2 | None = None) -> list[Tabloid]:
+    """Orthogonal tableaux of highest weight lam, sorted ascending."""
     shape = shape_for_lambda(lam, kind)
-    if words is None:
-        words = component_words(shape)
+    words = component_words(shape)
     if weight2 is not None:
         words = [w for w in words if w.weight2() == weight2]
     tabs = [word_to_tabloid(w, shape) for w in words]

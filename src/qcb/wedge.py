@@ -38,6 +38,8 @@ DEFAULT_STEP_FACTOR = 10
 def step_limit(p: int) -> int:
     env = os.environ.get("QCB_STEP_LIMIT")
     if env:
+        if not (env.isdecimal() and int(env) > 0):
+            raise ValueError(f"QCB_STEP_LIMIT must be a positive integer, got {env!r}")
         return int(env)
     return max(DEFAULT_STEP_FACTOR * p * p, 16)
 

@@ -169,19 +169,17 @@ ORACLE_MODULES = [(B2, (1, 1)), (B3, (0, 1, 1)), (D4, (1, 0, 1, 1)), (D4, (0, 0,
 def test_memoised_a_vectors_match_replay(kind, lam):
     """A(T) built as f_i^(r) A(next(T)) from the memo equals the replayed
     monomial of a_path, both for the whole module at once (serial run) and
-    for one weight space at a time (pool workers); the memo empties."""
-    from qcb.canonical import _MonomialBuilder, _Walk
+    for one weight space at a time (single-weight runs); the memo empties."""
+    from qcb.canonical import _MonomialBuilder
 
-    shape = shape_for_lambda(lam, kind)
-    walk = _Walk(shape, component_words(shape))
     tabs = enumerate_tableaux(lam, kind)
     replayed = {t: a_vector(t) for t in tabs}
-    build = _MonomialBuilder(walk, tabs)
+    build = _MonomialBuilder(tabs)
     assert {t: build.vector(t) for t in tabs} == replayed
     assert not build.memo
     mu = weight2_of_tabloid(tabs[len(tabs) // 2])
     space = [t for t in tabs if weight2_of_tabloid(t) == mu]
-    build = _MonomialBuilder(walk, space)
+    build = _MonomialBuilder(space)
     assert [build.vector(t) for t in space] == [replayed[t] for t in space]
     assert not build.memo
 
@@ -222,48 +220,26 @@ def test_canonical_matrix_empty_weight_space():
     assert M.rows == () and M.cols == () and not M.entries
 
 
-def test_canonical_matrix_clamps_workers(monkeypatch):
-    """--jobs never asks the pool for more workers than cores or weight spaces.
+def test_component_is_computed_once_per_shape(monkeypatch):
+    """Two single-weight requests on one module share one crystal BFS."""
+    import qcb.shapes as shapes
 
-    The pool is replaced by an in-process fake that records max_workers, so
-    no worker process is started."""
-    import concurrent.futures
-    import os
+    calls = []
+    bfs = shapes.component_bfs
 
-    requested = []
+    def counting_bfs(w0):
+        calls.append(w0)
+        return bfs(w0)
 
-    class FakePool:
-        def __init__(self, max_workers, initializer=None, initargs=()):
-            requested.append(max_workers)
-            if initializer is not None:
-                initializer(*initargs)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(shapes, "component_bfs", counting_bfs)
+    component_words.cache_clear()
     lam = (1, 1)
-    groups = len({weight2_of_tabloid(t) for t in enumerate_tableaux(lam, B2)})
-    serial = canonical_matrix(lam, B2)
-    assert groups > 3 and requested == []
-
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    assert canonical_matrix(lam, B2, jobs=1000) == serial
-    assert requested == [3]
-
-    monkeypatch.setattr(os, "cpu_count", lambda: 1000)
-    assert canonical_matrix(lam, B2, jobs=1000) == serial
-    assert requested == [3, groups]
-
-    monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: one core
-    assert canonical_matrix(lam, B2, jobs=1000) == serial
-    assert requested == [3, groups]
+    first, second = sorted({weight2_of_tabloid(t) for t in enumerate_tableaux(lam, B2)})[:2]
+    assert canonical_matrix(lam, B2, weight2=first).cols
+    assert canonical_matrix(lam, B2, weight2=second).cols
+    assert len(calls) == 1
+    assert isinstance(component_words(shape_for_lambda(lam, B2)), frozenset)
+    component_words.cache_clear()
 
 
 def test_canonical_matrix_gamma_log_is_bar_symmetric():

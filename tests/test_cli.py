@@ -97,13 +97,22 @@ def test_output_deterministic(capsys, tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def test_jobs_parallel_matches_serial(capsys, tmp_path):
+def test_jobs_parallel_matches_serial(capsys, tmp_path, monkeypatch):
+    """--jobs still parses and changes nothing: no worker pool is started."""
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("canonical started a process pool")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     base = ["--type", "B", "--rank", "2", "canonical", "--lambda", "1,1"]
-    p1, p2 = tmp_path / "s.json", tmp_path / "p.json"
+    p1 = tmp_path / "s.json"
     assert main(base + ["--output", str(p1)]) == 0
-    assert main(base + ["--jobs", "4", "--output", str(p2)]) == 0
+    for jobs in ("4", "1000"):
+        p2 = tmp_path / f"p{jobs}.json"
+        assert main(base + ["--jobs", jobs, "--output", str(p2)]) == 0
+        assert p1.read_bytes() == p2.read_bytes()
     capsys.readouterr()
-    assert p1.read_bytes() == p2.read_bytes()
 
 
 def test_domain_error_exit(capsys):
@@ -113,6 +122,19 @@ def test_domain_error_exit(capsys):
     assert code == 1  # valid column, not admissible
     code, _, err = run_cli(capsys, "--type", "D", "--rank", "2", "columns", "--height", "1")
     assert code == 1
+
+
+def test_bad_step_limit_is_a_domain_error():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src, QCB_STEP_LIMIT="-5")
+    proc = subprocess.run(
+        [sys.executable, "-m", "qcb.cli", "--type", "B", "--rank", "2", "check", "--max-rank-b", "2", "--max-rank-d", "2"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 1
+    assert "QCB_STEP_LIMIT" in proc.stderr
 
 
 def test_usage_error_exit():

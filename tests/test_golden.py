@@ -3,7 +3,8 @@
 Each case runs ``qcb`` in-process and compares the bytes it writes with the
 file of the same name under ``tests/golden/``.  The ``marsh`` and ``apath``
 cases pin the order in which vector terms are printed; the ``canonical``
-cases pin whole-module and single-weight matrices.
+cases pin whole-module and single-weight matrices (JSON and TeX); the
+``crystal`` cases pin the vertex and edge lists of two spin modules.
 
 Regenerate the files (only when an output change is intended) with
 
@@ -30,6 +31,7 @@ CASES = {
     "apath_D4_spin.json": ["--type", "D", "--rank", "4", "apath", "--tabloid", "s:-1,-2,-3,4/2,-4"],
     "canonical_B2.json": ["--type", "B", "--rank", "2", "canonical", "--lambda", "1,1"],
     "canonical_D3.json": ["--type", "D", "--rank", "3", "canonical", "--lambda", "0,1,1"],
+    "canonical_D3.tex": ["--type", "D", "--rank", "3", "canonical", "--lambda", "0,1,1", "--format", "tex"],
     "canonical_B3_weight.json": [
         "--type", "B", "--rank", "3", "canonical", "--lambda", "1,1,2", "--weight", "0,2,-1",
     ],
@@ -38,6 +40,11 @@ CASES = {
     "canonical_B4_spin_weight.json": [
         "--type", "B", "--rank", "4", "canonical", "--lambda", "1,1,0,1", "--weight", "1/2,1/2,1/2,1/2",
     ],
+    "canonical_D4_weight.json": [
+        "--type", "D", "--rank", "4", "canonical", "--lambda", "0,1,1,1", "--weight", "1,0,0,0",
+    ],
+    "crystal_B3_spin.json": ["--type", "B", "--rank", "3", "crystal", "--lambda", "0,1,1"],
+    "crystal_D4_spin.json": ["--type", "D", "--rank", "4", "crystal", "--lambda", "0,1,0,1"],
 }
 
 

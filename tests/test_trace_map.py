@@ -2,8 +2,10 @@
 
 ``perfbench/tracing.py`` replaces functions by name in several modules and
 reads ``cache_info()`` and ``len(vec.terms)``; a rename in the package would
-otherwise break the traced run silently.  This runs the tracer on a small
-``qcb canonical`` call in a fresh interpreter.
+otherwise break the traced run silently.  This runs the tracer in a fresh
+interpreter on small ``qcb canonical`` calls of each argv form the benchmark
+sends: a whole module, a whole module with ``--jobs 2``, and one ``--weight=``
+request.
 """
 
 import json
@@ -25,8 +27,12 @@ SCRIPT = textwrap.dedent(
     import qcb.cli as cli
 
     argv = ["--type", "B", "--rank", "2", "canonical", "--lambda", "1,1"]
-    rc = cli.main(argv + ["--output", os.path.join(sys.argv[1], "out.json")])
-    print(json.dumps({"rc": rc, "maxima": tracer.maxima, "caches": tracing.cache_counters()}))
+    rcs = [
+        cli.main(argv + extra + ["--output", os.path.join(sys.argv[1], "out.json")])
+        for extra in ([], ["--jobs", "2"], ["--weight=1/2,1/2"])
+    ]
+    doc = {"rcs": rcs, "calls": tracer.calls, "maxima": tracer.maxima, "caches": tracing.cache_counters()}
+    print(json.dumps(doc))
     """
 )
 
@@ -41,6 +47,9 @@ def test_tracer_installs_on_canonical(tmp_path):
     assert "trace map is stale" not in proc.stderr
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
-    assert doc["rc"] == 0
+    assert doc["rcs"] == [0, 0, 0]
+    # three requests on one module share one cached crystal component
+    assert doc["calls"]["canonical.canonical_matrix"] == 3
+    assert doc["calls"]["crystal.component_bfs"] == 1
     assert doc["maxima"]["max_support"] > 0
     assert {"straighten_hits", "divided_misses", "is_admissible_hits"} <= set(doc["caches"])

@@ -138,6 +138,11 @@ def test_step_limit_env(monkeypatch):
     _straighten_cached.cache_clear()
     with pytest.raises(StepLimitExceeded):
         straighten(B3, (-1, 1, 0))
+    for bad in ("abc", "0", "-5"):
+        monkeypatch.setenv("QCB_STEP_LIMIT", bad)
+        _straighten_cached.cache_clear()
+        with pytest.raises(ValueError, match="QCB_STEP_LIMIT"):
+            straighten(B3, (-1, 1, 0))
     monkeypatch.delenv("QCB_STEP_LIMIT")
     _straighten_cached.cache_clear()
     straighten(B3, (-1, 1, 0))
