@@ -23,7 +23,6 @@ from .shapes import (
     Shape,
     ShapeMismatch,
     Tabloid,
-    component_words,
     decompose_lambda,
     enumerate_columns,
     enumerate_tableaux,
@@ -31,6 +30,7 @@ from .shapes import (
     highest_tabloid,
     is_admissible,
     is_orthogonal_tableau,
+    orthogonal_tableaux,
     parse_column,
     parse_tabloid,
     shape_for_lambda,

@@ -25,18 +25,17 @@ from .rootdata import AlgebraKind, InvariantViolation, Weight2
 from .shapes import (
     Column,
     Tabloid,
-    component_words,
     enumerate_tableaux,
     enumerate_tabloids,
     highest_tabloid,
-    is_admissible,
     is_orthogonal_tableau,
+    orthogonal_tableaux,
     shape_for_lambda,
     tabloid_reading,
     tabloid_weight_counts,
     weight2_of_tabloid,
 )
-from .wedge import wedge_f, wedge_f_divided
+from .wedge import _alt_word, wedge_f, wedge_f_divided
 
 
 class NotAdmissible(ValueError):
@@ -71,10 +70,6 @@ class APath:
     intermediates: tuple[Tabloid, ...]
 
 
-def _alt(first: int, length: int) -> tuple[int, ...]:
-    return tuple(first if j % 2 == 0 else -first for j in range(length))
-
-
 def _marsh_color(col: Column) -> int:
     """The node index the leftmost movable letter of the column selects."""
     kind = col.kind
@@ -102,11 +97,11 @@ def _marsh_color(col: Column) -> int:
     if z == -m:
         return m
     if z == -n:
-        if len(w) >= 3 and len(w) % 2 == 1 and w == _alt(-n, len(w) - 1) + (-m,):
+        if len(w) >= 3 and len(w) % 2 == 1 and w == _alt_word(-n, len(w) - 1) + (-m,):
             return m  # (-n n)^r followed by -(n-1)
         return n
     if z == n:
-        if len(w) >= 3 and len(w) % 2 == 1 and w == _alt(n, len(w) - 1) + (-m,):
+        if len(w) >= 3 and len(w) % 2 == 1 and w == _alt_word(n, len(w) - 1) + (-m,):
             return n  # (n -n)^r followed by -(n-1)
         return m
     for i in range(1, n + 1):
@@ -132,8 +127,6 @@ def marsh_path(col: Column) -> list[tuple[int, int]]:
     The list reads like the divided-power monomial it encodes: the first
     entry is discovered first and applied last when lowering.
     """
-    if not is_admissible(col):
-        raise NotAdmissible(str(col))
     target = _column_highest_target(col)
     cur = col
     steps: list[tuple[int, int]] = []
@@ -169,7 +162,6 @@ def _word_is_highest(w: Word) -> bool:
 
 
 Member = Callable[[Tabloid], bool]
-Count = Callable[[Tabloid], int]
 
 
 def _spin_step(cur: Tabloid, member: Member) -> tuple[int, int, Tabloid]:
@@ -184,13 +176,12 @@ def _spin_step(cur: Tabloid, member: Member) -> tuple[int, int, Tabloid]:
     raise InvariantViolation(f"no spin raise leaves {cur} in the crystal")
 
 
-def _raise_once(cur: Tabloid, member: Member, count: Count) -> tuple[int, int, Tabloid] | None:
+def _raise_once(cur: Tabloid, member: Member) -> tuple[int, int, Tabloid] | None:
     """One step (i, r, next) of the raising walk, with next = e_i^r cur.
 
     None means the walk ends at cur: it is the highest tableau, or a spin
     tableau whose weight space holds one tabloid.  ``member`` decides
-    whether a tabloid is an orthogonal tableau and ``count`` gives the
-    number of tabloids of a tabloid's weight.
+    whether a tabloid is an orthogonal tableau.
     """
     shape = cur.shape
     if cur == highest_tabloid(shape):
@@ -198,7 +189,7 @@ def _raise_once(cur: Tabloid, member: Member, count: Count) -> tuple[int, int, T
     kind = shape.kind
     cols = cur.columns
     if cur.spin is not None and _word_is_highest(Word(kind, tabloid_reading(cur).letters)):
-        if count(cur) == 1:
+        if tabloid_weight_counts(shape)[weight2_of_tabloid(cur)] == 1:
             # alone in its weight space: the tabloid vector is already
             # the canonical one and the walk may stop here
             return None
@@ -253,21 +244,16 @@ def a_path(tab: Tabloid) -> APath:
     """The raising walk from an orthogonal tableau to the highest tableau."""
     if not is_orthogonal_tableau(tab):
         raise NotOrthogonalTableau(str(tab))
-    shape = tab.shape
-
-    def count(t: Tabloid) -> int:
-        return len(enumerate_tabloids(shape, weight2_of_tabloid(t)))
-
     steps: list[tuple[int, int]] = []
     inters: list[Tabloid] = []
     cur = tab
-    while (step := _raise_once(cur, is_orthogonal_tableau, count)) is not None:
+    while (step := _raise_once(cur, is_orthogonal_tableau)) is not None:
         if len(steps) >= MAX_RAISING_STEPS:
             raise IterationLimit(f"raising walk from {tab} did not terminate")
         i, r, cur = step
         steps.append((i, r))
         inters.append(cur)
-    return APath(tuple(steps), cur != highest_tabloid(shape), cur, tuple(inters))
+    return APath(tuple(steps), cur != highest_tabloid(tab.shape), cur, tuple(inters))
 
 
 def a_vector(tab: Tabloid) -> SparseVector:
@@ -277,13 +263,8 @@ def a_vector(tab: Tabloid) -> SparseVector:
 
 
 def _in_component(t: Tabloid) -> bool:
-    """Membership by lookup in the shape's cached crystal component."""
-    return tabloid_reading(t) in component_words(t.shape)
-
-
-def _weight_count(t: Tabloid) -> int:
-    """The number of tabloids of t's weight, from the shape's cached counts."""
-    return tabloid_weight_counts(t.shape)[weight2_of_tabloid(t)]
+    """Membership by lookup in the shape's cached orthogonal tableaux."""
+    return t in orthogonal_tableaux(t.shape)
 
 
 class _MonomialBuilder:
@@ -298,7 +279,7 @@ class _MonomialBuilder:
         steps: dict[Tabloid, tuple[int, int, Tabloid] | None] = {}
         for t in tabs:
             while t not in steps:
-                step = steps[t] = _raise_once(t, _in_component, _weight_count)
+                step = steps[t] = _raise_once(t, _in_component)
                 if step is None:
                     break
                 t = step[2]
@@ -406,9 +387,10 @@ def canonical_matrix(
     tableaux = enumerate_tableaux(lam, kind, weight2=weight2)
     if not tableaux:
         return CanonicalMatrix(kind, tuple(lam), weight2, (), (), {}, ())
+    table = orthogonal_tableaux(shape)
     groups: dict[Weight2, list[Tabloid]] = {}
     for t in tableaux:
-        groups.setdefault(weight2_of_tabloid(t), []).append(t)
+        groups.setdefault(table[t], []).append(t)
     # highest weight spaces first: then next(T) is built before T, and one
     # memo of A(next(T)) serves every weight space
     group_items = sorted(groups.items(), key=lambda item: -_level(item[0]))

@@ -303,8 +303,12 @@ def main(argv: list[str] | None = None) -> int:
         for r in doc["results"]:
             print(("PASS " if r["ok"] else "FAIL ") + r["name"], file=sys.stderr)
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"qcb: cannot write {args.output}: {exc.strerror or exc}", file=sys.stderr)
+            return DOMAIN_EXIT
     else:
         sys.stdout.write(text)
     return INTERNAL_EXIT if check_failed else 0

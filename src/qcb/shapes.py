@@ -30,6 +30,7 @@ from .rootdata import (
     Weight2,
     cache_hash,
     check_letter,
+    is_valid_letter,
     letter_key,
     letter_weight2,
     weight2_add,
@@ -56,25 +57,22 @@ def _key_tie(x: Letter, n: int, family: str) -> int:
     return letter_key(x, n)
 
 
-def is_valid_column_letters(kind: AlgebraKind, letters: tuple[Letter, ...]) -> bool:
+def first_violation(kind: AlgebraKind, letters: tuple[Letter, ...]) -> int | None:
+    """The first j at which letters j, j+1 break the column order, or None."""
     n = kind.rank
-    for x in letters:
-        if x == 0 and kind.family != "B":
-            return False
-        if x != 0 and not 1 <= abs(x) <= n:
-            return False
-    if kind.family == "B":
-        for a, b in zip(letters, letters[1:]):
-            if a == b == 0:
-                continue
-            if letter_key(a, n) >= letter_key(b, n):
-                return False
-        return True
-    for a, b in zip(letters, letters[1:]):
-        # valid iff b is not <= a in the D partial order (n, -n incomparable)
-        if a == b or _key_tie(b, n, "D") < _key_tie(a, n, "D"):
-            return False
-    return True
+    for j, (a, b) in enumerate(zip(letters, letters[1:])):
+        if kind.family == "B":
+            bad = letter_key(a, n) >= letter_key(b, n) and not a == b == 0
+        else:
+            # b must not be <= a in the D partial order (n, -n incomparable)
+            bad = a == b or _key_tie(b, n, "D") < _key_tie(a, n, "D")
+        if bad:
+            return j
+    return None
+
+
+def is_valid_column_letters(kind: AlgebraKind, letters: tuple[Letter, ...]) -> bool:
+    return all(is_valid_letter(kind, x) for x in letters) and first_violation(kind, letters) is None
 
 
 @cache_hash
@@ -449,20 +447,19 @@ def enumerate_tabloids(shape: Shape, weight2: Weight2 | None = None) -> list[Tab
 
 # each entry holds a whole crystal component, so keep only a few shapes
 @lru_cache(maxsize=8)
-def component_words(shape: Shape) -> frozenset[Word]:
-    """The readings of all orthogonal tableaux: the highest one's crystal component."""
-    return frozenset(component_bfs(tabloid_reading(highest_tabloid(shape))))
+def orthogonal_tableaux(shape: Shape) -> dict[Tabloid, Weight2]:
+    """Each orthogonal tableau with its weight, in ascending order (cached: do not mutate).
+
+    The tableaux are read off the crystal component of the highest tableau's reading.
+    """
+    words = sorted(component_bfs(tabloid_reading(highest_tabloid(shape))), key=word_sort_key)
+    return {word_to_tabloid(w, shape): w.weight2() for w in words}
 
 
 def enumerate_tableaux(lam: tuple[int, ...], kind: AlgebraKind, weight2: Weight2 | None = None) -> list[Tabloid]:
     """Orthogonal tableaux of highest weight lam, sorted ascending."""
-    shape = shape_for_lambda(lam, kind)
-    words = component_words(shape)
-    if weight2 is not None:
-        words = [w for w in words if w.weight2() == weight2]
-    tabs = [word_to_tabloid(w, shape) for w in words]
-    tabs.sort(key=tabloid_sort_key)
-    return tabs
+    table = orthogonal_tableaux(shape_for_lambda(lam, kind))
+    return [t for t, mu in table.items() if weight2 is None or mu == weight2]
 
 
 # -- parsing / formatting ----------------------------------------------------

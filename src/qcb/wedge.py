@@ -24,8 +24,8 @@ from functools import lru_cache
 
 from .crystal import vec_edge, word_apply, word_eps_phi
 from .laurent import LaurentPoly, SparseVector, divide_exact, quantum_factorial
-from .rootdata import AlgebraKind, InvariantViolation, Letter, cartan_exponent, letter_key, letter_weight2, qi_exponent
-from .shapes import Column, _key_tie, is_valid_column_letters
+from .rootdata import AlgebraKind, InvariantViolation, Letter, cartan_exponent, letter_weight2, qi_exponent
+from .shapes import Column, _key_tie, first_violation, is_valid_column_letters
 
 
 class StepLimitExceeded(RuntimeError):
@@ -45,23 +45,6 @@ def step_limit(p: int) -> int:
 
 
 # -- straightening ------------------------------------------------------------
-
-
-def _first_violation(kind: AlgebraKind, letters: tuple[Letter, ...]) -> int | None:
-    n = kind.rank
-    if kind.family == "B":
-        for j in range(len(letters) - 1):
-            a, b = letters[j], letters[j + 1]
-            if a == b == 0:
-                continue
-            if letter_key(a, n) >= letter_key(b, n):
-                return j
-        return None
-    for j in range(len(letters) - 1):
-        a, b = letters[j], letters[j + 1]
-        if a == b or _key_tie(b, n, "D") < _key_tie(a, n, "D"):
-            return j
-    return None
 
 
 def _rewrite_pair(kind: AlgebraKind, a: Letter, b: Letter) -> list[tuple[tuple[Letter, Letter], LaurentPoly]]:
@@ -103,7 +86,7 @@ def _straighten_cached(kind: AlgebraKind, letters: tuple[Letter, ...]) -> Sparse
     work: list[tuple[tuple[Letter, ...], LaurentPoly, int]] = [(letters, LaurentPoly.one(), 0)]
     while work:
         mono, coeff, depth = work.pop()
-        j = _first_violation(kind, mono)
+        j = first_violation(kind, mono)
         if j is None:
             col = Column(kind, mono)
             acc[col] = acc.get(col, LaurentPoly.zero()) + coeff

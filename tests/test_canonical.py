@@ -13,14 +13,13 @@ from qcb.laurent import LaurentPoly
 from qcb.rootdata import AlgebraKind
 from qcb.shapes import (
     Column,
-    component_words,
     enumerate_columns,
     enumerate_tableaux,
     enumerate_tabloids,
     is_orthogonal_tableau,
+    orthogonal_tableaux,
     parse_tabloid,
     shape_for_lambda,
-    tabloid_reading,
     tabloid_sort_key,
     weight2_of_tabloid,
 )
@@ -200,10 +199,25 @@ def test_a_path_suffix_is_walk_of_next(kind, lam):
 
 @pytest.mark.parametrize("kind,lam", ORACLE_MODULES)
 def test_membership_by_lookup_matches_raising(kind, lam):
+    """The cached table holds exactly the tabloids that raise to the highest
+    tableau, each with its own weight, in ascending order."""
     shape = shape_for_lambda(lam, kind)
-    words = component_words(shape)
+    table = orthogonal_tableaux(shape)
     for t in enumerate_tabloids(shape):
-        assert is_orthogonal_tableau(t) == (tabloid_reading(t) in words), t
+        assert is_orthogonal_tableau(t) == (t in table), t
+    for t, mu in table.items():
+        assert mu == weight2_of_tabloid(t), t
+    keys = [tabloid_sort_key(t) for t in table]
+    assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize("kind,lam", ORACLE_MODULES)
+def test_weight_request_filters_the_whole_list(kind, lam):
+    """One weight space of enumerate_tableaux is the whole list filtered by
+    weight, in the same order."""
+    tabs = enumerate_tableaux(lam, kind)
+    for mu in {weight2_of_tabloid(t) for t in tabs}:
+        assert enumerate_tableaux(lam, kind, mu) == [t for t in tabs if weight2_of_tabloid(t) == mu], mu
 
 
 def test_canonical_matrix_fundamental_matches_global():
@@ -232,14 +246,13 @@ def test_component_is_computed_once_per_shape(monkeypatch):
         return bfs(w0)
 
     monkeypatch.setattr(shapes, "component_bfs", counting_bfs)
-    component_words.cache_clear()
+    orthogonal_tableaux.cache_clear()
     lam = (1, 1)
     first, second = sorted({weight2_of_tabloid(t) for t in enumerate_tableaux(lam, B2)})[:2]
     assert canonical_matrix(lam, B2, weight2=first).cols
     assert canonical_matrix(lam, B2, weight2=second).cols
     assert len(calls) == 1
-    assert isinstance(component_words(shape_for_lambda(lam, B2)), frozenset)
-    component_words.cache_clear()
+    orthogonal_tableaux.cache_clear()
 
 
 def test_canonical_matrix_gamma_log_is_bar_symmetric():

@@ -124,6 +124,13 @@ def test_domain_error_exit(capsys):
     assert code == 1
 
 
+def test_unwritable_output_is_a_domain_error(capsys, tmp_path):
+    path = tmp_path / "missing" / "x.json"
+    code, out, err = run_cli(capsys, "--type", "B", "--rank", "2", "columns", "--height", "1", "--output", str(path))
+    assert code == 1 and out == ""
+    assert f"cannot write {path}" in err and "Traceback" not in err
+
+
 def test_bad_step_limit_is_a_domain_error():
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src, QCB_STEP_LIMIT="-5")

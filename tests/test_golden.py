@@ -27,6 +27,7 @@ CASES = {
     "apath_B3.json": ["--type", "B", "--rank", "3", "apath", "--tabloid", "2,0,0/2,-3/3"],
     "apath_B3.csv": ["--type", "B", "--rank", "3", "apath", "--tabloid", "2,0,0/2,-3/3", "--format", "csv"],
     "apath_B3_spin.json": ["--type", "B", "--rank", "3", "apath", "--tabloid", "s:-1,2,3/-2"],
+    "apath_B4_spin.json": ["--type", "B", "--rank", "4", "apath", "--tabloid", "s:-1,-2,3,-4/4,-2"],
     "apath_D4.json": ["--type", "D", "--rank", "4", "apath", "--tabloid", "2,-2/-2"],
     "apath_D4_spin.json": ["--type", "D", "--rank", "4", "apath", "--tabloid", "s:-1,-2,-3,4/2,-4"],
     "canonical_B2.json": ["--type", "B", "--rank", "2", "canonical", "--lambda", "1,1"],

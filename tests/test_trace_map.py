@@ -5,7 +5,7 @@ reads ``cache_info()`` and ``len(vec.terms)``; a rename in the package would
 otherwise break the traced run silently.  This runs the tracer in a fresh
 interpreter on small ``qcb canonical`` calls of each argv form the benchmark
 sends: a whole module, a whole module with ``--jobs 2``, and one ``--weight=``
-request.
+request; then on one ``qcb apath`` call that ends at the spin early exit.
 """
 
 import json
@@ -31,6 +31,8 @@ SCRIPT = textwrap.dedent(
         cli.main(argv + extra + ["--output", os.path.join(sys.argv[1], "out.json")])
         for extra in ([], ["--jobs", "2"], ["--weight=1/2,1/2"])
     ]
+    apath = ["--type", "B", "--rank", "4", "apath", "--tabloid", "s:-1,-2,3,-4/4,-2"]
+    rcs.append(cli.main(apath + ["--output", os.path.join(sys.argv[1], "apath.json")]))
     doc = {"rcs": rcs, "calls": tracer.calls, "maxima": tracer.maxima, "caches": tracing.cache_counters()}
     print(json.dumps(doc))
     """
@@ -47,9 +49,13 @@ def test_tracer_installs_on_canonical(tmp_path):
     assert "trace map is stale" not in proc.stderr
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
-    assert doc["rcs"] == [0, 0, 0]
+    assert doc["rcs"] == [0, 0, 0, 0]
     # three requests on one module share one cached crystal component
     assert doc["calls"]["canonical.canonical_matrix"] == 3
     assert doc["calls"]["crystal.component_bfs"] == 1
+    # qcb apath walks once for the path and once inside a_vector; the spin
+    # early exit reads the cached weight counts, so no tabloids are probed
+    assert doc["calls"]["canonical.a_path"] == 2
+    assert "shapes.enumerate_tabloids_probe" not in doc["calls"]
     assert doc["maxima"]["max_support"] > 0
     assert {"straighten_hits", "divided_misses", "is_admissible_hits"} <= set(doc["caches"])
