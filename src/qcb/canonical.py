@@ -121,6 +121,17 @@ def _column_highest_target(col: Column) -> tuple[int, ...]:
     raise NotAdmissible(str(col))
 
 
+def _raise_column(col: Column, i: int) -> tuple[int, Column]:
+    """eps_i of the column, and the column e_i^eps raises it to."""
+    w: Word | None = col.word()
+    eps, _ = word_eps_phi(w, i)
+    for _ in range(eps):
+        w = word_apply(w, i, "e")
+        if w is None:
+            raise InvariantViolation(f"e_{i} vanished on column {col}")
+    return eps, Column(col.kind, w.letters)
+
+
 def marsh_path(col: Column) -> list[tuple[int, int]]:
     """Raising steps (i, p) from the column to its highest vertex.
 
@@ -132,15 +143,10 @@ def marsh_path(col: Column) -> list[tuple[int, int]]:
     steps: list[tuple[int, int]] = []
     while cur.letters != target:
         i = _marsh_color(cur)
-        eps, _ = word_eps_phi(cur.word(), i)
+        eps, nxt = _raise_column(cur, i)
         if eps not in (1, 2):
             raise InvariantViolation(f"raising multiplicity {eps} out of range at {cur}")
-        w: Word | None = cur.word()
-        for _ in range(eps):
-            w = word_apply(w, i, "e")
-            if w is None:
-                raise InvariantViolation(f"e_{i} vanished on column {cur}")
-        cur = Column(col.kind, w.letters)
+        cur = nxt
         steps.append((i, eps))
         if len(steps) > MAX_RAISING_STEPS:
             raise IterationLimit(f"marsh walk from {col} did not terminate")
@@ -219,14 +225,8 @@ def _raise_once(cur: Tabloid, member: Member) -> tuple[int, int, Tabloid] | None
     new_cols = list(cols)
     r = 0
     for j in range(low, k + 1):
-        eps, _ = word_eps_phi(cols[j].word(), i1)
+        eps, new_cols[j] = _raise_column(cols[j], i1)
         r += eps
-        w: Word | None = cols[j].word()
-        for _ in range(eps):
-            w = word_apply(w, i1, "e")
-            if w is None:
-                raise InvariantViolation(f"e_{i1} vanished on column {cols[j]}")
-        new_cols[j] = Column(kind, w.letters)
     new_spin = cur.spin
     if cur.spin is not None and spin_eps_phi(cur.spin, i1)[0] == 1:
         # the spin column sits leftmost in the tensor order; when it can
@@ -256,9 +256,8 @@ def a_path(tab: Tabloid) -> APath:
     return APath(tuple(steps), cur != highest_tabloid(tab.shape), cur, tuple(inters))
 
 
-def a_vector(tab: Tabloid) -> SparseVector:
-    """The bar-invariant monomial vector attached to an orthogonal tableau."""
-    path = a_path(tab)
+def a_vector(path: APath) -> SparseVector:
+    """The bar-invariant monomial vector A(T) of the tableau the path starts at."""
     return apply_monomial(SparseVector.unit(path.base), list(path.steps))
 
 

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from math import comb, factorial
 
-from .canonical import a_vector, canonical_matrix, global_column, marsh_path
+from .canonical import a_path, a_vector, canonical_matrix, global_column, marsh_path
 from .crystal import (
     SpinColumn,
     Word,
@@ -41,10 +41,9 @@ from .shapes import (
     Column,
     enumerate_columns,
     enumerate_tableaux,
-    highest_tabloid,
+    enumerate_tabloids,
     is_orthogonal_tableau,
     shape_for_lambda,
-    tabloid_reading,
     tabloid_sort_key,
     weight2_of_tabloid,
 )
@@ -246,8 +245,9 @@ def check_shapes(kinds: list[AlgebraKind], lambdas) -> list[CheckResult]:
             tableaux = enumerate_tableaux(lam, kind)
             keys = [tabloid_sort_key(t) for t in tableaux]
             order_ok = order_ok and keys == sorted(keys) and len(set(keys)) == len(keys)
-            comp = component_bfs(tabloid_reading(highest_tabloid(shape)))
-            bfs_ok = bfs_ok and {tabloid_reading(t) for t in tableaux} == comp
+            # the raising route decides membership independently of the component search
+            listed = set(tableaux)
+            bfs_ok = bfs_ok and all((t in listed) == is_orthogonal_tableau(t) for t in enumerate_tabloids(shape))
             member_ok = member_ok and all(is_orthogonal_tableau(t) for t in tableaux[:30])
     return [
         CheckResult("shapes.enumeration_sorted_unique", order_ok),
@@ -371,7 +371,7 @@ def check_canonical(kinds: list[AlgebraKind], lambdas) -> list[CheckResult]:
                 if g.bar() != g:
                     bar_ok = False
             for t in enumerate_tableaux(lam, kind)[:20]:
-                v = a_vector(t)
+                v = a_vector(a_path(t))
                 if v.coeff(t) != LaurentPoly.one():
                     apath_ok = False
                 if any(tabloid_sort_key(tau) > tabloid_sort_key(t) for tau, _c in v.terms):

@@ -8,7 +8,7 @@ space), ``check`` (invariant suite).  Output is JSON, CSV or LaTeX and is
 byte-deterministic for a fixed invocation.
 
 Exit codes: 0 success, 1 domain error (bad input data), 2 internal
-invariant violation, 64 flag errors.
+invariant violation or arithmetic failure, 64 flag errors.
 """
 
 from __future__ import annotations
@@ -236,7 +236,7 @@ def _cmd_marsh(kind: AlgebraKind, args) -> dict:
 def _cmd_apath(kind: AlgebraKind, args) -> dict:
     tab = parse_tabloid(args.tabloid, kind, d_sign=args.dsign)
     ap = a_path(tab)
-    vec = a_vector(tab)
+    vec = a_vector(ap)
     return {
         "command": "apath",
         "tabloid": str(tab),
@@ -294,7 +294,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"qcb: {exc}", file=sys.stderr)
         return DOMAIN_EXIT
-    except (AssertionError, RuntimeError) as exc:
+    except (AssertionError, RuntimeError, ArithmeticError) as exc:
         print(f"qcb: internal check failed: {exc}", file=sys.stderr)
         return INTERNAL_EXIT
     text = _emit(doc, args)

@@ -16,11 +16,13 @@ signature rule).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .rootdata import (
     AlgebraKind,
     InvariantViolation,
     Letter,
+    alphabet,
     cache_hash,
     check_letter,
     letter_key,
@@ -30,52 +32,38 @@ from .rootdata import (
 )
 
 
-def _f_edges(kind: AlgebraKind, i: int) -> tuple[tuple[Letter, Letter], ...]:
-    """The f_i-labeled edges of the vector-representation crystal."""
+@lru_cache(maxsize=None)
+def _node_table(kind: AlgebraKind, i: int) -> tuple[dict, dict, dict]:
+    """The i-labeled edges of the vector-representation crystal.
+
+    Returns the f map, the e map, and (eps, phi) for every letter.
+    """
     n = kind.rank
-    if kind.family == "B":
-        if i < n:
-            return ((i, i + 1), (-(i + 1), -i))
-        return ((n, 0), (0, -n))
-    if i < n - 1:
-        return ((i, i + 1), (-(i + 1), -i))
-    if i == n - 1:
-        return ((n - 1, n), (-n, -(n - 1)))
-    return ((n - 1, -n), (n, -(n - 1)))
+    if kind.family == "B" and i == n:
+        edges = ((n, 0), (0, -n))
+    elif kind.family == "D" and i == n:
+        edges = ((n - 1, -n), (n, -(n - 1)))
+    else:
+        edges = ((i, i + 1), (-(i + 1), -i))
+    f = dict(edges)
+    e = {b: a for a, b in edges}
+    # an i-string of the vector representation has at most three letters
+    eps_phi = {x: ((x in e) + (e.get(x) in e), (x in f) + (f.get(x) in f)) for x in alphabet(kind)}
+    return f, e, eps_phi
 
 
 def vec_edge(x: Letter, i: int, direction: str, kind: AlgebraKind) -> Letter | None:
     """Follow the i-labeled crystal edge from x (direction 'f' or 'e')."""
-    edges = _f_edges(kind, i)
+    f, e, _ = _node_table(kind, i)
     if direction == "f":
-        for a, b in edges:
-            if a == x:
-                return b
-    elif direction == "e":
-        for a, b in edges:
-            if b == x:
-                return a
-    else:
-        raise ValueError("direction must be 'f' or 'e'")
-    return None
+        return f.get(x)
+    if direction == "e":
+        return e.get(x)
+    raise ValueError("direction must be 'f' or 'e'")
 
 
 def letter_eps_phi(x: Letter, i: int, kind: AlgebraKind) -> tuple[int, int]:
-    eps = 0
-    y = x
-    while True:
-        y = vec_edge(y, i, "e", kind)
-        if y is None:
-            break
-        eps += 1
-    phi = 0
-    y = x
-    while True:
-        y = vec_edge(y, i, "f", kind)
-        if y is None:
-            break
-        phi += 1
-    return eps, phi
+    return _node_table(kind, i)[2][x]
 
 
 @cache_hash

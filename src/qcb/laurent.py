@@ -69,10 +69,6 @@ class LaurentPoly:
         """The monomial coeff * q^exp."""
         return LaurentPoly({exp: coeff})
 
-    @staticmethod
-    def const(c: int) -> "LaurentPoly":
-        return LaurentPoly({0: c})
-
     # -- structure ----------------------------------------------------
 
     def terms(self) -> tuple[tuple[int, int], ...]:

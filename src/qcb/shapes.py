@@ -300,10 +300,14 @@ def word_to_tabloid(w: Word, shape: Shape) -> Tabloid:
         raise MalformedWord(f"word has {len(w.letters)} letters, shape has {shape.boxes} boxes")
     cols: list[Column] = []
     idx = 0
+    for h in reversed(shape.heights):
+        letters = w.letters[idx : idx + h]
+        col = _columns_by_letters(shape.kind, h).get(letters)
+        if col is None:
+            raise MalformedWord(f"invalid {shape.kind} column {list(letters)}")
+        cols.append(col)
+        idx += h
     try:
-        for h in reversed(shape.heights):
-            cols.append(Column(shape.kind, w.letters[idx : idx + h]))
-            idx += h
         return Tabloid(shape, w.spin, tuple(reversed(cols)))
     except ValueError as exc:
         raise MalformedWord(str(exc)) from exc
@@ -384,6 +388,12 @@ def enumerate_columns(kind: AlgebraKind, p: int, admissible_only: bool = False) 
         cols = [c for c in cols if is_admissible(c)]
     cols.sort(key=lambda c: word_sort_key(c.word()))
     return tuple(cols)
+
+
+@lru_cache(maxsize=None)
+def _columns_by_letters(kind: AlgebraKind, p: int) -> dict[tuple[Letter, ...], Column]:
+    """The height-p columns keyed by their letters, so equal fillings share one object."""
+    return {c.letters: c for c in enumerate_columns(kind, p)}
 
 
 def _slot_choices(shape: Shape) -> list[list]:

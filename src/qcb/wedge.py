@@ -25,7 +25,7 @@ from functools import lru_cache
 from .crystal import vec_edge, word_apply, word_eps_phi
 from .laurent import LaurentPoly, SparseVector, divide_exact, quantum_factorial
 from .rootdata import AlgebraKind, InvariantViolation, Letter, cartan_exponent, letter_weight2, qi_exponent
-from .shapes import Column, _key_tie, first_violation, is_valid_column_letters
+from .shapes import Column, _key_tie, first_violation
 
 
 class StepLimitExceeded(RuntimeError):
@@ -139,9 +139,10 @@ def _substitute(col: Column, i: int, new_wi: tuple[Letter, ...]) -> Column:
         merged = [x for j, x in enumerate(col.letters) if j not in posset] + list(new_wi)
         merged.sort(key=lambda x: _key_tie(x, n, kind.family))
         letters = tuple(merged)
-    if not is_valid_column_letters(kind, letters):
-        raise InvariantViolation(f"substitution produced an invalid column {letters}")
-    return Column(kind, letters)
+    try:
+        return Column(kind, letters)
+    except ValueError as exc:
+        raise InvariantViolation(f"substitution produced an invalid column {letters}") from exc
 
 
 def _crystal_image(col: Column, i: int) -> Column:

@@ -93,7 +93,7 @@ def test_a_path_worked_example():
         "1,2,0/1,2/1",
         "1,2,3/1,2/1",
     ]
-    v = a_vector(T)
+    v = a_vector(ap)
     assert v.coeff(T) == LaurentPoly.one()
 
 
@@ -133,7 +133,7 @@ def test_a_path_matches_marsh_on_columns():
                 ap = a_path(t)
                 assert list(ap.steps) == mp
                 # the two stage-one/stage-two vectors coincide on fundamentals
-                assert terms_of(a_vector(t)) == {
+                assert terms_of(a_vector(ap)) == {
                     str(parse_tabloid(str(c), kind, d_sign=t.shape.d_sign)): str(v)
                     for c, v in global_column(col).terms
                 }
@@ -143,7 +143,7 @@ def test_a_vector_properties_weight_space():
     tabs = enumerate_tableaux((1, 1, 2), B3, weight2=(0, 4, -2))
     assert len(tabs) == 11
     for t in tabs:
-        v = a_vector(t)
+        v = a_vector(a_path(t))
         assert v.coeff(t) == LaurentPoly.one()
         for tau, _c in v.terms:
             assert tabloid_sort_key(tau) <= tabloid_sort_key(t)
@@ -153,7 +153,7 @@ def test_a_vector_properties_weight_space():
 def test_spin_shape_a_vectors():
     for kind, lam in ((B3, (1, 0, 1)), (B3, (0, 1, 1)), (D3, (0, 1, 1)), (D3, (1, 1, 1))):
         for t in enumerate_tableaux(lam, kind):
-            v = a_vector(t)
+            v = a_vector(a_path(t))
             assert v.coeff(t) == LaurentPoly.one(), t
             for tau, _c in v.terms:
                 assert tabloid_sort_key(tau) <= tabloid_sort_key(t)
@@ -172,7 +172,7 @@ def test_memoised_a_vectors_match_replay(kind, lam):
     from qcb.canonical import _MonomialBuilder
 
     tabs = enumerate_tableaux(lam, kind)
-    replayed = {t: a_vector(t) for t in tabs}
+    replayed = {t: a_vector(a_path(t)) for t in tabs}
     build = _MonomialBuilder(tabs)
     assert {t: build.vector(t) for t in tabs} == replayed
     assert not build.memo
@@ -373,7 +373,7 @@ def test_gamma_loop_matches_order_free_fixpoint():
         rows = {t: r for r, t in enumerate(M.rows)}
         cols = {t: c for c, t in enumerate(M.cols)}
         for _w, ts in sorted(groups.items()):
-            G = {t: a_vector(t) for t in ts}
+            G = {t: a_vector(a_path(t)) for t in ts}
             changed = True
             while changed:
                 changed = False

@@ -168,20 +168,28 @@ OPTIMIZED_SCRIPT = textwrap.dedent(
     import sys
 
     import qcb.canonical
+    import qcb.wedge
     from qcb.cli import main
-    from qcb.laurent import LaurentPoly
+    from qcb.laurent import InexactDivision, LaurentPoly
 
     assert False, "python -O keeps asserts"  # stripped under -O
     if sys.argv[1] == "broken":
         # skip every correction; this weight space needs one by q^-1 + q
         qcb.canonical._gamma_symmetrize = lambda c: LaurentPoly.zero()
+    elif sys.argv[1] == "inexact":
+        # an arithmetic failure inside a divided power is a bug, not bad input
+
+        def inexact(num, den):
+            raise InexactDivision(f"({num}) / ({den}) leaves a remainder")
+
+        qcb.wedge.divide_exact = inexact
     argv = ["--type", "B", "--rank", "3", "canonical", "--lambda", "1,1,2", "--weight", "0,2,-1"]
     sys.exit(main(argv + ["--output", sys.argv[2]]))
     """
 )
 
 
-@pytest.mark.parametrize("mode,code", [("good", 0), ("broken", 2)])
+@pytest.mark.parametrize("mode,code", [("good", 0), ("broken", 2), ("inexact", 2)])
 def test_invariants_survive_optimize_flag(tmp_path, mode, code):
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src)

@@ -1,5 +1,6 @@
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from qcb.crystal import (
@@ -7,6 +8,7 @@ from qcb.crystal import (
     Word,
     component_bfs,
     enumerate_spin_columns,
+    letter_eps_phi,
     raise_to_highest,
     spin_apply,
     spin_eps_phi,
@@ -124,6 +126,24 @@ def test_eps_phi_count_operator_applications():
                 while (x := word_apply(x, i, "f")) is not None:
                     cnt += 1
                 assert cnt == phi
+
+
+def test_letter_table_matches_edges():
+    for kind in (B2, B3, AlgebraKind("B", 4), D3, AlgebraKind("D", 4)):
+        for i in range(1, kind.rank + 1):
+            for x in alphabet(kind):
+                counts = []
+                for direction in ("e", "f"):
+                    y, cnt = x, 0
+                    while (y := vec_edge(y, i, direction, kind)) is not None:
+                        cnt += 1
+                    counts.append(cnt)
+                assert letter_eps_phi(x, i, kind) == tuple(counts)
+                y = vec_edge(x, i, "f", kind)
+                if y is not None:
+                    assert vec_edge(y, i, "e", kind) == x
+    with pytest.raises(ValueError):
+        vec_edge(1, 1, "x", B2)
 
 
 def test_spin_apply_B():

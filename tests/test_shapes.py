@@ -22,6 +22,7 @@ from qcb.shapes import (
     is_admissible,
     is_orthogonal_tableau,
     lambda_of_shape,
+    orthogonal_tableaux,
     parse_tabloid,
     shape_for_lambda,
     shape_of,
@@ -129,6 +130,8 @@ def test_word_to_tabloid_roundtrip():
     shape = shape_for_lambda((1, 1, 2), B3)
     with pytest.raises(MalformedWord):
         word_to_tabloid(Word(B3, (1, 2)), shape)
+    with pytest.raises(MalformedWord):  # the height-2 column 2,1 is not a filling
+        word_to_tabloid(Word(B3, (1, 2, 1, 1, 2, 3)), shape)
 
 
 def test_admissibility():
@@ -227,6 +230,24 @@ def test_membership_splits_weight_space():
 def test_tabloid_weight_counts(kind, lam):
     shape = shape_for_lambda(lam, kind)
     assert tabloid_weight_counts(shape) == Counter(weight2_of_tabloid(t) for t in enumerate_tabloids(shape))
+
+
+@pytest.mark.parametrize(
+    "kind,lam",
+    [
+        (B2, (1, 1)),
+        (B3, (0, 1, 1)),
+        (AlgebraKind("D", 4), (1, 0, 1, 1)),
+        (AlgebraKind("D", 4), (0, 0, 1, 2)),
+        (AlgebraKind("B", 4), (1, 1, 0, 1)),
+    ],
+)
+def test_cached_component_shares_one_column_per_filling(kind, lam):
+    shape = shape_for_lambda(lam, kind)
+    columns = {h: {c.letters: c for c in enumerate_columns(kind, h)} for h in set(shape.heights)}
+    for t in orthogonal_tableaux(shape):
+        for c in t.columns:
+            assert c is columns[c.height][c.letters]
 
 
 PICKLE_SCRIPT = """

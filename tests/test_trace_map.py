@@ -53,9 +53,9 @@ def test_tracer_installs_on_canonical(tmp_path):
     # three requests on one module share one cached crystal component
     assert doc["calls"]["canonical.canonical_matrix"] == 3
     assert doc["calls"]["crystal.component_bfs"] == 1
-    # qcb apath walks once for the path and once inside a_vector; the spin
-    # early exit reads the cached weight counts, so no tabloids are probed
-    assert doc["calls"]["canonical.a_path"] == 2
+    # qcb apath walks once and hands the path to a_vector; the spin early
+    # exit reads the cached weight counts, so no tabloids are probed
+    assert doc["calls"]["canonical.a_path"] == 1
     assert "shapes.enumerate_tabloids_probe" not in doc["calls"]
     assert doc["maxima"]["max_support"] > 0
     assert {"straighten_hits", "divided_misses", "is_admissible_hits"} <= set(doc["caches"])
