@@ -200,6 +200,9 @@ def check_crystal(kinds: list[AlgebraKind], rng: random.Random) -> list[CheckRes
                 if t is not None:
                     if spin_apply(t, i, "e") != s or spin_apply(t, i, "f") is not None:
                         spin_ok = False
+                    # the weight is read off the barred set, not from the crystal table
+                    if weight2_add(t.weight2(), _simple_root2(kind, i)) != s.weight2():
+                        spin_ok = False
                     if kind.family == "D" and t.sign_class() != s.sign_class():
                         spin_ok = False
         # the lowering orbit of the highest spin column is one whole class
@@ -238,7 +241,7 @@ def check_counting(max_rank_b: int) -> list[CheckResult]:
 
 
 def check_shapes(kinds: list[AlgebraKind], lambdas) -> list[CheckResult]:
-    order_ok = bfs_ok = member_ok = True
+    order_ok = bfs_ok = True
     for kind in kinds:
         for lam in lambdas(kind):
             shape = shape_for_lambda(lam, kind)
@@ -248,11 +251,9 @@ def check_shapes(kinds: list[AlgebraKind], lambdas) -> list[CheckResult]:
             # the raising route decides membership independently of the component search
             listed = set(tableaux)
             bfs_ok = bfs_ok and all((t in listed) == is_orthogonal_tableau(t) for t in enumerate_tabloids(shape))
-            member_ok = member_ok and all(is_orthogonal_tableau(t) for t in tableaux[:30])
     return [
         CheckResult("shapes.enumeration_sorted_unique", order_ok),
         CheckResult("shapes.tableaux_match_crystal_component", bfs_ok),
-        CheckResult("shapes.tableaux_pass_membership", member_ok),
     ]
 
 

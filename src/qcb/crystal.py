@@ -32,40 +32,6 @@ from .rootdata import (
 )
 
 
-@lru_cache(maxsize=None)
-def _node_table(kind: AlgebraKind, i: int) -> tuple[dict, dict, dict]:
-    """The i-labeled edges of the vector-representation crystal.
-
-    Returns the f map, the e map, and (eps, phi) for every letter.
-    """
-    n = kind.rank
-    if kind.family == "B" and i == n:
-        edges = ((n, 0), (0, -n))
-    elif kind.family == "D" and i == n:
-        edges = ((n - 1, -n), (n, -(n - 1)))
-    else:
-        edges = ((i, i + 1), (-(i + 1), -i))
-    f = dict(edges)
-    e = {b: a for a, b in edges}
-    # an i-string of the vector representation has at most three letters
-    eps_phi = {x: ((x in e) + (e.get(x) in e), (x in f) + (f.get(x) in f)) for x in alphabet(kind)}
-    return f, e, eps_phi
-
-
-def vec_edge(x: Letter, i: int, direction: str, kind: AlgebraKind) -> Letter | None:
-    """Follow the i-labeled crystal edge from x (direction 'f' or 'e')."""
-    f, e, _ = _node_table(kind, i)
-    if direction == "f":
-        return f.get(x)
-    if direction == "e":
-        return e.get(x)
-    raise ValueError("direction must be 'f' or 'e'")
-
-
-def letter_eps_phi(x: Letter, i: int, kind: AlgebraKind) -> tuple[int, int]:
-    return _node_table(kind, i)[2][x]
-
-
 @cache_hash
 @dataclass(frozen=True)
 class SpinColumn:
@@ -84,12 +50,12 @@ class SpinColumn:
 
     @staticmethod
     def highest(kind: AlgebraKind) -> "SpinColumn":
-        return SpinColumn(kind, frozenset())
+        return _spin_columns(kind)[frozenset()]
 
     @staticmethod
     def highest_minus(kind: AlgebraKind) -> "SpinColumn":
         """The D spin column with only n barred (highest in the minus class)."""
-        return SpinColumn(kind, frozenset({kind.rank}))
+        return _spin_columns(kind)[frozenset({kind.rank})]
 
     def letters(self) -> tuple[Letter, ...]:
         n = self.kind.rank
@@ -111,42 +77,66 @@ class SpinColumn:
         return "s:" + ",".join(str(x) for x in sel)
 
 
-def spin_apply(s: SpinColumn, i: int, direction: str) -> SpinColumn | None:
-    """Kashiwara operator on a spin column, or None when it vanishes."""
-    n = s.kind.rank
-    barred = s.barred
+@lru_cache(maxsize=None)
+def _spin_columns(kind: AlgebraKind) -> dict[frozenset[int], SpinColumn]:
+    """Every spin column keyed by its barred set, in ascending order (cached: do not mutate)."""
+    n = kind.rank
+    cols = (SpinColumn(kind, frozenset(k for k in range(1, n + 1) if mask >> (k - 1) & 1)) for mask in range(1 << n))
+    return {s.barred: s for s in sorted(cols, key=lambda s: tuple(letter_key(x, n) for x in s.letters()))}
+
+
+@lru_cache(maxsize=None)
+def _node_table(kind: AlgebraKind, i: int) -> tuple[dict, dict, dict]:
+    """The i-labeled edges of the vector-representation and spin-column crystals.
+
+    Returns the f map, the e map, and (eps, phi) for every letter and spin column.
+    """
+    n = kind.rank
+    if kind.family == "B" and i == n:
+        edges = [(n, 0), (0, -n)]
+        before, after = frozenset(), frozenset({n})
+    elif kind.family == "D" and i == n:
+        edges = [(n - 1, -n), (n, -(n - 1))]
+        before, after = frozenset(), frozenset({n - 1, n})
+    else:
+        edges = [(i, i + 1), (-(i + 1), -i)]
+        before, after = frozenset({i + 1}), frozenset({i})
+    # f_i moves a spin column whose barred indices among those it touches are `before`
+    spins = _spin_columns(kind)
+    edges += [(s, spins[b - before | after]) for b, s in spins.items() if b & (before | after) == before]
+    f = dict(edges)
+    e = {b: a for a, b in edges}
+    # an i-string has at most three vertices
+    eps_phi = {x: ((x in e) + (e.get(x) in e), (x in f) + (f.get(x) in f)) for x in (*alphabet(kind), *spins.values())}
+    return f, e, eps_phi
+
+
+def _moves(kind: AlgebraKind, i: int, direction: str) -> tuple[dict, dict]:
+    """The edge map of node i in one direction, and the (eps, phi) table."""
+    f, e, eps_phi = _node_table(kind, i)
     if direction == "f":
-        if i < n:
-            if i not in barred and (i + 1) in barred:
-                return SpinColumn(s.kind, barred - {i + 1} | {i})
-            return None
-        if s.kind.family == "B":
-            if n not in barred:
-                return SpinColumn(s.kind, barred | {n})
-            return None
-        if n not in barred and (n - 1) not in barred:
-            return SpinColumn(s.kind, barred | {n - 1, n})
-        return None
+        return f, eps_phi
     if direction == "e":
-        if i < n:
-            if (i + 1) not in barred and i in barred:
-                return SpinColumn(s.kind, barred - {i} | {i + 1})
-            return None
-        if s.kind.family == "B":
-            if n in barred:
-                return SpinColumn(s.kind, barred - {n})
-            return None
-        if n in barred and (n - 1) in barred:
-            return SpinColumn(s.kind, barred - {n - 1, n})
-        return None
+        return e, eps_phi
     raise ValueError("direction must be 'f' or 'e'")
 
 
+def vec_edge(x: Letter, i: int, direction: str, kind: AlgebraKind) -> Letter | None:
+    """Follow the i-labeled crystal edge from x (direction 'f' or 'e')."""
+    return _moves(kind, i, direction)[0].get(x)
+
+
+def letter_eps_phi(x: Letter, i: int, kind: AlgebraKind) -> tuple[int, int]:
+    return _node_table(kind, i)[2][x]
+
+
+def spin_apply(s: SpinColumn, i: int, direction: str) -> SpinColumn | None:
+    """Kashiwara operator on a spin column, or None when it vanishes."""
+    return _moves(s.kind, i, direction)[0].get(s)
+
+
 def spin_eps_phi(s: SpinColumn, i: int) -> tuple[int, int]:
-    return (
-        1 if spin_apply(s, i, "e") is not None else 0,
-        1 if spin_apply(s, i, "f") is not None else 0,
-    )
+    return _node_table(s.kind, i)[2][s]
 
 
 @dataclass(frozen=True)
@@ -182,37 +172,27 @@ class Word:
         return f"{self.spin}/{body}" if body else str(self.spin)
 
 
-def _factor_eps_phi(f, i: int, kind: AlgebraKind) -> tuple[int, int]:
-    if isinstance(f, SpinColumn):
-        return spin_eps_phi(f, i)
-    return letter_eps_phi(f, i, kind)
-
-
 def word_eps_phi(w: Word, i: int) -> tuple[int, int]:
     """(eps_i, phi_i) of a word via the two-factor fold."""
+    table = _node_table(w.kind, i)[2]
     eps, phi = 0, 0
-    for f in w.factors():
-        fe, fp = _factor_eps_phi(f, i, w.kind)
+    for x in w.factors():
+        fe, fp = table[x]
         eps = eps + max(0, fe - phi)
         phi = fp + max(0, phi - fe)
     return eps, phi
 
 
-def _apply_factor(f, i: int, direction: str, kind: AlgebraKind):
-    if isinstance(f, SpinColumn):
-        return spin_apply(f, i, direction)
-    return vec_edge(f, i, direction, kind)
-
-
 def word_apply(w: Word, i: int, direction: str) -> Word | None:
     """Apply the Kashiwara operator to the factor the signature rule selects."""
+    moves, table = _moves(w.kind, i, direction)
     factors = w.factors()
     if not factors:
         return None
     # prefix folds of (eps, phi) over factors[:j]
     prefix = [(0, 0)]
-    for f in factors:
-        fe, fp = _factor_eps_phi(f, i, w.kind)
+    for x in factors:
+        fe, fp = table[x]
         eps, phi = prefix[-1]
         prefix.append((eps + max(0, fe - phi), fp + max(0, phi - fe)))
     total_eps, total_phi = prefix[-1]
@@ -222,7 +202,7 @@ def word_apply(w: Word, i: int, direction: str) -> Word | None:
         return None
     pos = 0
     for j in range(len(factors) - 1, 0, -1):
-        fe, _fp = _factor_eps_phi(factors[j], i, w.kind)
+        fe = table[factors[j]][0]
         phi_left = prefix[j][1]
         if direction == "f":
             if phi_left <= fe:
@@ -232,7 +212,7 @@ def word_apply(w: Word, i: int, direction: str) -> Word | None:
             if phi_left < fe:
                 pos = j
                 break
-    new = _apply_factor(factors[pos], i, direction, w.kind)
+    new = moves.get(factors[pos])
     if new is None:
         raise InvariantViolation("signature rule selected a dead factor")
     if w.spin is None:
@@ -296,13 +276,4 @@ def word_sort_key(w: Word) -> tuple:
 
 def enumerate_spin_columns(kind: AlgebraKind, sign: str | None = None) -> list[SpinColumn]:
     """All spin columns, optionally restricted to a D class ('+' or '-')."""
-    n = kind.rank
-    out = []
-    for mask in range(1 << n):
-        barred = frozenset(k for k in range(1, n + 1) if mask & (1 << (k - 1)))
-        s = SpinColumn(kind, barred)
-        if sign is not None and kind.family == "D" and s.sign_class() != sign:
-            continue
-        out.append(s)
-    out.sort(key=lambda s: tuple(letter_key(x, n) for x in s.letters()))
-    return out
+    return [s for s in _spin_columns(kind).values() if sign is None or kind.family != "D" or s.sign_class() == sign]

@@ -463,7 +463,8 @@ def orthogonal_tableaux(shape: Shape) -> dict[Tabloid, Weight2]:
     The tableaux are read off the crystal component of the highest tableau's reading.
     """
     words = sorted(component_bfs(tabloid_reading(highest_tabloid(shape))), key=word_sort_key)
-    return {word_to_tabloid(w, shape): w.weight2() for w in words}
+    weights: dict[Weight2, Weight2] = {}  # one tuple per distinct weight
+    return {word_to_tabloid(w, shape): weights.setdefault(mu := w.weight2(), mu) for w in words}
 
 
 def enumerate_tableaux(lam: tuple[int, ...], kind: AlgebraKind, weight2: Weight2 | None = None) -> list[Tabloid]:

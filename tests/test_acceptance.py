@@ -114,7 +114,6 @@ def test_acceptance_5_counting_identities(capsys):
             n_adm = len(enumerate_columns(kind, p, admissible_only=True))
             assert n_adm == comb(2 * n + 1, p)
             assert n_all == sum(comb(2 * n + 1, p - 2 * k) for k in range(p // 2 + 1))
-            assert n_all == sum(comb(2 * n + 1, p - 2 * k) for k in range(p // 2 + 1))
     for n in (2, 3, 4):
         b = AlgebraKind("B", n)
         assert len(enumerate_spin_columns(b)) == 2**n

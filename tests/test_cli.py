@@ -8,6 +8,9 @@ import pytest
 
 from qcb.cli import main
 
+# child interpreters import qcb from this checkout, installed or not
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -132,8 +135,7 @@ def test_unwritable_output_is_a_domain_error(capsys, tmp_path):
 
 
 def test_bad_step_limit_is_a_domain_error():
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=src, QCB_STEP_LIMIT="-5")
+    env = dict(os.environ, PYTHONPATH=SRC, QCB_STEP_LIMIT="-5")
     proc = subprocess.run(
         [sys.executable, "-m", "qcb.cli", "--type", "B", "--rank", "2", "check", "--max-rank-b", "2", "--max-rank-d", "2"],
         capture_output=True,
@@ -148,6 +150,7 @@ def test_usage_error_exit():
     proc = subprocess.run(
         [sys.executable, "-m", "qcb.cli", "--type", "E", "--rank", "3", "check"],
         capture_output=True,
+        env=dict(os.environ, PYTHONPATH=SRC),
     )
     assert proc.returncode == 64
 
@@ -157,6 +160,7 @@ def test_console_entry_point():
         [sys.executable, "-m", "qcb.cli", "--type", "B", "--rank", "2", "columns", "--height", "1", "--format", "csv"],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=SRC),
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "column,admissible"
@@ -191,8 +195,7 @@ OPTIMIZED_SCRIPT = textwrap.dedent(
 
 @pytest.mark.parametrize("mode,code", [("good", 0), ("broken", 2), ("inexact", 2)])
 def test_invariants_survive_optimize_flag(tmp_path, mode, code):
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run(
         [sys.executable, "-O", "-c", OPTIMIZED_SCRIPT, mode, str(tmp_path / "out.json")],
         capture_output=True,

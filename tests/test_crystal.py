@@ -1,4 +1,5 @@
 import random
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +17,8 @@ from qcb.crystal import (
     word_apply,
     word_eps_phi,
 )
-from qcb.rootdata import AlgebraKind, alphabet, cartan_exponent
+from qcb.checks import _simple_root2
+from qcb.rootdata import AlgebraKind, alphabet, cartan_exponent, letter_weight2, weight2_add
 
 B2 = AlgebraKind("B", 2)
 B3 = AlgebraKind("B", 3)
@@ -129,21 +131,31 @@ def test_eps_phi_count_operator_applications():
 
 
 def test_letter_table_matches_edges():
+    """Letters and spin columns: eps/phi count the steps, e undoes f, f_i lowers the weight by alpha_i."""
     for kind in (B2, B3, AlgebraKind("B", 4), D3, AlgebraKind("D", 4)):
-        for i in range(1, kind.rank + 1):
-            for x in alphabet(kind):
+        n = kind.rank
+        for x in (*alphabet(kind), *enumerate_spin_columns(kind)):
+            if isinstance(x, SpinColumn):
+                move, eps_phi, weight = spin_apply, spin_eps_phi, SpinColumn.weight2
+            else:
+                move, eps_phi = partial(vec_edge, kind=kind), partial(letter_eps_phi, kind=kind)
+                weight = partial(letter_weight2, n=n)
+            for i in range(1, n + 1):
                 counts = []
                 for direction in ("e", "f"):
                     y, cnt = x, 0
-                    while (y := vec_edge(y, i, direction, kind)) is not None:
+                    while (y := move(y, i, direction)) is not None:
                         cnt += 1
                     counts.append(cnt)
-                assert letter_eps_phi(x, i, kind) == tuple(counts)
-                y = vec_edge(x, i, "f", kind)
+                assert eps_phi(x, i) == tuple(counts)
+                y = move(x, i, "f")
                 if y is not None:
-                    assert vec_edge(y, i, "e", kind) == x
+                    assert move(y, i, "e") == x
+                    assert weight2_add(weight(y), _simple_root2(kind, i)) == weight(x)
     with pytest.raises(ValueError):
         vec_edge(1, 1, "x", B2)
+    with pytest.raises(ValueError):
+        spin_apply(SpinColumn.highest(B2), 1, "x")
 
 
 def test_spin_apply_B():

@@ -6,7 +6,7 @@ from math import comb
 
 import pytest
 
-from qcb.crystal import SpinColumn, Word, component_bfs
+from qcb.crystal import SpinColumn, Word, component_bfs, enumerate_spin_columns
 from qcb.rootdata import AlgebraKind
 from qcb.shapes import (
     Column,
@@ -245,9 +245,13 @@ def test_tabloid_weight_counts(kind, lam):
 def test_cached_component_shares_one_column_per_filling(kind, lam):
     shape = shape_for_lambda(lam, kind)
     columns = {h: {c.letters: c for c in enumerate_columns(kind, h)} for h in set(shape.heights)}
-    for t in orthogonal_tableaux(shape):
+    spins = {s: s for s in enumerate_spin_columns(kind)}
+    weights = {}
+    for t, mu in orthogonal_tableaux(shape).items():
         for c in t.columns:
             assert c is columns[c.height][c.letters]
+        assert t.spin is None or t.spin is spins[t.spin]
+        assert weights.setdefault(mu, mu) is mu
 
 
 PICKLE_SCRIPT = """
@@ -271,7 +275,8 @@ def test_cached_hash_does_not_travel_through_pickle():
     in an interpreter with another hash seed."""
 
     def run(seed, mode, data=None):
-        env = dict(os.environ, PYTHONHASHSEED=seed)
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
         return subprocess.run(
             [sys.executable, "-c", PICKLE_SCRIPT, mode], input=data, capture_output=True, env=env, check=True
         ).stdout
