@@ -15,7 +15,7 @@ from .canonical import (
 from .crystal import SpinColumn, Word, component_bfs, raise_to_highest, spin_apply, vec_edge, word_apply, word_eps_phi
 from .laurent import InexactDivision, LaurentPoly, NegativePower, SparseVector, divide_exact, quantum_factorial, quantum_int
 from .modvec import apply_monomial, highest_vector, module_f_divided
-from .rootdata import AlgebraKind, InvariantViolation, NonIntegralPairing, cartan_exponent, letter_leq_B, letter_weight2, qi_exponent
+from .rootdata import AlgebraKind, InvariantViolation, NonIntegralPairing, cartan_exponent, letter_weight2, qi_exponent
 from .shapes import (
     Column,
     MalformedWord,
@@ -35,7 +35,9 @@ from .shapes import (
     parse_tabloid,
     shape_for_lambda,
     shape_of,
+    tabloid_factors,
     tabloid_leq,
+    tabloid_of_factors,
     tabloid_reading,
     tabloid_weight_counts,
     weight2_of_tabloid,

@@ -28,6 +28,7 @@ from .shapes import (
     enumerate_tableaux,
     enumerate_tabloids,
     highest_tabloid,
+    is_admissible,
     is_orthogonal_tableau,
     orthogonal_tableaux,
     shape_for_lambda,
@@ -111,14 +112,9 @@ def _marsh_color(col: Column) -> int:
 
 
 def _column_highest_target(col: Column) -> tuple[int, ...]:
-    kind = col.kind
-    p = col.height
-    hw, _ = raise_to_highest(col.word())
-    if hw.letters == tuple(range(1, p + 1)):
-        return hw.letters
-    if kind.family == "D" and p == kind.rank and hw.letters == tuple(range(1, p)) + (-p,):
-        return hw.letters
-    raise NotAdmissible(str(col))
+    if not is_admissible(col):
+        raise NotAdmissible(str(col))
+    return raise_to_highest(col.word())[0].letters
 
 
 def _raise_column(col: Column, i: int) -> tuple[int, Column]:

@@ -126,10 +126,6 @@ def vec_edge(x: Letter, i: int, direction: str, kind: AlgebraKind) -> Letter | N
     return _moves(kind, i, direction)[0].get(x)
 
 
-def letter_eps_phi(x: Letter, i: int, kind: AlgebraKind) -> tuple[int, int]:
-    return _node_table(kind, i)[2][x]
-
-
 def spin_apply(s: SpinColumn, i: int, direction: str) -> SpinColumn | None:
     """Kashiwara operator on a spin column, or None when it vanishes."""
     return _moves(s.kind, i, direction)[0].get(s)

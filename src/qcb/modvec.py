@@ -1,9 +1,8 @@
 """Vectors in the tensor module on the tabloid basis, with divided powers.
 
-A tabloid's vector is the tensor product of its factors in reading order:
-the spin column first (when present), then the columns right to left.  A
-divided power f_i^(m) is pushed through that product with the quantum
-binomial recursion
+A tabloid's vector is the tensor product of its factors in reading order
+(``shapes.tabloid_factors``).  A divided power f_i^(m) is pushed through
+that product with the quantum binomial recursion
 
     f^(m)(u (x) v) = sum_k q_i^{(m-k)(a-k)} f^(k)(u) (x) f^(m-k)(v)
 
@@ -17,27 +16,12 @@ from __future__ import annotations
 from .crystal import SpinColumn, spin_apply
 from .laurent import LaurentPoly, SparseVector
 from .rootdata import AlgebraKind, cartan_exponent, qi_exponent
-from .shapes import Shape, Tabloid, highest_tabloid, shape_for_lambda
+from .shapes import Tabloid, highest_tabloid, shape_for_lambda, tabloid_factors, tabloid_of_factors
 from .wedge import wedge_f_divided
 
 
 def highest_vector(lam: tuple[int, ...], kind: AlgebraKind) -> SparseVector:
     return SparseVector.unit(highest_tabloid(shape_for_lambda(lam, kind)))
-
-
-def _factors(t: Tabloid) -> tuple:
-    cols = tuple(reversed(t.columns))
-    return ((t.spin,) + cols) if t.spin is not None else cols
-
-
-def _tabloid_from_factors(shape: Shape, factors: tuple) -> Tabloid:
-    if shape.has_spin():
-        spin = factors[0]
-        cols = tuple(reversed(factors[1:]))
-    else:
-        spin = None
-        cols = tuple(reversed(factors))
-    return Tabloid(shape, spin, cols)
 
 
 def _factor_divided(f, i: int, k: int) -> SparseVector:
@@ -52,8 +36,10 @@ def _factor_divided(f, i: int, k: int) -> SparseVector:
 
 def _expand_divided(factors: tuple, i: int, m: int, kind: AlgebraKind, d: int) -> dict[tuple, LaurentPoly]:
     """f_i^(m) on a pure tensor of factors; keys are factor tuples."""
+    if m == 0:
+        return {factors: LaurentPoly.one()}
     if not factors:
-        return {(): LaurentPoly.one()} if m == 0 else {}
+        return {}
     if len(factors) == 1:
         return {(g,): c for g, c in _factor_divided(factors[0], i, m).terms}
     head, rest = factors[0], factors[1:]
@@ -85,8 +71,8 @@ def module_f_divided(v: SparseVector, i: int, m: int) -> SparseVector:
     d = qi_exponent(kind, i)
     acc: dict[Tabloid, LaurentPoly] = {}
     for tab, coeff in v.terms:
-        for factors, c in _expand_divided(_factors(tab), i, m, kind, d).items():
-            t = _tabloid_from_factors(shape, factors)
+        for factors, c in _expand_divided(tabloid_factors(tab), i, m, kind, d).items():
+            t = tabloid_of_factors(shape, factors)
             cur = acc.get(t)
             add = c * coeff
             acc[t] = add if cur is None else cur + add

@@ -98,11 +98,6 @@ def letter_key(x: Letter, n: int) -> int:
     return 2 * n + 2 + x  # x = -k gives 2n+2-k
 
 
-def letter_leq_B(x: Letter, y: Letter, n: int) -> bool:
-    """x <= y in the type-B total order (also used to compare D words)."""
-    return letter_key(x, n) <= letter_key(y, n)
-
-
 def alphabet(kind: AlgebraKind) -> tuple[Letter, ...]:
     """All letters in ascending key order (n precedes -n for D)."""
     n = kind.rank

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -281,13 +282,26 @@ def highest_tabloid(shape: Shape) -> Tabloid:
     return Tabloid(shape, spin, tuple(cols))
 
 
-# -- readings and weights ---------------------------------------------------
+# -- tensor factors and readings ---------------------------------------------
+
+
+def tabloid_factors(t: Tabloid) -> tuple:
+    """The tensor factors in reading order: the spin column, then the columns right to left."""
+    cols = t.columns[::-1]
+    return cols if t.spin is None else (t.spin, *cols)
+
+
+def tabloid_of_factors(shape: Shape, factors: Sequence) -> Tabloid:
+    """Inverse of tabloid_factors: the tabloid of the shape with these factors."""
+    if shape.has_spin():
+        return Tabloid(shape, factors[0], tuple(factors[:0:-1]))
+    return Tabloid(shape, None, tuple(factors[::-1]))
 
 
 def tabloid_reading(t: Tabloid) -> Word:
-    """Columns read right to left, each top to bottom; spin column leads."""
+    """The letters of the column factors in order, led by the spin column."""
     letters: list[Letter] = []
-    for c in reversed(t.columns):
+    for c in tabloid_factors(t)[t.spin is not None :]:  # the column factors
         letters.extend(c.letters)
     return Word(t.shape.kind, tuple(letters), t.spin)
 
@@ -298,17 +312,21 @@ def word_to_tabloid(w: Word, shape: Shape) -> Tabloid:
         raise MalformedWord("spin factor does not match the shape")
     if len(w.letters) != shape.boxes:
         raise MalformedWord(f"word has {len(w.letters)} letters, shape has {shape.boxes} boxes")
-    cols: list[Column] = []
+    factors: list = []
     idx = 0
-    for h in reversed(shape.heights):
-        letters = w.letters[idx : idx + h]
-        col = _columns_by_letters(shape.kind, h).get(letters)
+    # the factors of the highest tabloid name the slots in reading order
+    for f in tabloid_factors(highest_tabloid(shape)):
+        if isinstance(f, SpinColumn):
+            factors.append(w.spin)
+            continue
+        letters = w.letters[idx : idx + f.height]
+        col = _columns_by_letters(shape.kind, f.height).get(letters)
         if col is None:
             raise MalformedWord(f"invalid {shape.kind} column {list(letters)}")
-        cols.append(col)
-        idx += h
+        factors.append(col)
+        idx += f.height
     try:
-        return Tabloid(shape, w.spin, tuple(reversed(cols)))
+        return tabloid_of_factors(shape, factors)
     except ValueError as exc:
         raise MalformedWord(str(exc)) from exc
 
@@ -396,62 +414,65 @@ def _columns_by_letters(kind: AlgebraKind, p: int) -> dict[tuple[Letter, ...], C
     return {c.letters: c for c in enumerate_columns(kind, p)}
 
 
-def _slot_choices(shape: Shape) -> list[list]:
-    """The fillings of each slot: the spin column first, then the columns."""
+def _slot_choices(shape: Shape) -> list:
+    """The fillings of each tensor factor in reading order, each list ascending."""
     kind = shape.kind
-    slots: list[list] = []
-    if shape.has_spin():
-        sign = None if shape.spin_class == "B" else shape.spin_class[1]
-        slots.append(enumerate_spin_columns(kind, sign))
-    for h in shape.heights:
-        slots.append(list(enumerate_columns(kind, h)))
-    return slots
+    return [
+        enumerate_spin_columns(kind, f.sign_class()) if isinstance(f, SpinColumn) else enumerate_columns(kind, f.height)
+        for f in tabloid_factors(highest_tabloid(shape))
+    ]
 
 
 @lru_cache(maxsize=8)
-def tabloid_weight_counts(shape: Shape) -> Counter[Weight2]:
-    """The number of tabloids of the shape of each weight (cached: do not mutate)."""
+def _suffix_weight_counts(shape: Shape) -> tuple[Counter[Weight2], ...]:
+    """Entry j counts the fillings of factors j, j+1, ... by weight (cached: do not mutate)."""
     counts = Counter({weight2_zero(shape.kind.rank): 1})
-    for choices in _slot_choices(shape):
+    table = [counts]
+    for choices in reversed(_slot_choices(shape)):
         slot = Counter(choice.weight2() for choice in choices)
         nxt: Counter[Weight2] = Counter()
         for w, c in counts.items():
             for sw, k in slot.items():
                 nxt[weight2_add(w, sw)] += c * k
         counts = nxt
-    return counts
+        table.append(counts)
+    return tuple(reversed(table))
+
+
+def tabloid_weight_counts(shape: Shape) -> Counter[Weight2]:
+    """The number of tabloids of the shape of each weight (cached: do not mutate)."""
+    return _suffix_weight_counts(shape)[0]
 
 
 def enumerate_tabloids(shape: Shape, weight2: Weight2 | None = None) -> list[Tabloid]:
-    """All tabloids of the shape (optionally of one weight), sorted ascending."""
-    n = shape.kind.rank
-    slot_choices = _slot_choices(shape)
-    remaining = [0] * (len(slot_choices) + 1)
-    for j in range(len(slot_choices) - 1, -1, -1):
-        cap = n if (shape.has_spin() and j == 0) else 2 * slot_choices[j][0].height
-        remaining[j] = remaining[j + 1] + cap
+    """All tabloids of the shape (optionally of one weight), sorted ascending.
 
+    Each factor is picked in reading order from an ascending list of
+    fillings of one length, so the product order is the order of readings.
+    A weight is filled exactly: a filling enters only when the weight still
+    missing is one the remaining factors can make.
+    """
+    slots = _slot_choices(shape)
+    if weight2 is None:
+        return [tabloid_of_factors(shape, factors) for factors in itertools.product(*slots)]
+    suffix = _suffix_weight_counts(shape)
+    weighted = [[(choice, choice.weight2()) for choice in choices] for choices in slots]
     out: list[Tabloid] = []
     picks: list = []
 
-    def rec(j: int, w: Weight2) -> None:
-        if weight2 is not None:
-            need = sum(abs(a - b) for a, b in zip(weight2, w))
-            if need > remaining[j]:
-                return
-        if j == len(slot_choices):
-            if weight2 is None or w == weight2:
-                spin = picks[0] if shape.has_spin() else None
-                cols = tuple(picks[1:] if shape.has_spin() else picks)
-                out.append(Tabloid(shape, spin, cols))
+    def rec(j: int, need: Weight2) -> None:
+        if j == len(weighted):
+            out.append(tabloid_of_factors(shape, picks))
             return
-        for choice in slot_choices[j]:
-            picks.append(choice)
-            rec(j + 1, weight2_add(w, choice.weight2()))
-            picks.pop()
+        for choice, w in weighted[j]:
+            rest = tuple(a - b for a, b in zip(need, w))
+            if rest in suffix[j + 1]:
+                picks.append(choice)
+                rec(j + 1, rest)
+                picks.pop()
 
-    rec(0, weight2_zero(n))
-    out.sort(key=tabloid_sort_key)
+    if weight2 in suffix[0]:
+        rec(0, weight2)
     return out
 
 

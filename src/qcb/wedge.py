@@ -19,7 +19,6 @@ rule factor by factor, and straightening; wedge_f must agree with it exactly.
 
 from __future__ import annotations
 
-import os
 from functools import lru_cache
 
 from .crystal import vec_edge, word_apply, word_eps_phi
@@ -32,16 +31,11 @@ class StepLimitExceeded(RuntimeError):
     """The straightening fuel ran out; indicates a rewriting bug."""
 
 
-DEFAULT_STEP_FACTOR = 10
+STEP_FACTOR = 10
 
 
 def step_limit(p: int) -> int:
-    env = os.environ.get("QCB_STEP_LIMIT")
-    if env:
-        if not (env.isdecimal() and int(env) > 0):
-            raise ValueError(f"QCB_STEP_LIMIT must be a positive integer, got {env!r}")
-        return int(env)
-    return max(DEFAULT_STEP_FACTOR * p * p, 16)
+    return max(STEP_FACTOR * p * p, 16)
 
 
 # -- straightening ------------------------------------------------------------

@@ -134,18 +134,6 @@ def test_unwritable_output_is_a_domain_error(capsys, tmp_path):
     assert f"cannot write {path}" in err and "Traceback" not in err
 
 
-def test_bad_step_limit_is_a_domain_error():
-    env = dict(os.environ, PYTHONPATH=SRC, QCB_STEP_LIMIT="-5")
-    proc = subprocess.run(
-        [sys.executable, "-m", "qcb.cli", "--type", "B", "--rank", "2", "check", "--max-rank-b", "2", "--max-rank-d", "2"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    assert proc.returncode == 1
-    assert "QCB_STEP_LIMIT" in proc.stderr
-
-
 def test_usage_error_exit():
     proc = subprocess.run(
         [sys.executable, "-m", "qcb.cli", "--type", "E", "--rank", "3", "check"],

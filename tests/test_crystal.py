@@ -9,7 +9,6 @@ from qcb.crystal import (
     Word,
     component_bfs,
     enumerate_spin_columns,
-    letter_eps_phi,
     raise_to_highest,
     spin_apply,
     spin_eps_phi,
@@ -138,7 +137,8 @@ def test_letter_table_matches_edges():
             if isinstance(x, SpinColumn):
                 move, eps_phi, weight = spin_apply, spin_eps_phi, SpinColumn.weight2
             else:
-                move, eps_phi = partial(vec_edge, kind=kind), partial(letter_eps_phi, kind=kind)
+                move = partial(vec_edge, kind=kind)
+                eps_phi = lambda x, i: word_eps_phi(Word(kind, (x,)), i)
                 weight = partial(letter_weight2, n=n)
             for i in range(1, n + 1):
                 counts = []

@@ -44,6 +44,10 @@ CASES = {
     "canonical_D4_weight.json": [
         "--type", "D", "--rank", "4", "canonical", "--lambda", "0,1,1,1", "--weight", "1,0,0,0",
     ],
+    "canonical_D4_minus.json": ["--type", "D", "--rank", "4", "canonical", "--lambda", "0,0,3,0"],
+    "canonical_D4_spin_weight.json": [
+        "--type", "D", "--rank", "4", "canonical", "--lambda", "1,0,2,1", "--weight", "3/2,1/2,1/2,1/2",
+    ],
     "crystal_B3_spin.json": ["--type", "B", "--rank", "3", "crystal", "--lambda", "0,1,1"],
     "crystal_D4_spin.json": ["--type", "D", "--rank", "4", "crystal", "--lambda", "0,1,0,1"],
 }

@@ -7,9 +7,9 @@ import random
 
 from qcb.crystal import SpinColumn, spin_apply
 from qcb.laurent import LaurentPoly, SparseVector, divide_exact, quantum_factorial
-from qcb.modvec import _factors, _tabloid_from_factors, apply_monomial, highest_vector, module_f_divided
+from qcb.modvec import apply_monomial, highest_vector, module_f_divided
 from qcb.rootdata import AlgebraKind, cartan_exponent, qi_exponent
-from qcb.shapes import tabloid_sort_key, weight2_of_tabloid
+from qcb.shapes import tabloid_factors, tabloid_of_factors, tabloid_sort_key, weight2_of_tabloid
 from qcb.wedge import wedge_f
 
 B2 = AlgebraKind("B", 2)
@@ -22,7 +22,7 @@ def plain_f(v: SparseVector, i: int, kind: AlgebraKind) -> SparseVector:
     acc = {}
     for tab, coeff in v.terms:
         shape = tab.shape
-        factors = _factors(tab)
+        factors = tabloid_factors(tab)
         tpref = LaurentPoly.one()
         for j, f in enumerate(factors):
             if isinstance(f, SpinColumn):
@@ -31,7 +31,7 @@ def plain_f(v: SparseVector, i: int, kind: AlgebraKind) -> SparseVector:
             else:
                 rows = list(wedge_f(f, i).terms)
             for g, c in rows:
-                t = _tabloid_from_factors(shape, factors[:j] + (g,) + factors[j + 1 :])
+                t = tabloid_of_factors(shape, factors[:j] + (g,) + factors[j + 1 :])
                 acc[t] = acc.get(t, LaurentPoly.zero()) + coeff * c * tpref
             tpref = tpref * LaurentPoly.q(d * cartan_exponent(f.weight2(), i, kind))
     return SparseVector(acc)
@@ -125,7 +125,7 @@ def test_recursion_split_associativity():
             if not nv.is_zero():
                 v = nv
         tab = min((t for t, _c in v.terms), key=tabloid_sort_key)
-        factors = _factors(tab)
+        factors = tabloid_factors(tab)
         for i in range(1, kind.rank + 1):
             d = d_by_i[i]
             for m in (1, 2, 3):

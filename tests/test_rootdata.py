@@ -5,7 +5,6 @@ from qcb.rootdata import (
     alphabet,
     cartan_exponent,
     letter_key,
-    letter_leq_B,
     letter_weight2,
     parse_weight,
     qi_exponent,
@@ -27,10 +26,10 @@ def test_kind_validation():
 
 
 def test_letter_order_examples():
-    assert letter_leq_B(1, 0, 2)
-    assert letter_leq_B(3, -3, 3)
-    assert letter_leq_B(-2, -1, 3)
-    assert not letter_leq_B(0, 2, 2)
+    assert letter_key(1, 2) < letter_key(0, 2)
+    assert letter_key(3, 3) < letter_key(-3, 3)
+    assert letter_key(-2, 3) < letter_key(-1, 3)
+    assert letter_key(0, 2) > letter_key(2, 2)
 
 
 def test_order_is_total():

@@ -26,7 +26,9 @@ from qcb.shapes import (
     parse_tabloid,
     shape_for_lambda,
     shape_of,
+    tabloid_factors,
     tabloid_leq,
+    tabloid_of_factors,
     tabloid_reading,
     tabloid_sort_key,
     tabloid_weight_counts,
@@ -127,6 +129,10 @@ def test_word_to_tabloid_roundtrip():
     for text in ("2,0,-2/2,-3/2", "2,0,0/2,-3/3"):
         t = parse_tabloid(text, B3)
         assert word_to_tabloid(tabloid_reading(t), t.shape) == t
+    spin_t = parse_tabloid("s:1,-2,3/2,0/1", B3)
+    assert tabloid_factors(spin_t) == (spin_t.spin, *reversed(spin_t.columns))
+    assert tabloid_of_factors(spin_t.shape, tabloid_factors(spin_t)) == spin_t
+    assert word_to_tabloid(tabloid_reading(spin_t), spin_t.shape) == spin_t
     shape = shape_for_lambda((1, 1, 2), B3)
     with pytest.raises(MalformedWord):
         word_to_tabloid(Word(B3, (1, 2)), shape)
@@ -193,10 +199,32 @@ def test_tabloid_order():
     assert tabloid_leq(t1, t2) and not tabloid_leq(t2, t1)
     with pytest.raises(ShapeMismatch):
         tabloid_leq(t1, parse_tabloid("1/1", B3))
-    shape = shape_for_lambda((1, 1, 2), B3)
-    rows = enumerate_tabloids(shape, (0, 4, -2))
+
+
+@pytest.mark.parametrize(
+    "kind,lam,spin_class,d_sign",
+    [
+        (B3, (1, 1, 2), None, None),
+        (B3, (0, 1, 1), "B", None),
+        (AlgebraKind("D", 4), (0, 1, 0, 1), "D+", "0"),
+        (AlgebraKind("D", 4), (1, 0, 2, 1), "D-", "0"),
+        (AlgebraKind("D", 4), (0, 0, 3, 0), "D-", "-"),
+    ],
+)
+def test_enumeration_is_in_reading_order(kind, lam, spin_class, d_sign):
+    """Both enumerations list tabloids strictly ascending; a weight's list is the whole list filtered."""
+    shape = shape_for_lambda(lam, kind)
+    assert (shape.spin_class, shape.d_sign) == (spin_class, d_sign)
+    rows = enumerate_tabloids(shape)
     keys = [tabloid_sort_key(t) for t in rows]
     assert keys == sorted(keys) and len(set(keys)) == len(keys)
+    assert len(rows) == sum(tabloid_weight_counts(shape).values())
+    by_weight: dict = {}
+    for t in rows:
+        by_weight.setdefault(weight2_of_tabloid(t), []).append(t)
+    for mu, want in by_weight.items():
+        assert enumerate_tabloids(shape, mu) == want
+    assert enumerate_tabloids(shape, (2 * shape.boxes + 2,) * kind.rank) == []
 
 
 def test_weight_of_tabloid():

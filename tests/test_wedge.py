@@ -132,18 +132,15 @@ def test_straighten_integrality():
 
 
 def test_step_limit_env(monkeypatch):
-    from qcb.wedge import _straighten_cached
+    import qcb.wedge
+    from qcb.wedge import _straighten_cached, step_limit
 
-    monkeypatch.setenv("QCB_STEP_LIMIT", "1")
+    assert step_limit(1) == 16 and step_limit(3) == 90
+    monkeypatch.setattr(qcb.wedge, "step_limit", lambda p: 1)
     _straighten_cached.cache_clear()
     with pytest.raises(StepLimitExceeded):
         straighten(B3, (-1, 1, 0))
-    for bad in ("abc", "0", "-5"):
-        monkeypatch.setenv("QCB_STEP_LIMIT", bad)
-        _straighten_cached.cache_clear()
-        with pytest.raises(ValueError, match="QCB_STEP_LIMIT"):
-            straighten(B3, (-1, 1, 0))
-    monkeypatch.delenv("QCB_STEP_LIMIT")
+    monkeypatch.undo()
     _straighten_cached.cache_clear()
     straighten(B3, (-1, 1, 0))
 
