@@ -10,6 +10,7 @@ from .canonical import (
     a_vector,
     canonical_matrix,
     global_column,
+    marsh,
     marsh_path,
 )
 from .crystal import SpinColumn, Word, component_bfs, raise_to_highest, spin_apply, vec_edge, word_apply, word_eps_phi

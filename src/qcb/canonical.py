@@ -111,12 +111,6 @@ def _marsh_color(col: Column) -> int:
     raise InvariantViolation(f"movable letter {z} of {col} has no raising edge")
 
 
-def _column_highest_target(col: Column) -> tuple[int, ...]:
-    if not is_admissible(col):
-        raise NotAdmissible(str(col))
-    return raise_to_highest(col.word())[0].letters
-
-
 def _raise_column(col: Column, i: int) -> tuple[int, Column]:
     """eps_i of the column, and the column e_i^eps raises it to."""
     w: Word | None = col.word()
@@ -128,13 +122,13 @@ def _raise_column(col: Column, i: int) -> tuple[int, Column]:
     return eps, Column(col.kind, w.letters)
 
 
-def marsh_path(col: Column) -> list[tuple[int, int]]:
-    """Raising steps (i, p) from the column to its highest vertex.
-
-    The list reads like the divided-power monomial it encodes: the first
-    entry is discovered first and applied last when lowering.
-    """
-    target = _column_highest_target(col)
+def marsh(col: Column) -> tuple[list[tuple[int, int]], SparseVector]:
+    """Raising steps (i, p) from an admissible column to its highest vertex, the
+    first found first (it is applied last when lowering), and the column's
+    canonical basis vector built from them."""
+    if not is_admissible(col):
+        raise NotAdmissible(f"column {col} is not admissible")
+    target = raise_to_highest(col.word())[0].letters
     cur = col
     steps: list[tuple[int, int]] = []
     while cur.letters != target:
@@ -146,17 +140,20 @@ def marsh_path(col: Column) -> list[tuple[int, int]]:
         steps.append((i, eps))
         if len(steps) > MAX_RAISING_STEPS:
             raise IterationLimit(f"marsh walk from {col} did not terminate")
-    return steps
+    v = SparseVector.unit(cur)
+    for i, p in reversed(steps):
+        v = wedge_f_divided(v, i, p)
+    return steps, v
+
+
+def marsh_path(col: Column) -> list[tuple[int, int]]:
+    """The raising steps of ``marsh``."""
+    return marsh(col)[0]
 
 
 def global_column(col: Column) -> SparseVector:
     """The canonical basis vector of an admissible column, on the column basis."""
-    path = marsh_path(col)
-    base = Column(col.kind, _column_highest_target(col))
-    v = SparseVector.unit(base)
-    for i, p in reversed(path):
-        v = wedge_f_divided(v, i, p)
-    return v
+    return marsh(col)[1]
 
 
 def _word_is_highest(w: Word) -> bool:
@@ -239,7 +236,7 @@ def _raise_once(cur: Tabloid, member: Member) -> tuple[int, int, Tabloid] | None
 def a_path(tab: Tabloid) -> APath:
     """The raising walk from an orthogonal tableau to the highest tableau."""
     if not is_orthogonal_tableau(tab):
-        raise NotOrthogonalTableau(str(tab))
+        raise NotOrthogonalTableau(f"{tab} is not an orthogonal tableau of its shape")
     steps: list[tuple[int, int]] = []
     inters: list[Tabloid] = []
     cur = tab

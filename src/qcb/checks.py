@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from math import comb, factorial
 
-from .canonical import a_path, a_vector, canonical_matrix, global_column, marsh_path
+from .canonical import a_path, a_vector, canonical_matrix, marsh
 from .crystal import (
     SpinColumn,
     Word,
@@ -339,14 +339,14 @@ def check_canonical(kinds: list[AlgebraKind], lambdas) -> list[CheckResult]:
         n = kind.rank
         for p in range(1, n + 1):
             for col in enumerate_columns(kind, p, admissible_only=True):
-                g = global_column(col)
+                path, g = marsh(col)
                 diag = g.coeff(col)
                 if diag.is_zero() or diag.min_exp() < 0 or diag.coeff(0) != 1:
                     marsh_ok = False
                 for c, v in g.terms:
                     if c != col and v.min_exp() < 1:
                         marsh_ok = False
-                if any(r not in (1, 2) for _i, r in marsh_path(col)):
+                if any(r not in (1, 2) for _i, r in path):
                     apath_ok = False
         for lam in lambdas(kind):
             M = canonical_matrix(lam, kind)

@@ -17,7 +17,7 @@ import argparse
 import json
 import sys
 
-from .canonical import a_path, a_vector, canonical_matrix, global_column, marsh_path
+from .canonical import a_path, a_vector, canonical_matrix, marsh
 from .checks import run_all
 from .crystal import component_bfs, enumerate_spin_columns, word_apply, word_sort_key
 from .laurent import LaurentPoly, SparseVector
@@ -223,8 +223,7 @@ def _json_terms(vec: SparseVector, key: str, sort_key) -> list[dict]:
 
 def _cmd_marsh(kind: AlgebraKind, args) -> dict:
     col = parse_column(args.column, kind)
-    path = marsh_path(col)
-    vec = global_column(col)
+    path, vec = marsh(col)
     return {
         "command": "marsh",
         "column": str(col),

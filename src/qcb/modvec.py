@@ -6,12 +6,15 @@ that product with the quantum binomial recursion
 
     f^(m)(u (x) v) = sum_k q_i^{(m-k)(a-k)} f^(k)(u) (x) f^(m-k)(v)
 
-where q_i^a is the t_i-eigenvalue of the left factor.  Base cases are the
-closed-form wedge action on single columns and the coefficient-free spin
-action (f^(k) = 0 on a spin factor for k >= 2).
+where q_i^a is the t_i-eigenvalue of the head factor u.  ``_factor_powers``
+tables, once per (factor, i), that exponent and the factor's non-zero
+divided powers: the closed-form wedge action on a column, the
+coefficient-free crystal edge on a spin column (f^(k) = 0 there for k >= 2).
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 from .crystal import SpinColumn, spin_apply
 from .laurent import LaurentPoly, SparseVector
@@ -24,39 +27,36 @@ def highest_vector(lam: tuple[int, ...], kind: AlgebraKind) -> SparseVector:
     return SparseVector.unit(highest_tabloid(shape_for_lambda(lam, kind)))
 
 
-def _factor_divided(f, i: int, k: int) -> SparseVector:
-    """f_i^(k) on a single tensor factor (a spin column or a column)."""
+@lru_cache(maxsize=None)
+def _factor_powers(f, i: int) -> tuple[int, tuple[tuple[tuple[object, LaurentPoly], ...], ...]]:
+    """The t_i exponent of a factor and its non-zero f_i^(0), f_i^(1), ..., each
+    as a tuple of (label, coefficient) pairs: lighter to keep than a SparseVector."""
+    a = cartan_exponent(f.weight2(), i, f.kind)
+    one = LaurentPoly.one()
     if isinstance(f, SpinColumn):
-        if k == 0:
-            return SparseVector.unit(f)
-        g = spin_apply(f, i, "f") if k == 1 else None
-        return SparseVector.unit(g) if g is not None else SparseVector.zero()
-    return wedge_f_divided(f, i, k)
+        return a, tuple(((g, one),) for g in (f, spin_apply(f, i, "f")) if g is not None)
+    powers = [((f, one),)]
+    while not (v := wedge_f_divided(f, i, len(powers))).is_zero():
+        powers.append(tuple(v.terms))
+    return a, tuple(powers)
 
 
-def _expand_divided(factors: tuple, i: int, m: int, kind: AlgebraKind, d: int) -> dict[tuple, LaurentPoly]:
+def _expand_divided(factors: tuple, i: int, m: int, d: int) -> dict[tuple, LaurentPoly]:
     """f_i^(m) on a pure tensor of factors; keys are factor tuples."""
     if m == 0:
         return {factors: LaurentPoly.one()}
     if not factors:
         return {}
-    if len(factors) == 1:
-        return {(g,): c for g, c in _factor_divided(factors[0], i, m).terms}
-    head, rest = factors[0], factors[1:]
-    a = cartan_exponent(head.weight2(), i, kind)
+    a, powers = _factor_powers(factors[0], i)
+    rest = factors[1:]
     out: dict[tuple, LaurentPoly] = {}
-    for k in range(m + 1):
-        head_vec = _factor_divided(head, i, k)
-        if head_vec.is_zero():
-            continue
-        rest_terms = _expand_divided(rest, i, m - k, kind, d)
-        if not rest_terms:
-            continue
-        scale = LaurentPoly.q(d * (m - k) * (a - k))
-        for g, cg in head_vec.terms:
+    for k in range(min(m, len(powers) - 1) + 1):
+        rest_terms = _expand_divided(rest, i, m - k, d)
+        e = d * (m - k) * (a - k)
+        for g, cg in powers[k]:
             for tail, ct in rest_terms.items():
                 key = (g,) + tail
-                add = cg * ct * scale
+                add = (cg * ct).shift(e)
                 cur = out.get(key)
                 out[key] = add if cur is None else cur + add
     return {k: v for k, v in out.items() if not v.is_zero()}
@@ -67,11 +67,10 @@ def module_f_divided(v: SparseVector, i: int, m: int) -> SparseVector:
     if m == 0 or v.is_zero():
         return v
     shape = next(iter(v.terms))[0].shape
-    kind = shape.kind
-    d = qi_exponent(kind, i)
+    d = qi_exponent(shape.kind, i)
     acc: dict[Tabloid, LaurentPoly] = {}
     for tab, coeff in v.terms:
-        for factors, c in _expand_divided(tabloid_factors(tab), i, m, kind, d).items():
+        for factors, c in _expand_divided(tabloid_factors(tab), i, m, d).items():
             t = tabloid_of_factors(shape, factors)
             cur = acc.get(t)
             add = c * coeff

@@ -171,4 +171,6 @@ def parse_weight(text: str, n: int) -> Weight2:
             out.append(int(t[:-2]))
         else:
             out.append(2 * int(t))
+    if len({x % 2 for x in out}) > 1:
+        raise ValueError(f"weight {text} mixes integer and half-integer coordinates")
     return tuple(out)

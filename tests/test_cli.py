@@ -7,6 +7,7 @@ import textwrap
 import pytest
 
 from qcb.cli import main
+from qcb.crystal import raise_to_highest
 
 # child interpreters import qcb from this checkout, installed or not
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -125,6 +126,33 @@ def test_domain_error_exit(capsys):
     assert code == 1  # valid column, not admissible
     code, _, err = run_cli(capsys, "--type", "D", "--rank", "2", "columns", "--height", "1")
     assert code == 1
+
+
+def test_domain_errors_say_what_is_wrong(capsys):
+    code, out, err = run_cli(capsys, "--type", "B", "--rank", "3", "marsh", "--column", "1,-1")
+    assert (code, out, err) == (1, "", "qcb: column 1,-1 is not admissible\n")
+    code, out, err = run_cli(capsys, "--type", "B", "--rank", "3", "apath", "--tabloid", "2/1")
+    assert (code, out, err) == (1, "", "qcb: 2/1 is not an orthogonal tableau of its shape\n")
+
+
+def test_mixed_parity_weight_is_a_domain_error(capsys):
+    code, out, err = run_cli(capsys, "--type", "B", "--rank", "2", "canonical", "--lambda", "1,1", "--weight", "1/2,1")
+    assert (code, out) == (1, "")
+    assert err == "qcb: weight 1/2,1 mixes integer and half-integer coordinates\n"
+
+
+def test_marsh_raises_the_column_once(capsys, monkeypatch):
+    import qcb.canonical
+
+    calls = []
+
+    def counted(w):
+        calls.append(w)
+        return raise_to_highest(w)
+
+    monkeypatch.setattr(qcb.canonical, "raise_to_highest", counted)
+    code, _, _ = run_cli(capsys, "--type", "B", "--rank", "4", "marsh", "--column", "0,0,0,0")
+    assert code == 0 and len(calls) == 1
 
 
 def test_unwritable_output_is_a_domain_error(capsys, tmp_path):

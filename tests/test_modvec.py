@@ -5,12 +5,12 @@ pins the recursion's q-powers."""
 
 import random
 
-from qcb.crystal import SpinColumn, spin_apply
+from qcb.crystal import SpinColumn, enumerate_spin_columns, spin_apply
 from qcb.laurent import LaurentPoly, SparseVector, divide_exact, quantum_factorial
 from qcb.modvec import apply_monomial, highest_vector, module_f_divided
 from qcb.rootdata import AlgebraKind, cartan_exponent, qi_exponent
-from qcb.shapes import tabloid_factors, tabloid_of_factors, tabloid_sort_key, weight2_of_tabloid
-from qcb.wedge import wedge_f
+from qcb.shapes import enumerate_columns, tabloid_factors, tabloid_of_factors, tabloid_sort_key, weight2_of_tabloid
+from qcb.wedge import wedge_f, wedge_f_divided
 
 B2 = AlgebraKind("B", 2)
 B3 = AlgebraKind("B", 3)
@@ -69,7 +69,7 @@ def test_recursion_matches_brute_force():
         v = highest_vector(lam, kind)
         for _ in range(10):
             i = rng.randrange(1, kind.rank + 1)
-            m = rng.randrange(0, 3)
+            m = rng.randrange(0, 4)  # 3 is past the reach of most factors
             assert module_f_divided(v, i, m) == brute_divided(v, i, m, kind)
             nv = module_f_divided(v, rng.randrange(1, kind.rank + 1), rng.randrange(1, 3))
             if not nv.is_zero():
@@ -110,6 +110,29 @@ def test_highest_vector_spin_shapes():
     assert [c.letters for c in t.columns] == [(1, 2)]
 
 
+def test_factor_powers_table():
+    """Each (factor, i) entry holds the t_i exponent and the terms of every non-zero f_i^(k)."""
+    from qcb.modvec import _factor_powers
+
+    for kind in (B2, B3, AlgebraKind("B", 4), D3, AlgebraKind("D", 4)):
+        columns = [c for p in range(1, kind.rank + 1) for c in enumerate_columns(kind, p)]
+        for f in columns + enumerate_spin_columns(kind):
+            for i in range(1, kind.rank + 1):
+                a, terms = _factor_powers(f, i)
+                powers = tuple(SparseVector(dict(t)) for t in terms)
+                assert a == cartan_exponent(f.weight2(), i, kind)
+                assert powers[0] == SparseVector.unit(f)
+                if isinstance(f, SpinColumn):
+                    g = spin_apply(f, i, "f")
+                    assert powers[1:] == ((SparseVector.unit(g),) if g is not None else ())
+                    # f_i^2 vanishes on the spin module
+                    assert g is None or spin_apply(g, i, "f") is None
+                else:
+                    for k, vec in enumerate(powers):
+                        assert vec == wedge_f_divided(f, i, k) and not vec.is_zero()
+                    assert wedge_f_divided(f, i, len(powers)).is_zero()
+
+
 def test_recursion_split_associativity():
     """Splitting the factor chain at any point gives the same coefficients."""
     from qcb.modvec import _expand_divided
@@ -129,7 +152,7 @@ def test_recursion_split_associativity():
         for i in range(1, kind.rank + 1):
             d = d_by_i[i]
             for m in (1, 2, 3):
-                whole = _expand_divided(factors, i, m, kind, d)
+                whole = _expand_divided(factors, i, m, d)
                 for cut in range(1, len(factors)):
                     left, right = factors[:cut], factors[cut:]
                     wl = weight2_zero(kind.rank)
@@ -138,8 +161,8 @@ def test_recursion_split_associativity():
                     a = cartan_exponent(wl, i, kind)
                     combined = {}
                     for k in range(m + 1):
-                        lt = _expand_divided(left, i, k, kind, d)
-                        rt = _expand_divided(right, i, m - k, kind, d)
+                        lt = _expand_divided(left, i, k, d)
+                        rt = _expand_divided(right, i, m - k, d)
                         scale = LaurentPoly.q(d * (m - k) * (a - k))
                         for lf, lc in lt.items():
                             for rf, rc in rt.items():

@@ -71,3 +71,11 @@ def test_parse_weight():
     assert parse_weight("1/2,1/2,-1/2", 3) == (1, 1, -1)
     with pytest.raises(ValueError):
         parse_weight("1,2", 3)
+    assert parse_weight("4/2,-1", 2) == (4, -2)
+
+
+def test_parse_weight_refuses_mixed_parity():
+    # a weight's coordinates are all integers or all half-integers
+    for text in ("1/2,1", "0,-3/2", "1/2,2/2"):
+        with pytest.raises(ValueError, match="mixes integer and half-integer"):
+            parse_weight(text, 2)

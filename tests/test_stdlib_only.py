@@ -1,7 +1,9 @@
-"""The package depends on nothing beyond the standard library.
+"""Source lints over ``src/qcb``.
 
-Every absolute import in ``src/qcb`` must name a standard-library module or
-``qcb`` itself; relative imports stay inside the package.
+The package depends on nothing beyond the standard library: every absolute
+import must name a standard-library module or ``qcb`` itself, and relative
+imports stay inside the package.  It holds no ``assert`` statement, since
+``python -O`` strips them: invariant checks raise ``InvariantViolation``.
 """
 
 import ast
@@ -11,8 +13,16 @@ import sys
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "qcb")
 
 
-def _absolute_imports(path):
-    tree = ast.parse(open(path).read(), filename=path)
+def _sources():
+    files = sorted(f for f in os.listdir(SRC) if f.endswith(".py"))
+    assert "cli.py" in files
+    for name in files:
+        path = os.path.join(SRC, name)
+        with open(path) as fh:
+            yield name, ast.parse(fh.read(), filename=path)
+
+
+def _absolute_imports(tree):
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
@@ -23,12 +33,20 @@ def _absolute_imports(path):
 
 def test_package_imports_only_the_standard_library():
     allowed = set(sys.stdlib_module_names) | {"qcb"}
-    files = sorted(f for f in os.listdir(SRC) if f.endswith(".py"))
-    assert "cli.py" in files
     bad = [
         f"{name}:{lineno}: {module}"
-        for name in files
-        for lineno, module in _absolute_imports(os.path.join(SRC, name))
+        for name, tree in _sources()
+        for lineno, module in _absolute_imports(tree)
         if module.split(".")[0] not in allowed
+    ]
+    assert not bad, bad
+
+
+def test_package_has_no_assert_statements():
+    bad = [
+        f"{name}:{node.lineno}"
+        for name, tree in _sources()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assert)
     ]
     assert not bad, bad
