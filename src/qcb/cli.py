@@ -17,8 +17,7 @@ import argparse
 import json
 import sys
 
-from .canonical import a_path, a_vector, canonical_matrix, marsh
-from .checks import run_all
+from .canonical import CanonicalMatrix, a_path, a_vector, canonical_matrix, marsh
 from .crystal import component_bfs, enumerate_spin_columns, word_apply, word_sort_key
 from .laurent import LaurentPoly, SparseVector
 from .rootdata import AlgebraKind, parse_weight
@@ -96,7 +95,9 @@ def _parse_lambda(text: str, n: int) -> tuple[int, ...]:
     return tuple(int(t) for t in parts)
 
 
-def _emit(doc: dict, args) -> str:
+def _emit(doc: dict | CanonicalMatrix, args) -> str:
+    if isinstance(doc, CanonicalMatrix):
+        return {"json": _canonical_json, "csv": _canonical_csv, "tex": _canonical_tex}[args.format](doc)
     if args.format == "json":
         return json.dumps(doc, indent=2) + "\n"
     if args.format == "csv":
@@ -125,19 +126,79 @@ def _to_csv(doc: dict) -> str:
         for t in doc["terms"]:
             key = t.get("column", t.get("tabloid"))
             lines.append(f"\"{key}\",\"{_poly_text(t['coeff'])}\"")
-    elif kind == "canonical":
-        header = [""] + [f'"{c}"' for c in doc["cols"]]
-        lines.append(",".join(header))
-        entries = {(r, c): _poly_text(v) for r, c, v in doc["entries"]}
-        for r, row in enumerate(doc["rows"]):
-            cells = [f'"{row}"'] + [f'"{entries.get((r, c), ".")}"' for c in range(len(doc["cols"]))]
-            lines.append(",".join(cells))
     elif kind == "check":
         lines.append("check,result")
         for r in doc["results"]:
             lines.append(f"{r['name']},{'pass' if r['ok'] else 'FAIL'}")
     else:
         lines.append(json.dumps(doc))
+    return "\n".join(lines) + "\n"
+
+
+def _canonical_json(M: CanonicalMatrix) -> str:
+    """``json.dumps({**M.json(), "command": "canonical"}, indent=2) + "\\n"``, written from
+    the matrix directly: each distinct coefficient's indented block is rendered once."""
+    blocks: dict[LaurentPoly, str] = {}
+
+    def block(c: LaurentPoly) -> str:
+        b = blocks.get(c)
+        if b is None:
+            b = blocks[c] = json.dumps(c.json_terms(), indent=2).replace("\n", "\n      ")
+        return b
+
+    def array(items: list[str], depth: int) -> str:
+        """A list of rendered items, laid out as json.dumps(indent=2) lays it out at this depth."""
+        if not items:
+            return "[]"
+        pad = "\n" + "  " * (depth + 1)
+        return "[" + pad + ("," + pad).join(items) + "\n" + "  " * depth + "]"
+
+    def triples(items) -> str:
+        return array([f"[\n      {a},\n      {b},\n      {block(c)}\n    ]" for a, b, c in items], 1)
+
+    fields = {
+        "kind": json.dumps(M.kind.family),
+        "rank": str(M.kind.rank),
+        "lambda": array([str(x) for x in M.lam], 1),
+        "weight2": "null" if M.weight2 is None else array([str(x) for x in M.weight2], 1),
+        "rows": array([json.dumps(str(t)) for t in M.rows], 1),
+        "cols": array([json.dumps(str(t)) for t in M.cols], 1),
+        "entries": triples((r, c, M.entries[(r, c)]) for r, c in sorted(M.entries)),
+        "gamma": triples(M.gamma),
+        "command": '"canonical"',
+    }
+    return "{\n" + ",\n".join(f'  "{k}": {v}' for k, v in fields.items()) + "\n}\n"
+
+
+def _matrix_rows(M: CanonicalMatrix, render, blank: str):
+    """Each row label with its cells: render(coefficient) once per distinct coefficient, blank elsewhere."""
+    text: dict[LaurentPoly, str] = {}
+    by_row: dict[int, list[tuple[int, LaurentPoly]]] = {}
+    for (r, c), coeff in M.entries.items():
+        by_row.setdefault(r, []).append((c, coeff))
+    for r, row in enumerate(M.rows):
+        cells = [blank] * len(M.cols)
+        for c, coeff in by_row.get(r, ()):
+            cell = text.get(coeff)
+            if cell is None:
+                cell = text[coeff] = render(coeff)
+            cells[c] = cell
+        yield row, cells
+
+
+def _canonical_csv(M: CanonicalMatrix) -> str:
+    lines = [",".join([""] + [f'"{c}"' for c in M.cols])]
+    for row, cells in _matrix_rows(M, lambda c: f'"{c}"', '"."'):
+        lines.append(",".join([f'"{row}"', *cells]))
+    return "\n".join(lines) + "\n"
+
+
+def _canonical_tex(M: CanonicalMatrix) -> str:
+    lines = [r"\begin{array}{l|" + "c" * len(M.cols) + "}"]
+    lines.append(" & " + " & ".join(rf"\text{{{c}}}" for c in M.cols) + r" \\ \hline")
+    for row, cells in _matrix_rows(M, LaurentPoly.latex, "."):
+        lines.append(rf"\text{{{row}}} & " + " & ".join(cells) + r" \\")
+    lines.append(r"\end{array}")
     return "\n".join(lines) + "\n"
 
 
@@ -152,16 +213,7 @@ def _poly_tex(json_terms: list) -> str:
 def _to_tex(doc: dict) -> str:
     kind = doc["command"]
     lines = []
-    if kind == "canonical":
-        ncols = len(doc["cols"])
-        lines.append(r"\begin{array}{l|" + "c" * ncols + "}")
-        lines.append(" & " + " & ".join(rf"\text{{{c}}}" for c in doc["cols"]) + r" \\ \hline")
-        entries = {(r, c): _poly_tex(v) for r, c, v in doc["entries"]}
-        for r, row in enumerate(doc["rows"]):
-            cells = [entries.get((r, c), ".") for c in range(ncols)]
-            lines.append(rf"\text{{{row}}} & " + " & ".join(cells) + r" \\")
-        lines.append(r"\end{array}")
-    elif kind in ("marsh", "apath"):
+    if kind in ("marsh", "apath"):
         mono = "".join(
             rf"f_{{{i}}}" + (rf"^{{({r})}}" if r > 1 else "") for i, r in doc["path"]
         )
@@ -247,16 +299,17 @@ def _cmd_apath(kind: AlgebraKind, args) -> dict:
     }
 
 
-def _cmd_canonical(kind: AlgebraKind, args) -> dict:
+def _cmd_canonical(kind: AlgebraKind, args) -> CanonicalMatrix:
     lam = _parse_lambda(args.lam, kind.rank)
     weight2 = parse_weight(args.weight, kind.rank) if args.weight else None
-    M = canonical_matrix(lam, kind, weight2=weight2)
-    doc = M.json()
-    doc["command"] = "canonical"
-    return doc
+    return canonical_matrix(lam, kind, weight2=weight2)
 
 
 def _cmd_check(kind: AlgebraKind, args) -> tuple[dict, bool]:
+    # imported here: no other command needs the invariant suite, so their
+    # start-up does not load it
+    from .checks import run_all
+
     results = run_all(max_rank_b=args.max_rank_b, max_rank_d=args.max_rank_d, seed=args.seed)
     doc = {
         "command": "check",

@@ -172,12 +172,6 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
-    def shift(self, exp: int) -> "LaurentPoly":
-        """Multiply by q^exp."""
-        if exp == 0:
-            return self
-        return _wrap({e + exp: c for e, c in self._terms.items()})
-
     # -- involution and evaluations -------------------------------------
 
     def bar(self) -> "LaurentPoly":

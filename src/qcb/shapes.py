@@ -331,8 +331,14 @@ def word_to_tabloid(w: Word, shape: Shape) -> Tabloid:
         raise MalformedWord(str(exc)) from exc
 
 
+@lru_cache(maxsize=None)
+def _factor_weight2(f) -> Weight2:
+    return f.weight2()
+
+
 def weight2_of_tabloid(t: Tabloid) -> Weight2:
-    return tabloid_reading(t).weight2()
+    """The weight of the reading: the sum of the factors' cached weights."""
+    return tuple(map(sum, zip(weight2_zero(t.shape.kind.rank), *map(_factor_weight2, tabloid_factors(t)))))
 
 
 def tabloid_sort_key(t: Tabloid) -> tuple:

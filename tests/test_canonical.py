@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from qcb.canonical import (
@@ -16,6 +18,7 @@ from qcb.shapes import (
     enumerate_columns,
     enumerate_tableaux,
     enumerate_tabloids,
+    highest_tabloid,
     is_orthogonal_tableau,
     orthogonal_tableaux,
     parse_tabloid,
@@ -181,6 +184,37 @@ def test_memoised_a_vectors_match_replay(kind, lam):
     build = _MonomialBuilder(space)
     assert [build.vector(t) for t in space] == [replayed[t] for t in space]
     assert not build.memo
+
+
+@pytest.mark.parametrize("kind,lam", ORACLE_MODULES)
+def test_builder_builds_each_tabloid_once(kind, lam):
+    """Within one builder run, equal fillings in the A(T) vectors are one Tabloid object."""
+    from qcb.canonical import _MonomialBuilder
+
+    tabs = enumerate_tableaux(lam, kind)
+    build = _MonomialBuilder(tabs)
+    vectors = [build.vector(t) for t in tabs]
+    seen = {}
+    for v in vectors:
+        for t, _c in v.terms:
+            assert seen.setdefault(t, t) is t, t
+    assert len(seen) > len(tabs)
+
+
+@pytest.mark.parametrize("kind,lam", ORACLE_MODULES)
+def test_canonical_json_writer_matches_json_dumps(kind, lam):
+    """The canonical JSON writer prints what json.dumps prints for the matrix's
+    json() dict: the whole module, one weight space, and a weight outside it."""
+    from qcb.cli import _canonical_json
+
+    tabs = enumerate_tableaux(lam, kind)
+    mu = weight2_of_tabloid(tabs[len(tabs) // 2])
+    top = weight2_of_tabloid(highest_tabloid(shape_for_lambda(lam, kind)))
+    outside = (top[0] + 2,) + top[1:]  # above the highest weight
+    for weight2 in (None, mu, outside):
+        M = canonical_matrix(lam, kind, weight2)
+        assert bool(M.cols) == (weight2 != outside)
+        assert _canonical_json(M) == json.dumps({**M.json(), "command": "canonical"}, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("kind,lam", ORACLE_MODULES)

@@ -183,6 +183,18 @@ def test_console_entry_point():
     assert len(proc.stdout.splitlines()) == 6
 
 
+def test_package_runs_as_a_module():
+    """``python -m qcb`` runs the CLI from a checkout (``PYTHONPATH=src``)."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "qcb", "--type", "B", "--rank", "2", "columns", "--height", "1", "--format", "csv"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=SRC),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == "column,admissible"
+
+
 OPTIMIZED_SCRIPT = textwrap.dedent(
     """
     import sys

@@ -3,7 +3,8 @@
 Each case runs ``qcb`` in-process and compares the bytes it writes with the
 file of the same name under ``tests/golden/``.  The ``marsh`` and ``apath``
 cases pin the order in which vector terms are printed; the ``canonical``
-cases pin whole-module and single-weight matrices (JSON and TeX); the
+cases pin whole-module and single-weight matrices (JSON, CSV and TeX),
+including a weight outside the module (empty lists); the
 ``crystal`` cases pin the vertex and edge lists of two spin modules.
 
 Regenerate the files (only when an output change is intended) with
@@ -31,6 +32,10 @@ CASES = {
     "apath_D4.json": ["--type", "D", "--rank", "4", "apath", "--tabloid", "2,-2/-2"],
     "apath_D4_spin.json": ["--type", "D", "--rank", "4", "apath", "--tabloid", "s:-1,-2,-3,4/2,-4"],
     "canonical_B2.json": ["--type", "B", "--rank", "2", "canonical", "--lambda", "1,1"],
+    "canonical_B2.csv": ["--type", "B", "--rank", "2", "canonical", "--lambda", "1,1", "--format", "csv"],
+    "canonical_B2_outside_weight.json": [
+        "--type", "B", "--rank", "2", "canonical", "--lambda", "1,1", "--weight", "3,0",
+    ],
     "canonical_D3.json": ["--type", "D", "--rank", "3", "canonical", "--lambda", "0,1,1"],
     "canonical_D3.tex": ["--type", "D", "--rank", "3", "canonical", "--lambda", "0,1,1", "--format", "tex"],
     "canonical_B3_weight.json": [

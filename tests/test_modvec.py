@@ -76,6 +76,26 @@ def test_recursion_matches_brute_force():
                 v = nv
 
 
+def test_divided_power_past_the_reach_is_zero():
+    """f_i^(m) on a tabloid is non-zero at the summed reach R of its factors and
+    zero at R + 1, where the brute-force route agrees."""
+    from qcb.modvec import _factor_powers
+
+    for kind, lam in [(B3, (1, 1, 2)), (D3, (0, 1, 2)), (B2, (2, 1))]:
+        v = highest_vector(lam, kind)
+        for i in range(1, kind.rank + 1):
+            nv = module_f_divided(v, i, 1)
+            if not nv.is_zero():
+                v = nv
+        tab = min((t for t, _c in v.terms), key=tabloid_sort_key)
+        unit = SparseVector.unit(tab)
+        for i in range(1, kind.rank + 1):
+            reach = sum(len(_factor_powers(f, i)[1]) - 1 for f in tabloid_factors(tab))
+            assert not module_f_divided(unit, i, reach).is_zero()
+            assert module_f_divided(unit, i, reach + 1).is_zero()
+            assert brute_divided(unit, i, reach + 1, kind).is_zero()
+
+
 def test_weight_homogeneity():
     v = highest_vector((1, 1, 2), B3)
     ((top, _c),) = v.terms
@@ -135,8 +155,11 @@ def test_factor_powers_table():
 
 def test_recursion_split_associativity():
     """Splitting the factor chain at any point gives the same coefficients."""
-    from qcb.modvec import _expand_divided
+    from qcb.modvec import TabloidCodes, _expand_divided
     from qcb.rootdata import weight2_add, weight2_zero
+
+    def polys(pairs):
+        return {codes: LaurentPoly(poly) for codes, poly in pairs if LaurentPoly(poly)}
 
     rng = random.Random(3)
     for kind, lam in [(B3, (1, 1, 2)), (D3, (1, 1, 1)), (B3, (1, 1, 3))]:
@@ -149,20 +172,22 @@ def test_recursion_split_associativity():
                 v = nv
         tab = min((t for t, _c in v.terms), key=tabloid_sort_key)
         factors = tabloid_factors(tab)
+        table = TabloidCodes(tab.shape)
         for i in range(1, kind.rank + 1):
             d = d_by_i[i]
+            heads = table.heads(table.codes(tab), i)
             for m in (1, 2, 3):
-                whole = _expand_divided(factors, i, m, d)
+                whole = polys(_expand_divided(heads, m, d))
                 for cut in range(1, len(factors)):
-                    left, right = factors[:cut], factors[cut:]
+                    left, right = heads[:cut], heads[cut:]
                     wl = weight2_zero(kind.rank)
-                    for f in left:
+                    for f in factors[:cut]:
                         wl = weight2_add(wl, f.weight2())
                     a = cartan_exponent(wl, i, kind)
                     combined = {}
                     for k in range(m + 1):
-                        lt = _expand_divided(left, i, k, d)
-                        rt = _expand_divided(right, i, m - k, d)
+                        lt = polys(_expand_divided(left, k, d))
+                        rt = polys(_expand_divided(right, m - k, d))
                         scale = LaurentPoly.q(d * (m - k) * (a - k))
                         for lf, lc in lt.items():
                             for rf, rc in rt.items():
