@@ -20,7 +20,7 @@ from typing import Callable
 
 from .crystal import Word, raise_to_highest, spin_apply, spin_eps_phi, vec_edge, word_apply, word_eps_phi
 from .laurent import LaurentPoly, SparseVector
-from .modvec import TabloidCodes, apply_monomial
+from .modvec import apply_monomial
 from .rootdata import AlgebraKind, InvariantViolation, Weight2
 from .shapes import (
     Column,
@@ -265,11 +265,9 @@ class _MonomialBuilder:
     ``steps`` maps every tableau on the raising walks of the requested ones
     to its step (i, r, next(T)), or to None where its walk ends.  A built
     vector is kept only while some tableau still to be built raises to it.
-    ``tabloids`` interns every tabloid the divided powers reach, for the run.
     """
 
     def __init__(self, tabs: list[Tabloid]):
-        self.tabloids = TabloidCodes(tabs[0].shape)
         steps: dict[Tabloid, tuple[int, int, Tabloid] | None] = {}
         for t in tabs:
             while t not in steps:
@@ -292,7 +290,7 @@ class _MonomialBuilder:
         v = self.memo[t] if t in self.memo else SparseVector.unit(t)
         for c in reversed(chain):
             i, r, above = self.steps[c]
-            v = apply_monomial(v, [(i, r)], self.tabloids)
+            v = apply_monomial(v, [(i, r)])
             self.pending[above] -= 1
             if not self.pending[above]:
                 self.memo.pop(above, None)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 from .canonical import CanonicalMatrix, a_path, a_vector, canonical_matrix, marsh
 from .crystal import component_bfs, enumerate_spin_columns, word_apply, word_sort_key
@@ -44,6 +45,8 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(USAGE_EXIT)
 
 
+# built once per process: parse_args leaves the parser as it found it
+@lru_cache(maxsize=None)
 def _build_parser() -> _Parser:
     p = _Parser(prog="qcb", description="Canonical bases of quantum orthogonal modules, exactly.")
     p.add_argument("--type", choices=("B", "D"), required=True, help="algebra family")

@@ -12,11 +12,12 @@ divided powers: the closed-form wedge action on a column, the
 coefficient-free crystal edge on a spin column (f^(k) = 0 there for k >= 2).
 
 ``module_f_divided`` unrolls the recursion left to right on small integer
-factor codes (``TabloidCodes``).  A partial term holds the codes chosen so
-far, the part of m still to place and a plain {exponent: coefficient} map;
-it is dropped as soon as the factors still to come cannot absorb the rest
-of m.  Each output coefficient becomes a LaurentPoly once, and each output
-tabloid is built once per code table.
+factor codes (``shapes.tabloid_codes``).  A partial term holds the codes
+chosen so far, the part of m still to place and a plain {exponent:
+coefficient} map; it is dropped as soon as the factors still to come cannot
+absorb the rest of m.  Each output coefficient becomes a LaurentPoly once,
+and each output tabloid is the shape's one object for its filling
+(``shapes.tabloid_of_codes``).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from functools import lru_cache
 from .crystal import SpinColumn, spin_apply
 from .laurent import LaurentPoly, SparseVector
 from .rootdata import AlgebraKind, cartan_exponent, qi_exponent
-from .shapes import Shape, Tabloid, _slot_choices, highest_tabloid, shape_for_lambda, tabloid_factors, tabloid_of_factors
+from .shapes import Shape, highest_tabloid, shape_for_lambda, slot_codes, tabloid_codes, tabloid_of_codes
 from .wedge import wedge_f_divided
 
 
@@ -49,72 +50,30 @@ def _factor_powers(f, i: int) -> tuple[int, tuple[tuple[tuple[object, LaurentPol
 
 
 @lru_cache(maxsize=None)
-def _codebook(shape: Shape) -> tuple[list, list[dict], dict[int, list[list]]]:
-    """Per slot of the shape: its ascending fillings (``shapes._slot_choices``)
-    and each filling's code, its index there; and a map, empty at first, from
-    each node to per-slot tables of coded ``_factor_powers`` entries, which
-    ``TabloidCodes.heads`` fills in as they are asked for.
-
-    Cached and shared by every table of the shape: an entry never changes once set.
-    """
-    slots = _slot_choices(shape)
-    index: dict[int, dict] = {}  # slots with one list of fillings share one index
-    for s in slots:
-        if id(s) not in index:
-            index[id(s)] = {f: c for c, f in enumerate(s)}
-    return slots, [index[id(s)] for s in slots], {}
+def _coded_powers(shape: Shape, i: int) -> list[list]:
+    """Per slot of the shape, by filling code: ``_factor_powers`` of the filling
+    with its outputs coded, or None until ``_heads`` first asks for it."""
+    lists: dict[int, list] = {}  # slots with one list of fillings share one table
+    return [lists.setdefault(id(s), [None] * len(s)) for s in slot_codes(shape)[0]]
 
 
-class TabloidCodes:
-    """The tabloids of one shape as tuples of small integer factor codes.
-
-    A factor's code is its index in the ascending fillings of its slot.  The
-    table builds each tabloid it is asked for once, through the validating
-    ``tabloid_of_factors``, and keeps it, so equal fillings are one object
-    for as long as the table lives.
-    """
-
-    def __init__(self, shape: Shape):
-        self.shape = shape
-        self.slots, self._index, self._nodes = _codebook(shape)
-        self._tabloids: dict[tuple[int, ...], Tabloid] = {}
-        self._codes: dict[Tabloid, tuple[int, ...]] = {}
-
-    def codes(self, t: Tabloid) -> tuple[int, ...]:
-        c = self._codes.get(t)
-        if c is None:
-            c = tuple(ix[f] for ix, f in zip(self._index, tabloid_factors(t)))
-            self._codes[t] = c
-            self._tabloids.setdefault(c, t)
-        return c
-
-    def tabloid(self, codes: tuple[int, ...]) -> Tabloid:
-        t = self._tabloids.get(codes)
-        if t is None:
-            t = tabloid_of_factors(self.shape, [s[c] for s, c in zip(self.slots, codes)])
-            self._tabloids[codes] = t
-            self._codes[t] = codes
-        return t
-
-    def heads(self, codes: tuple[int, ...], i: int) -> list[tuple[int, tuple]]:
-        """Each factor's t_i exponent and non-zero f_i^(k), as (code, exponent-coefficient pairs) terms."""
-        node = self._nodes.get(i)
-        if node is None:
-            lists: dict[int, list] = {}
-            node = self._nodes[i] = [lists.setdefault(id(s), [None] * len(s)) for s in self.slots]
-        out = []
-        for j, c in enumerate(codes):
-            h = node[j][c]
-            if h is None:
-                a, powers = _factor_powers(self.slots[j][c], i)
-                ix = self._index[j]
-                h = node[j][c] = (a, tuple(tuple((ix[g], cg.terms()) for g, cg in p) for p in powers))
-            out.append(h)
-        return out
+def _heads(shape: Shape, codes: tuple[int, ...], i: int) -> list[tuple[int, tuple]]:
+    """Each factor's t_i exponent and non-zero f_i^(k), as (code, exponent-coefficient pairs) terms."""
+    table = _coded_powers(shape, i)
+    fillings, index = slot_codes(shape)
+    out = []
+    for j, c in enumerate(codes):
+        h = table[j][c]
+        if h is None:
+            a, powers = _factor_powers(fillings[j][c], i)
+            ix = index[j]
+            h = table[j][c] = (a, tuple(tuple((ix[g], cg.terms()) for g, cg in p) for p in powers))
+        out.append(h)
+    return out
 
 
 def _expand_divided(heads: list[tuple[int, tuple]], m: int, d: int) -> list[tuple[tuple[int, ...], dict[int, int]]]:
-    """f_i^(m) on a pure tensor, from its factors' ``heads``: (codes, {exponent: coefficient}) pairs.
+    """f_i^(m) on a pure tensor, from its factors' ``_heads``: (codes, {exponent: coefficient}) pairs.
 
     The factors are taken left to right; a partial term that the factors
     still to come cannot lower by the rest of m is dropped at once.
@@ -140,21 +99,16 @@ def _expand_divided(heads: list[tuple[int, tuple]], m: int, d: int) -> list[tupl
     return [(codes, poly) for codes, _left, poly in states]
 
 
-def module_f_divided(v: SparseVector, i: int, m: int, tabloids: TabloidCodes | None = None) -> SparseVector:
-    """Apply the divided power f_i^(m) to a vector on the tabloid basis.
-
-    ``tabloids`` is the code table of the vector's shape; a caller that
-    applies many divided powers passes one, so its tabloids are built once.
-    """
+def module_f_divided(v: SparseVector, i: int, m: int) -> SparseVector:
+    """Apply the divided power f_i^(m) to a vector on the tabloid basis."""
     if m == 0 or v.is_zero():
         return v
-    if tabloids is None:
-        tabloids = TabloidCodes(next(iter(v.terms))[0].shape)
-    d = qi_exponent(tabloids.shape.kind, i)
+    shape = next(iter(v.terms))[0].shape
+    d = qi_exponent(shape.kind, i)
     acc: dict[tuple[int, ...], dict[int, int]] = {}
     for tab, coeff in v.terms:
         terms = coeff.terms()
-        for codes, poly in _expand_divided(tabloids.heads(tabloids.codes(tab), i), m, d):
+        for codes, poly in _expand_divided(_heads(shape, tabloid_codes(tab), i), m, d):
             cur = acc.get(codes)
             if cur is None:
                 cur = acc[codes] = {}
@@ -166,15 +120,13 @@ def module_f_divided(v: SparseVector, i: int, m: int, tabloids: TabloidCodes | N
     for codes, poly in acc.items():
         c = LaurentPoly(poly)
         if c:
-            out[tabloids.tabloid(codes)] = c
+            out[tabloid_of_codes(shape, codes)] = c
     return SparseVector(out)
 
 
-def apply_monomial(
-    v0: SparseVector, path: list[tuple[int, int]], tabloids: TabloidCodes | None = None
-) -> SparseVector:
+def apply_monomial(v0: SparseVector, path: list[tuple[int, int]]) -> SparseVector:
     """Apply a monomial of divided powers, rightmost factor first."""
     v = v0
     for i, r in reversed(path):
-        v = module_f_divided(v, i, r, tabloids)
+        v = module_f_divided(v, i, r)
     return v

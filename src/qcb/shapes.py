@@ -7,6 +7,9 @@ tabloid is an arbitrary filling of that diagram by valid columns (plus an
 optional spin column in front); orthogonal tableaux are the tabloids whose
 reading lies in the crystal of the irreducible module: the component of the
 highest tableau's reading, or equivalently the readings that raise to it.
+Within a shape a tabloid is also a tuple of small integer codes, each the
+index of a factor in its slot's ascending fillings; the shape's code table
+builds each tabloid once, so equal fillings are one object.
 """
 
 from __future__ import annotations
@@ -312,23 +315,22 @@ def word_to_tabloid(w: Word, shape: Shape) -> Tabloid:
         raise MalformedWord("spin factor does not match the shape")
     if len(w.letters) != shape.boxes:
         raise MalformedWord(f"word has {len(w.letters)} letters, shape has {shape.boxes} boxes")
-    factors: list = []
+    codes: list[int] = []
     idx = 0
-    # the factors of the highest tabloid name the slots in reading order
-    for f in tabloid_factors(highest_tabloid(shape)):
-        if isinstance(f, SpinColumn):
-            factors.append(w.spin)
-            continue
-        letters = w.letters[idx : idx + f.height]
-        col = _columns_by_letters(shape.kind, f.height).get(letters)
-        if col is None:
-            raise MalformedWord(f"invalid {shape.kind} column {list(letters)}")
-        factors.append(col)
-        idx += f.height
-    try:
-        return tabloid_of_factors(shape, factors)
-    except ValueError as exc:
-        raise MalformedWord(str(exc)) from exc
+    for choices, ix in zip(*slot_codes(shape)):
+        if isinstance(choices[0], SpinColumn):
+            f = w.spin
+        else:
+            p = choices[0].height
+            f = _columns_by_letters(shape.kind, p).get(w.letters[idx : idx + p])
+            if f is None:
+                raise MalformedWord(f"invalid {shape.kind} column {list(w.letters[idx : idx + p])}")
+            idx += p
+        c = ix.get(f)
+        if c is None:
+            raise MalformedWord(f"{f} does not fill its slot of the shape")
+        codes.append(c)
+    return tabloid_of_codes(shape, tuple(codes))
 
 
 @lru_cache(maxsize=None)
@@ -420,13 +422,44 @@ def _columns_by_letters(kind: AlgebraKind, p: int) -> dict[tuple[Letter, ...], C
     return {c.letters: c for c in enumerate_columns(kind, p)}
 
 
-def _slot_choices(shape: Shape) -> list:
-    """The fillings of each tensor factor in reading order, each list ascending."""
+# holds every tabloid of the shape built so far, so keep only a few shapes
+@lru_cache(maxsize=8)
+def _code_table(shape: Shape) -> tuple[list, list[dict], dict, dict]:
+    """The code table of a shape: per slot in reading order its ascending
+    fillings and each filling's code, its index there; then the tabloids
+    built so far by their codes, and their codes by them."""
     kind = shape.kind
-    return [
+    fillings = [
         enumerate_spin_columns(kind, f.sign_class()) if isinstance(f, SpinColumn) else enumerate_columns(kind, f.height)
         for f in tabloid_factors(highest_tabloid(shape))
     ]
+    index = {id(s): {f: c for c, f in enumerate(s)} for s in fillings}  # one per list of fillings
+    return fillings, [index[id(s)] for s in fillings], {}, {}
+
+
+def slot_codes(shape: Shape) -> tuple[list, list[dict]]:
+    """Per tensor slot in reading order: its ascending fillings, and each filling's code (cached: do not mutate)."""
+    fillings, index, _tabloids, _codes = _code_table(shape)
+    return fillings, index
+
+
+def tabloid_codes(t: Tabloid) -> tuple[int, ...]:
+    """The codes of the tabloid's factors; comparing code tuples compares readings."""
+    _fillings, index, _tabloids, codes = _code_table(t.shape)
+    c = codes.get(t)
+    if c is None:
+        c = tuple(ix[f] for ix, f in zip(index, tabloid_factors(t)))
+    return c
+
+
+def tabloid_of_codes(shape: Shape, codes: tuple[int, ...]) -> Tabloid:
+    """Inverse of tabloid_codes: one object per filling while the shape's table is cached."""
+    fillings, _index, tabloids, codes_of = _code_table(shape)
+    t = tabloids.get(codes)
+    if t is None:
+        t = tabloids[codes] = tabloid_of_factors(shape, [s[c] for s, c in zip(fillings, codes)])
+        codes_of[t] = codes
+    return t
 
 
 @lru_cache(maxsize=8)
@@ -434,7 +467,7 @@ def _suffix_weight_counts(shape: Shape) -> tuple[Counter[Weight2], ...]:
     """Entry j counts the fillings of factors j, j+1, ... by weight (cached: do not mutate)."""
     counts = Counter({weight2_zero(shape.kind.rank): 1})
     table = [counts]
-    for choices in reversed(_slot_choices(shape)):
+    for choices in reversed(slot_codes(shape)[0]):
         slot = Counter(choice.weight2() for choice in choices)
         nxt: Counter[Weight2] = Counter()
         for w, c in counts.items():
@@ -453,27 +486,28 @@ def tabloid_weight_counts(shape: Shape) -> Counter[Weight2]:
 def enumerate_tabloids(shape: Shape, weight2: Weight2 | None = None) -> list[Tabloid]:
     """All tabloids of the shape (optionally of one weight), sorted ascending.
 
-    Each factor is picked in reading order from an ascending list of
-    fillings of one length, so the product order is the order of readings.
+    Each factor's code is picked in reading order from its slot's ascending
+    fillings, so the order of code tuples is the order of readings; each
+    tabloid is the shape's one object for its filling (``tabloid_of_codes``).
     A weight is filled exactly: a filling enters only when the weight still
     missing is one the remaining factors can make.
     """
-    slots = _slot_choices(shape)
+    fillings = slot_codes(shape)[0]
     if weight2 is None:
-        return [tabloid_of_factors(shape, factors) for factors in itertools.product(*slots)]
+        return [tabloid_of_codes(shape, codes) for codes in itertools.product(*(range(len(s)) for s in fillings))]
     suffix = _suffix_weight_counts(shape)
-    weighted = [[(choice, choice.weight2()) for choice in choices] for choices in slots]
+    weighted = [[(c, choice.weight2()) for c, choice in enumerate(choices)] for choices in fillings]
     out: list[Tabloid] = []
-    picks: list = []
+    picks: list[int] = []
 
     def rec(j: int, need: Weight2) -> None:
         if j == len(weighted):
-            out.append(tabloid_of_factors(shape, picks))
+            out.append(tabloid_of_codes(shape, tuple(picks)))
             return
-        for choice, w in weighted[j]:
+        for c, w in weighted[j]:
             rest = tuple(a - b for a, b in zip(need, w))
             if rest in suffix[j + 1]:
-                picks.append(choice)
+                picks.append(c)
                 rec(j + 1, rest)
                 picks.pop()
 

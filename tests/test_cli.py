@@ -171,6 +171,21 @@ def test_usage_error_exit():
     assert proc.returncode == 64
 
 
+def test_parser_is_reused_without_leaking_state(capsys, tmp_path):
+    """One process: a usage error, then two canonical calls; both outputs match their golden files."""
+    golden = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+    argv = ["--type", "B", "--rank", "2", "canonical", "--lambda", "1,1"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--format", "xml"])
+    assert exc.value.code == 64
+    assert "invalid choice" in capsys.readouterr().err
+    for name, extra in (("canonical_B2.csv", ["--format", "csv"]), ("canonical_B2.json", [])):
+        out = tmp_path / name
+        assert main(argv + extra + ["--output", str(out)]) == 0
+        with open(os.path.join(golden, name), "rb") as fh:
+            assert out.read_bytes() == fh.read(), name
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "qcb.cli", "--type", "B", "--rank", "2", "columns", "--height", "1", "--format", "csv"],

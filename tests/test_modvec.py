@@ -9,7 +9,14 @@ from qcb.crystal import SpinColumn, enumerate_spin_columns, spin_apply
 from qcb.laurent import LaurentPoly, SparseVector, divide_exact, quantum_factorial
 from qcb.modvec import apply_monomial, highest_vector, module_f_divided
 from qcb.rootdata import AlgebraKind, cartan_exponent, qi_exponent
-from qcb.shapes import enumerate_columns, tabloid_factors, tabloid_of_factors, tabloid_sort_key, weight2_of_tabloid
+from qcb.shapes import (
+    enumerate_columns,
+    tabloid_codes,
+    tabloid_factors,
+    tabloid_of_factors,
+    tabloid_sort_key,
+    weight2_of_tabloid,
+)
 from qcb.wedge import wedge_f, wedge_f_divided
 
 B2 = AlgebraKind("B", 2)
@@ -155,7 +162,7 @@ def test_factor_powers_table():
 
 def test_recursion_split_associativity():
     """Splitting the factor chain at any point gives the same coefficients."""
-    from qcb.modvec import TabloidCodes, _expand_divided
+    from qcb.modvec import _expand_divided, _heads
     from qcb.rootdata import weight2_add, weight2_zero
 
     def polys(pairs):
@@ -172,10 +179,9 @@ def test_recursion_split_associativity():
                 v = nv
         tab = min((t for t, _c in v.terms), key=tabloid_sort_key)
         factors = tabloid_factors(tab)
-        table = TabloidCodes(tab.shape)
         for i in range(1, kind.rank + 1):
             d = d_by_i[i]
-            heads = table.heads(table.codes(tab), i)
+            heads = _heads(tab.shape, tabloid_codes(tab), i)
             for m in (1, 2, 3):
                 whole = polys(_expand_divided(heads, m, d))
                 for cut in range(1, len(factors)):

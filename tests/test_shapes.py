@@ -26,8 +26,10 @@ from qcb.shapes import (
     parse_tabloid,
     shape_for_lambda,
     shape_of,
+    tabloid_codes,
     tabloid_factors,
     tabloid_leq,
+    tabloid_of_codes,
     tabloid_of_factors,
     tabloid_reading,
     tabloid_sort_key,
@@ -218,6 +220,10 @@ def test_enumeration_is_in_reading_order(kind, lam, spin_class, d_sign):
     rows = enumerate_tabloids(shape)
     keys = [tabloid_sort_key(t) for t in rows]
     assert keys == sorted(keys) and len(set(keys)) == len(keys)
+    # code order is the total order, and the codes name the same object
+    codes = [tabloid_codes(t) for t in rows]
+    assert all(a < b for a, b in zip(codes, codes[1:]))
+    assert all(tabloid_of_codes(shape, tabloid_codes(t)) is t for t in rows)
     assert len(rows) == sum(tabloid_weight_counts(shape).values())
     by_weight: dict = {}
     for t in rows:
@@ -280,6 +286,43 @@ def test_cached_component_shares_one_column_per_filling(kind, lam):
             assert c is columns[c.height][c.letters]
         assert t.spin is None or t.spin is spins[t.spin]
         assert weights.setdefault(mu, mu) is mu
+
+
+@pytest.mark.parametrize("kind,lam", [(B3, (0, 1, 1)), (AlgebraKind("D", 4), (1, 0, 2, 0))])
+def test_one_filling_is_one_object(kind, lam):
+    """Readings, enumerations, tableaux and divided powers hand out the shape's one object per filling."""
+    from qcb.modvec import highest_vector, module_f_divided
+
+    shape = shape_for_lambda(lam, kind)
+    assert shape.has_spin() or shape.d_sign == "-"
+    # a cached dict of tableaux may predate the shape's current code table
+    orthogonal_tableaux.cache_clear()
+    table = orthogonal_tableaux(shape)
+    tableau_of = {t: t for t in table}
+    rows = {mu: {id(r) for r in enumerate_tabloids(shape, mu)} for mu in set(table.values())}
+    for t, mu in table.items():
+        assert word_to_tabloid(tabloid_reading(t), shape) is t
+        assert id(t) in rows[mu]
+    seen = 0
+    frontier = [highest_vector(lam, kind)]
+    for _ in range(4):
+        nxt = []
+        for v in frontier:
+            for i in range(1, kind.rank + 1):
+                for m in (1, 2):
+                    w = module_f_divided(v, i, m)
+                    for tau, _c in w.terms:
+                        assert word_to_tabloid(tabloid_reading(tau), shape) is tau
+                        mu = weight2_of_tabloid(tau)
+                        if mu not in rows:
+                            rows[mu] = {id(r) for r in enumerate_tabloids(shape, mu)}
+                        assert id(tau) in rows[mu]
+                        assert tableau_of.get(tau, tau) is tau
+                        seen += tau in tableau_of
+                    if not w.is_zero():
+                        nxt.append(w)
+        frontier = nxt[:6]
+    assert seen > 0
 
 
 PICKLE_SCRIPT = """

@@ -27,13 +27,18 @@ SCRIPT = textwrap.dedent(
     import qcb.cli as cli
 
     argv = ["--type", "B", "--rank", "2", "canonical", "--lambda", "1,1"]
-    rcs = [
+    rcs = [cli.main(argv + ["--output", os.path.join(sys.argv[1], "out.json")])]
+    whole = dict(tracer.calls)  # the spans of the whole-module call alone
+    rcs += [
         cli.main(argv + extra + ["--output", os.path.join(sys.argv[1], "out.json")])
-        for extra in ([], ["--jobs", "2"], ["--weight=1/2,1/2"])
+        for extra in (["--jobs", "2"], ["--weight=1/2,1/2"])
     ]
     apath = ["--type", "B", "--rank", "4", "apath", "--tabloid", "s:-1,-2,3,-4/4,-2"]
     rcs.append(cli.main(apath + ["--output", os.path.join(sys.argv[1], "apath.json")]))
-    doc = {"rcs": rcs, "calls": tracer.calls, "maxima": tracer.maxima, "caches": tracing.cache_counters()}
+    doc = {
+        "rcs": rcs, "whole": whole, "calls": tracer.calls, "maxima": tracer.maxima,
+        "caches": tracing.cache_counters(),
+    }
     print(json.dumps(doc))
     """
 )
@@ -53,6 +58,9 @@ def test_tracer_installs_on_canonical(tmp_path):
     # three requests on one module share one cached crystal component
     assert doc["calls"]["canonical.canonical_matrix"] == 3
     assert doc["calls"]["crystal.component_bfs"] == 1
+    # the whole-module call feeds the per-layer algebra and rows-pass metrics
+    for name in ("modvec.apply_monomial", "modvec.module_f_divided", "shapes.enumerate_tabloids_rows"):
+        assert doc["whole"].get(name, 0) > 0, name
     # qcb apath walks once and hands the path to a_vector; the spin early
     # exit reads the cached weight counts, so no tabloids are probed
     assert doc["calls"]["canonical.a_path"] == 1
