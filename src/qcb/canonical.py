@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 from .crystal import Word, raise_to_highest, spin_apply, spin_eps_phi, vec_edge, word_apply, word_eps_phi
@@ -24,6 +25,7 @@ from .modvec import apply_monomial
 from .rootdata import AlgebraKind, InvariantViolation, Weight2
 from .shapes import (
     Column,
+    Shape,
     Tabloid,
     enumerate_tableaux,
     enumerate_tabloids,
@@ -32,6 +34,9 @@ from .shapes import (
     is_orthogonal_tableau,
     orthogonal_tableaux,
     shape_for_lambda,
+    tableaux_by_weight,
+    tabloid_codes,
+    tabloid_of_codes,
     tabloid_reading,
     tabloid_weight_counts,
     weight2_of_tabloid,
@@ -259,24 +264,39 @@ def _in_component(t: Tabloid) -> bool:
     return t in orthogonal_tableaux(t.shape)
 
 
+# holds a step for every tableau walked so far, so keep only a few shapes
+@lru_cache(maxsize=8)
+def _raising_table(shape: Shape) -> dict[Tabloid, tuple[int, int, Tabloid] | None]:
+    """The shape's raising steps found so far (filled by ``_MonomialBuilder``)."""
+    return {}
+
+
 class _MonomialBuilder:
     """A(T) for a set of tableaux, each as f_i^(r) A(next(T)).
 
-    ``steps`` maps every tableau on the raising walks of the requested ones
-    to its step (i, r, next(T)), or to None where its walk ends.  A built
-    vector is kept only while some tableau still to be built raises to it.
+    ``steps`` is the shape's raising table, shared by every request: it maps
+    each tableau walked so far to its step (i, r, next(T)), or to None where
+    its walk ends.  A built vector is kept only while some tableau still to
+    be built raises to it.
     """
 
     def __init__(self, tabs: list[Tabloid]):
-        steps: dict[Tabloid, tuple[int, int, Tabloid] | None] = {}
+        steps = _raising_table(tabs[0].shape)
+        walked: set[Tabloid] = set()
         for t in tabs:
-            while t not in steps:
-                step = steps[t] = _raise_once(t, _in_component)
-                if step is None:
+            while t not in walked:
+                walked.add(t)
+                if t not in steps:
+                    step = _raise_once(t, _in_component)
+                    if step is not None:
+                        # keep the shape's one object for next(T), not the fresh one
+                        step = step[0], step[1], tabloid_of_codes(t.shape, tabloid_codes(step[2]))
+                    steps[t] = step
+                if steps[t] is None:
                     break
-                t = step[2]
+                t = steps[t][2]
         self.steps = steps
-        self.pending = Counter(step[2] for step in steps.values() if step is not None)
+        self.pending = Counter(steps[t][2] for t in walked if steps[t] is not None)
         self.memo: dict[Tabloid, SparseVector] = {}
 
     def vector(self, tab: Tabloid) -> SparseVector:
@@ -379,16 +399,13 @@ def canonical_matrix(
     tableaux = enumerate_tableaux(lam, kind, weight2=weight2)
     if not tableaux:
         return CanonicalMatrix(kind, tuple(lam), weight2, (), (), {}, ())
-    table = orthogonal_tableaux(shape)
-    groups: dict[Weight2, list[Tabloid]] = {}
-    for t in tableaux:
-        groups.setdefault(table[t], []).append(t)
+    groups = tableaux_by_weight(shape) if weight2 is None else {weight2: tableaux}
     # highest weight spaces first: then next(T) is built before T, and one
     # memo of A(next(T)) serves every weight space
     group_items = sorted(groups.items(), key=lambda item: -_level(item[0]))
     build = _MonomialBuilder(tableaux)
     results = [_correct_group([build.vector(t) for t in tabs], tabs) for _mu, tabs in group_items]
-    del build  # its raising table is not needed by the rows pass below
+    del build  # frees its pending counts; the raising table stays cached with the shape
 
     if weight2 is not None:
         rows = tuple(enumerate_tabloids(shape, weight2))

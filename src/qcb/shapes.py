@@ -91,6 +91,10 @@ class Column:
         if not is_valid_column_letters(self.kind, self.letters):
             raise ValueError(f"invalid {self.kind} column {list(self.letters)}")
 
+    def __hash__(self) -> int:
+        # hash(-1) == hash(-2), so hash the letters through an injective map
+        return hash((self.kind, tuple(2 * x if x >= 0 else -2 * x - 1 for x in self.letters)))
+
     @property
     def height(self) -> int:
         return len(self.letters)
@@ -463,12 +467,18 @@ def tabloid_of_codes(shape: Shape, codes: tuple[int, ...]) -> Tabloid:
 
 
 @lru_cache(maxsize=8)
+def _slot_weights(shape: Shape) -> tuple[tuple[tuple[int, Weight2], ...], ...]:
+    """Per tensor slot in reading order, each filling's code with its weight."""
+    return tuple(tuple((c, _factor_weight2(f)) for c, f in enumerate(s)) for s in slot_codes(shape)[0])
+
+
+@lru_cache(maxsize=8)
 def _suffix_weight_counts(shape: Shape) -> tuple[Counter[Weight2], ...]:
     """Entry j counts the fillings of factors j, j+1, ... by weight (cached: do not mutate)."""
     counts = Counter({weight2_zero(shape.kind.rank): 1})
     table = [counts]
-    for choices in reversed(slot_codes(shape)[0]):
-        slot = Counter(choice.weight2() for choice in choices)
+    for choices in reversed(_slot_weights(shape)):
+        slot = Counter(w for _c, w in choices)
         nxt: Counter[Weight2] = Counter()
         for w, c in counts.items():
             for sw, k in slot.items():
@@ -492,11 +502,11 @@ def enumerate_tabloids(shape: Shape, weight2: Weight2 | None = None) -> list[Tab
     A weight is filled exactly: a filling enters only when the weight still
     missing is one the remaining factors can make.
     """
-    fillings = slot_codes(shape)[0]
     if weight2 is None:
+        fillings = slot_codes(shape)[0]
         return [tabloid_of_codes(shape, codes) for codes in itertools.product(*(range(len(s)) for s in fillings))]
     suffix = _suffix_weight_counts(shape)
-    weighted = [[(c, choice.weight2()) for c, choice in enumerate(choices)] for choices in fillings]
+    weighted = _slot_weights(shape)
     out: list[Tabloid] = []
     picks: list[int] = []
 
@@ -528,10 +538,22 @@ def orthogonal_tableaux(shape: Shape) -> dict[Tabloid, Weight2]:
     return {word_to_tabloid(w, shape): weights.setdefault(mu := w.weight2(), mu) for w in words}
 
 
+# each entry holds a whole crystal component, so keep only a few shapes
+@lru_cache(maxsize=8)
+def tableaux_by_weight(shape: Shape) -> dict[Weight2, tuple[Tabloid, ...]]:
+    """The orthogonal tableaux of each weight, in ascending order (cached: do not mutate)."""
+    index: dict[Weight2, list[Tabloid]] = {}
+    for t, mu in orthogonal_tableaux(shape).items():
+        index.setdefault(mu, []).append(t)
+    return {mu: tuple(tabs) for mu, tabs in index.items()}
+
+
 def enumerate_tableaux(lam: tuple[int, ...], kind: AlgebraKind, weight2: Weight2 | None = None) -> list[Tabloid]:
     """Orthogonal tableaux of highest weight lam, sorted ascending."""
-    table = orthogonal_tableaux(shape_for_lambda(lam, kind))
-    return [t for t, mu in table.items() if weight2 is None or mu == weight2]
+    shape = shape_for_lambda(lam, kind)
+    if weight2 is None:
+        return list(orthogonal_tableaux(shape))
+    return list(tableaux_by_weight(shape).get(weight2, ()))
 
 
 # -- parsing / formatting ----------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -23,6 +24,7 @@ from qcb.shapes import (
     orthogonal_tableaux,
     parse_tabloid,
     shape_for_lambda,
+    tableaux_by_weight,
     tabloid_sort_key,
     weight2_of_tabloid,
 )
@@ -252,6 +254,72 @@ def test_weight_request_filters_the_whole_list(kind, lam):
     tabs = enumerate_tableaux(lam, kind)
     for mu in {weight2_of_tabloid(t) for t in tabs}:
         assert enumerate_tableaux(lam, kind, mu) == [t for t in tabs if weight2_of_tabloid(t) == mu], mu
+
+
+def _clear_shape_tables():
+    from qcb.canonical import _raising_table
+    from qcb.shapes import _slot_weights
+
+    for table in (_raising_table, tableaux_by_weight, _slot_weights, orthogonal_tableaux):
+        table.cache_clear()
+
+
+@pytest.mark.parametrize("kind,lam", ORACLE_MODULES)
+def test_shared_tables_match_cold_requests(kind, lam):
+    """Every weight space requested in one process, in a shuffled order after
+    a whole-module request, equals the same request made on cold tables."""
+    weights = sorted(tableaux_by_weight(shape_for_lambda(lam, kind)))
+    random.Random(12).shuffle(weights)
+    canonical_matrix(lam, kind)
+    warm = {mu: canonical_matrix(lam, kind, mu) for mu in weights}
+    for mu in weights:
+        _clear_shape_tables()
+        assert canonical_matrix(lam, kind, mu) == warm[mu], mu
+    _clear_shape_tables()
+
+
+def test_repeated_request_raises_nothing(monkeypatch):
+    """A second request for a weight space reads every raising step from the shape's table."""
+    import qcb.canonical as canonical
+
+    calls = []
+    raise_once = canonical._raise_once
+
+    def counting_raise_once(cur, member):
+        calls.append(cur)
+        return raise_once(cur, member)
+
+    monkeypatch.setattr(canonical, "_raise_once", counting_raise_once)
+    canonical._raising_table.cache_clear()
+    lam = (0, 1, 1)
+    tabs = enumerate_tableaux(lam, B3)
+    mu = weight2_of_tabloid(tabs[len(tabs) // 2])
+    first = canonical_matrix(lam, B3, mu)
+    made = len(calls)
+    assert made
+    assert canonical_matrix(lam, B3, mu) == first
+    assert len(calls) == made
+
+
+def test_per_shape_tables_stay_bounded():
+    """Weight requests on more shapes than a cache keeps leave every per-shape table bounded."""
+    from qcb.canonical import _raising_table
+    from qcb.shapes import _code_table, _slot_weights, _suffix_weight_counts
+
+    lams = [(1, 0), (0, 1), (0, 2), (1, 1), (2, 0), (0, 3), (2, 2), (1, 2), (3, 0), (0, 4)]
+    assert len({shape_for_lambda(lam, B2) for lam in lams}) == len(lams)
+    for lam in lams:
+        tabs = enumerate_tableaux(lam, B2)
+        assert canonical_matrix(lam, B2, weight2_of_tabloid(tabs[len(tabs) // 2])).cols
+    for table in (
+        _raising_table,
+        tableaux_by_weight,
+        _slot_weights,
+        orthogonal_tableaux,
+        _code_table,
+        _suffix_weight_counts,
+    ):
+        assert table.cache_info().currsize <= 8, table
 
 
 def test_canonical_matrix_fundamental_matches_global():

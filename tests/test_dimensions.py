@@ -7,8 +7,10 @@ the tableau enumeration that shares no code with the crystal machinery.
 
 from fractions import Fraction
 
+import pytest
+
 from qcb.rootdata import AlgebraKind
-from qcb.shapes import enumerate_tableaux
+from qcb.shapes import enumerate_tableaux, shape_for_lambda, tableaux_by_weight
 
 
 def positive_roots2(kind: AlgebraKind):
@@ -77,3 +79,38 @@ def test_dimensions_match_weyl():
     for kind, lams in cases:
         for lam in lams:
             assert len(enumerate_tableaux(lam, kind)) == weyl_dim(lam, kind), (kind, lam)
+
+
+def simple_reflections(kind: AlgebraKind):
+    """The simple reflections acting on doubled epsilon coordinates."""
+    n = kind.rank
+
+    def swap(i):
+        return lambda mu: mu[:i] + (mu[i + 1], mu[i]) + mu[i + 2 :]
+
+    out = [swap(i) for i in range(n - 1)]
+    if kind.family == "B":
+        out.append(lambda mu: mu[:-1] + (-mu[-1],))
+    else:
+        out.append(lambda mu: mu[:-2] + (-mu[-1], -mu[-2]))
+    return out
+
+
+@pytest.mark.parametrize(
+    "kind,lam",
+    [
+        (AlgebraKind("B", 2), (1, 1)),
+        (AlgebraKind("B", 3), (0, 1, 1)),
+        (AlgebraKind("D", 4), (1, 0, 1, 1)),
+        (AlgebraKind("D", 4), (0, 0, 1, 2)),
+        (AlgebraKind("B", 4), (1, 1, 0, 1)),
+        (AlgebraKind("D", 4), (0, 1, 1, 1)),
+    ],
+)
+def test_multiplicities_are_weyl_invariant(kind, lam):
+    """The number of tableaux of each weight is fixed by every simple
+    reflection, and the numbers add up to the Weyl dimension."""
+    counts = {mu: len(tabs) for mu, tabs in tableaux_by_weight(shape_for_lambda(lam, kind)).items()}
+    for s in simple_reflections(kind):
+        assert {s(mu): c for mu, c in counts.items()} == counts
+    assert sum(counts.values()) == weyl_dim(lam, kind)
