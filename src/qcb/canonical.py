@@ -35,7 +35,6 @@ from .shapes import (
     orthogonal_tableaux,
     shape_for_lambda,
     tableaux_by_weight,
-    tabloid_codes,
     tabloid_of_codes,
     tabloid_reading,
     tabloid_weight_counts,
@@ -290,7 +289,7 @@ class _MonomialBuilder:
                     step = _raise_once(t, _in_component)
                     if step is not None:
                         # keep the shape's one object for next(T), not the fresh one
-                        step = step[0], step[1], tabloid_of_codes(t.shape, tabloid_codes(step[2]))
+                        step = step[0], step[1], tabloid_of_codes(t.shape, step[2].codes)
                     steps[t] = step
                 if steps[t] is None:
                     break

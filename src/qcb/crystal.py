@@ -27,6 +27,7 @@ from .rootdata import (
     check_letter,
     letter_key,
     letter_weight2,
+    letters_hash_key,
     weight2_add,
     weight2_zero,
 )
@@ -148,6 +149,9 @@ class Word:
             check_letter(self.kind, x)
         if self.spin is not None and self.spin.kind != self.kind:
             raise ValueError("spin column kind mismatch")
+
+    def __hash__(self) -> int:
+        return hash((self.kind, letters_hash_key(self.letters), self.spin))
 
     def factors(self) -> tuple:
         if self.spin is None:

@@ -12,12 +12,12 @@ divided powers: the closed-form wedge action on a column, the
 coefficient-free crystal edge on a spin column (f^(k) = 0 there for k >= 2).
 
 ``module_f_divided`` unrolls the recursion left to right on small integer
-factor codes (``shapes.tabloid_codes``).  A partial term holds the codes
-chosen so far, the part of m still to place and a plain {exponent:
-coefficient} map; it is dropped as soon as the factors still to come cannot
-absorb the rest of m.  Each output coefficient becomes a LaurentPoly once,
-and each output tabloid is the shape's one object for its filling
-(``shapes.tabloid_of_codes``).
+factor codes (``Tabloid.codes``), with coded powers kept per slot kind and
+node.  A partial term holds the codes chosen so far, the part of m still to
+place and a plain {exponent: coefficient} map; it is dropped as soon as the
+factors still to come cannot absorb the rest of m.  Each output coefficient
+becomes a LaurentPoly once, and each output tabloid is the shape's one
+object for its filling (``shapes.tabloid_of_codes``).
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from functools import lru_cache
 from .crystal import SpinColumn, spin_apply
 from .laurent import LaurentPoly, SparseVector
 from .rootdata import AlgebraKind, cartan_exponent, qi_exponent
-from .shapes import Shape, highest_tabloid, shape_for_lambda, slot_codes, tabloid_codes, tabloid_of_codes
+from .shapes import Shape, SlotTable, highest_tabloid, shape_for_lambda, tabloid_of_codes
 from .wedge import wedge_f_divided
 
 
@@ -50,24 +50,21 @@ def _factor_powers(f, i: int) -> tuple[int, tuple[tuple[tuple[object, LaurentPol
 
 
 @lru_cache(maxsize=None)
-def _coded_powers(shape: Shape, i: int) -> list[list]:
-    """Per slot of the shape, by filling code: ``_factor_powers`` of the filling
-    with its outputs coded, or None until ``_heads`` first asks for it."""
-    lists: dict[int, list] = {}  # slots with one list of fillings share one table
-    return [lists.setdefault(id(s), [None] * len(s)) for s in slot_codes(shape)[0]]
+def _coded_powers(slot: SlotTable, i: int) -> list:
+    """By filling code: ``_factor_powers`` of the slot's filling with its
+    outputs coded, or None until ``_heads`` first asks for it."""
+    return [None] * len(slot.fillings)
 
 
 def _heads(shape: Shape, codes: tuple[int, ...], i: int) -> list[tuple[int, tuple]]:
     """Each factor's t_i exponent and non-zero f_i^(k), as (code, exponent-coefficient pairs) terms."""
-    table = _coded_powers(shape, i)
-    fillings, index = slot_codes(shape)
     out = []
-    for j, c in enumerate(codes):
-        h = table[j][c]
+    for slot, c in zip(shape.slots, codes):
+        table = _coded_powers(slot, i)
+        h = table[c]
         if h is None:
-            a, powers = _factor_powers(fillings[j][c], i)
-            ix = index[j]
-            h = table[j][c] = (a, tuple(tuple((ix[g], cg.terms()) for g, cg in p) for p in powers))
+            a, powers = _factor_powers(slot.fillings[c], i)
+            h = table[c] = (a, tuple(tuple((slot.index[g], cg.terms()) for g, cg in p) for p in powers))
         out.append(h)
     return out
 
@@ -108,7 +105,7 @@ def module_f_divided(v: SparseVector, i: int, m: int) -> SparseVector:
     acc: dict[tuple[int, ...], dict[int, int]] = {}
     for tab, coeff in v.terms:
         terms = coeff.terms()
-        for codes, poly in _expand_divided(_heads(shape, tabloid_codes(tab), i), m, d):
+        for codes, poly in _expand_divided(_heads(shape, tab.codes, i), m, d):
             cur = acc.get(codes)
             if cur is None:
                 cur = acc[codes] = {}

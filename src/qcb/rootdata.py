@@ -98,6 +98,12 @@ def letter_key(x: Letter, n: int) -> int:
     return 2 * n + 2 + x  # x = -k gives 2n+2-k
 
 
+def letters_hash_key(letters: tuple[Letter, ...]) -> tuple[int, ...]:
+    """The letters mapped x -> 2x, -2x-1, to hash in their place: CPython
+    hashes -1 and -2 alike, so tuples of raw letters collide."""
+    return tuple(2 * x if x >= 0 else -2 * x - 1 for x in letters)
+
+
 def alphabet(kind: AlgebraKind) -> tuple[Letter, ...]:
     """All letters in ascending key order (n precedes -n for D)."""
     n = kind.rank

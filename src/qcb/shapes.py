@@ -7,9 +7,10 @@ tabloid is an arbitrary filling of that diagram by valid columns (plus an
 optional spin column in front); orthogonal tableaux are the tabloids whose
 reading lies in the crystal of the irreducible module: the component of the
 highest tableau's reading, or equivalently the readings that raise to it.
-Within a shape a tabloid is also a tuple of small integer codes, each the
-index of a factor in its slot's ascending fillings; the shape's code table
-builds each tabloid once, so equal fillings are one object.
+A tabloid's factors fill tensor slots; a slot's fillings depend only on its
+kind, a column height or a spin class, which has one ``slot_table``.  A
+tabloid carries its codes, each a factor's index in its slot's ascending
+fillings; ``tabloid_of_codes`` builds each tabloid of a shape once.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 from .crystal import (
     SpinColumn,
@@ -37,6 +38,7 @@ from .rootdata import (
     is_valid_letter,
     letter_key,
     letter_weight2,
+    letters_hash_key,
     weight2_add,
     weight2_zero,
 )
@@ -92,8 +94,7 @@ class Column:
             raise ValueError(f"invalid {self.kind} column {list(self.letters)}")
 
     def __hash__(self) -> int:
-        # hash(-1) == hash(-2), so hash the letters through an injective map
-        return hash((self.kind, tuple(2 * x if x >= 0 else -2 * x - 1 for x in self.letters)))
+        return hash((self.kind, letters_hash_key(self.letters)))
 
     @property
     def height(self) -> int:
@@ -148,33 +149,33 @@ class Shape:
     def has_spin(self) -> bool:
         return self.spin_class is not None
 
+    @cached_property
+    def slots(self) -> tuple[SlotTable, ...]:
+        """The slot tables in reading order: the spin class, then the heights right to left."""
+        spin = () if self.spin_class is None else (slot_table(self.kind, self.spin_class),)
+        return spin + tuple(slot_table(self.kind, h) for h in reversed(self.heights))
+
 
 @cache_hash
 @dataclass(frozen=True)
 class Tabloid:
-    """A filling of a shape: optional spin column plus one column per slot."""
+    """A filling of a shape: optional spin column plus one column per slot.
+
+    ``codes`` holds each factor's code in its slot, in reading order; finding
+    them checks that every factor fills its slot.
+    """
 
     shape: Shape
     spin: SpinColumn | None
     columns: tuple[Column, ...]
+    codes: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if tuple(c.height for c in self.columns) != self.shape.heights:
-            raise ValueError("column heights do not match the shape")
-        if self.shape.has_spin():
-            if self.spin is None:
-                raise ValueError("shape requires a spin column")
-            want = self.shape.spin_class
-            if want == "B":
-                if self.spin.kind.family != "B":
-                    raise ValueError("spin column has the wrong type")
-            elif self.spin.sign_class() != want[1]:
-                raise ValueError("spin column is in the wrong class")
-        elif self.spin is not None:
-            raise ValueError("shape has no spin slot")
-        for c in self.columns:
-            if c.kind != self.shape.kind:
-                raise ValueError("column kind mismatch")
+        try:
+            codes = tuple(s.index[f] for s, f in zip(self.shape.slots, tabloid_factors(self), strict=True))
+        except (KeyError, ValueError):
+            raise ValueError(f"{self} does not fill the slots of its shape {self.shape.heights}") from None
+        object.__setattr__(self, "codes", codes)
 
     def __str__(self) -> str:
         parts = [] if self.spin is None else [str(self.spin)]
@@ -270,7 +271,7 @@ def lambda_of_shape(shape: Shape) -> tuple[int, ...]:
     return tuple(lam)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def highest_tabloid(shape: Shape) -> Tabloid:
     """The tableau whose k-th row holds letter k (n-th row -n for minus shapes)."""
     kind = shape.kind
@@ -319,32 +320,21 @@ def word_to_tabloid(w: Word, shape: Shape) -> Tabloid:
         raise MalformedWord("spin factor does not match the shape")
     if len(w.letters) != shape.boxes:
         raise MalformedWord(f"word has {len(w.letters)} letters, shape has {shape.boxes} boxes")
-    codes: list[int] = []
+    factors = [] if w.spin is None else [w.spin]
     idx = 0
-    for choices, ix in zip(*slot_codes(shape)):
-        if isinstance(choices[0], SpinColumn):
-            f = w.spin
-        else:
-            p = choices[0].height
-            f = _columns_by_letters(shape.kind, p).get(w.letters[idx : idx + p])
-            if f is None:
-                raise MalformedWord(f"invalid {shape.kind} column {list(w.letters[idx : idx + p])}")
-            idx += p
-        c = ix.get(f)
-        if c is None:
-            raise MalformedWord(f"{f} does not fill its slot of the shape")
-        codes.append(c)
-    return tabloid_of_codes(shape, tuple(codes))
-
-
-@lru_cache(maxsize=None)
-def _factor_weight2(f) -> Weight2:
-    return f.weight2()
+    for p in reversed(shape.heights):
+        factors.append(_columns_by_letters(shape.kind, p).get(w.letters[idx : idx + p]))
+        idx += p
+    codes = tuple(s.index.get(f) for s, f in zip(shape.slots, factors))
+    if None in codes:
+        raise MalformedWord(f"{w} does not fill the slots of the shape")
+    return tabloid_of_codes(shape, codes)
 
 
 def weight2_of_tabloid(t: Tabloid) -> Weight2:
-    """The weight of the reading: the sum of the factors' cached weights."""
-    return tuple(map(sum, zip(weight2_zero(t.shape.kind.rank), *map(_factor_weight2, tabloid_factors(t)))))
+    """The weight of the reading: the sum of the factors' weights in their slots."""
+    weights = (s.weights[c] for s, c in zip(t.shape.slots, t.codes))
+    return tuple(map(sum, zip(weight2_zero(t.shape.kind.rank), *weights)))
 
 
 def tabloid_sort_key(t: Tabloid) -> tuple:
@@ -426,50 +416,37 @@ def _columns_by_letters(kind: AlgebraKind, p: int) -> dict[tuple[Letter, ...], C
     return {c.letters: c for c in enumerate_columns(kind, p)}
 
 
+@dataclass(frozen=True, eq=False)
+class SlotTable:
+    """The fillings of one kind of tensor slot (cached: do not mutate)."""
+
+    fillings: tuple  # ascending; a filling's code is its position here
+    index: dict  # each filling's code
+    weights: tuple[Weight2, ...]  # each code's weight
+
+
+@lru_cache(maxsize=None)
+def slot_table(kind: AlgebraKind, slot: int | str) -> SlotTable:
+    """The table of a column height, or of a spin class ("B", "D+" or "D-")."""
+    fillings = tuple(enumerate_spin_columns(kind, slot[-1]) if isinstance(slot, str) else enumerate_columns(kind, slot))
+    return SlotTable(fillings, {f: c for c, f in enumerate(fillings)}, tuple(f.weight2() for f in fillings))
+
+
 # holds every tabloid of the shape built so far, so keep only a few shapes
 @lru_cache(maxsize=8)
-def _code_table(shape: Shape) -> tuple[list, list[dict], dict, dict]:
-    """The code table of a shape: per slot in reading order its ascending
-    fillings and each filling's code, its index there; then the tabloids
-    built so far by their codes, and their codes by them."""
-    kind = shape.kind
-    fillings = [
-        enumerate_spin_columns(kind, f.sign_class()) if isinstance(f, SpinColumn) else enumerate_columns(kind, f.height)
-        for f in tabloid_factors(highest_tabloid(shape))
-    ]
-    index = {id(s): {f: c for c, f in enumerate(s)} for s in fillings}  # one per list of fillings
-    return fillings, [index[id(s)] for s in fillings], {}, {}
-
-
-def slot_codes(shape: Shape) -> tuple[list, list[dict]]:
-    """Per tensor slot in reading order: its ascending fillings, and each filling's code (cached: do not mutate)."""
-    fillings, index, _tabloids, _codes = _code_table(shape)
-    return fillings, index
-
-
-def tabloid_codes(t: Tabloid) -> tuple[int, ...]:
-    """The codes of the tabloid's factors; comparing code tuples compares readings."""
-    _fillings, index, _tabloids, codes = _code_table(t.shape)
-    c = codes.get(t)
-    if c is None:
-        c = tuple(ix[f] for ix, f in zip(index, tabloid_factors(t)))
-    return c
+def _tabloids_by_codes(shape: Shape) -> dict[tuple[int, ...], Tabloid]:
+    """The tabloids of the shape built so far, keyed by their own codes."""
+    return {}
 
 
 def tabloid_of_codes(shape: Shape, codes: tuple[int, ...]) -> Tabloid:
-    """Inverse of tabloid_codes: one object per filling while the shape's table is cached."""
-    fillings, _index, tabloids, codes_of = _code_table(shape)
+    """The tabloid with these codes: one object per filling while the shape's table is cached."""
+    tabloids = _tabloids_by_codes(shape)
     t = tabloids.get(codes)
     if t is None:
-        t = tabloids[codes] = tabloid_of_factors(shape, [s[c] for s, c in zip(fillings, codes)])
-        codes_of[t] = codes
+        t = tabloid_of_factors(shape, [s.fillings[c] for s, c in zip(shape.slots, codes)])
+        tabloids[t.codes] = t
     return t
-
-
-@lru_cache(maxsize=8)
-def _slot_weights(shape: Shape) -> tuple[tuple[tuple[int, Weight2], ...], ...]:
-    """Per tensor slot in reading order, each filling's code with its weight."""
-    return tuple(tuple((c, _factor_weight2(f)) for c, f in enumerate(s)) for s in slot_codes(shape)[0])
 
 
 @lru_cache(maxsize=8)
@@ -477,8 +454,8 @@ def _suffix_weight_counts(shape: Shape) -> tuple[Counter[Weight2], ...]:
     """Entry j counts the fillings of factors j, j+1, ... by weight (cached: do not mutate)."""
     counts = Counter({weight2_zero(shape.kind.rank): 1})
     table = [counts]
-    for choices in reversed(_slot_weights(shape)):
-        slot = Counter(w for _c, w in choices)
+    for s in reversed(shape.slots):
+        slot = Counter(s.weights)
         nxt: Counter[Weight2] = Counter()
         for w, c in counts.items():
             for sw, k in slot.items():
@@ -502,19 +479,18 @@ def enumerate_tabloids(shape: Shape, weight2: Weight2 | None = None) -> list[Tab
     A weight is filled exactly: a filling enters only when the weight still
     missing is one the remaining factors can make.
     """
+    slots = shape.slots
     if weight2 is None:
-        fillings = slot_codes(shape)[0]
-        return [tabloid_of_codes(shape, codes) for codes in itertools.product(*(range(len(s)) for s in fillings))]
+        return [tabloid_of_codes(shape, codes) for codes in itertools.product(*(range(len(s.fillings)) for s in slots))]
     suffix = _suffix_weight_counts(shape)
-    weighted = _slot_weights(shape)
     out: list[Tabloid] = []
     picks: list[int] = []
 
     def rec(j: int, need: Weight2) -> None:
-        if j == len(weighted):
+        if j == len(slots):
             out.append(tabloid_of_codes(shape, tuple(picks)))
             return
-        for c, w in weighted[j]:
+        for c, w in enumerate(slots[j].weights):
             rest = tuple(a - b for a, b in zip(need, w))
             if rest in suffix[j + 1]:
                 picks.append(c)

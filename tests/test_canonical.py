@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -256,11 +257,27 @@ def test_weight_request_filters_the_whole_list(kind, lam):
         assert enumerate_tableaux(lam, kind, mu) == [t for t in tabs if weight2_of_tabloid(t) == mu], mu
 
 
-def _clear_shape_tables():
+def _shape_tables():
+    """Every table kept per shape."""
     from qcb.canonical import _raising_table
-    from qcb.shapes import _slot_weights
+    from qcb.shapes import _suffix_weight_counts, _tabloids_by_codes
 
-    for table in (_raising_table, tableaux_by_weight, _slot_weights, orthogonal_tableaux):
+    return (
+        _raising_table,
+        tableaux_by_weight,
+        orthogonal_tableaux,
+        _tabloids_by_codes,
+        _suffix_weight_counts,
+        highest_tabloid,
+    )
+
+
+def _clear_shape_tables():
+    """Empty the per-shape tables, and the slot tables and coded powers that shapes share."""
+    from qcb.modvec import _coded_powers
+    from qcb.shapes import slot_table
+
+    for table in (*_shape_tables(), slot_table, _coded_powers):
         table.cache_clear()
 
 
@@ -276,6 +293,45 @@ def test_shared_tables_match_cold_requests(kind, lam):
         _clear_shape_tables()
         assert canonical_matrix(lam, kind, mu) == warm[mu], mu
     _clear_shape_tables()
+
+
+# the modules whose raising walk leaves the crystal (ROADMAP item 1); the fix empties this set
+KNOWN_RAISING_FAILURES = {
+    (B2, (2, 3)),
+    (B2, (3, 3)),
+    (B2, (2, 5)),
+    (B2, (4, 3)),
+    (D3, (2, 0, 3)),
+    (D3, (2, 3, 0)),
+    (D3, (2, 1, 2)),
+    (D3, (2, 2, 1)),
+}
+
+
+def test_raising_sweep_fails_only_on_known_modules():
+    """One raising step from every tableau of every small module (B2 |lam| <= 7,
+    B3 and D3 <= 5, D4 <= 4, dimension <= 500) stays in the crystal, except on
+    the known spin modules."""
+    from test_dimensions import weyl_dim
+
+    from qcb.canonical import _in_component, _raise_once
+    from qcb.rootdata import InvariantViolation
+
+    modules = [
+        (kind, lam)
+        for kind, top in ((B2, 7), (B3, 5), (D3, 5), (D4, 4))
+        for lam in itertools.product(range(top + 1), repeat=kind.rank)
+        if 1 <= sum(lam) <= top and weyl_dim(lam, kind) <= 500
+    ]
+    assert len(modules) == 136
+    failing = set()
+    for kind, lam in modules:
+        try:
+            for t in enumerate_tableaux(lam, kind):
+                _raise_once(t, _in_component)
+        except InvariantViolation:
+            failing.add((kind, lam))
+    assert failing == KNOWN_RAISING_FAILURES
 
 
 def test_repeated_request_raises_nothing(monkeypatch):
@@ -302,24 +358,22 @@ def test_repeated_request_raises_nothing(monkeypatch):
 
 
 def test_per_shape_tables_stay_bounded():
-    """Weight requests on more shapes than a cache keeps leave every per-shape table bounded."""
-    from qcb.canonical import _raising_table
-    from qcb.shapes import _code_table, _slot_weights, _suffix_weight_counts
+    """Weight requests on more shapes than a cache keeps leave every per-shape
+    table bounded.  The slot tables and coded powers are shared by the shapes:
+    B2 has three slot kinds (heights 1 and 2, and the spin class) and two nodes."""
+    from qcb.modvec import _coded_powers
+    from qcb.shapes import slot_table
 
+    _clear_shape_tables()
     lams = [(1, 0), (0, 1), (0, 2), (1, 1), (2, 0), (0, 3), (2, 2), (1, 2), (3, 0), (0, 4)]
     assert len({shape_for_lambda(lam, B2) for lam in lams}) == len(lams)
     for lam in lams:
         tabs = enumerate_tableaux(lam, B2)
         assert canonical_matrix(lam, B2, weight2_of_tabloid(tabs[len(tabs) // 2])).cols
-    for table in (
-        _raising_table,
-        tableaux_by_weight,
-        _slot_weights,
-        orthogonal_tableaux,
-        _code_table,
-        _suffix_weight_counts,
-    ):
+    for table in _shape_tables():
         assert table.cache_info().currsize <= 8, table
+    assert slot_table.cache_info().currsize <= 3
+    assert _coded_powers.cache_info().currsize <= 6
 
 
 def test_canonical_matrix_fundamental_matches_global():

@@ -18,6 +18,7 @@ from qcb.crystal import (
 )
 from qcb.checks import _simple_root2
 from qcb.rootdata import AlgebraKind, alphabet, cartan_exponent, letter_weight2, weight2_add
+from qcb.shapes import highest_tabloid, shape_for_lambda, tabloid_reading
 
 B2 = AlgebraKind("B", 2)
 B3 = AlgebraKind("B", 3)
@@ -72,6 +73,12 @@ def test_component_sizes():
     assert len(component_bfs(W(B2, 1))) == 5
     assert len(component_bfs(W(D3, 1))) == 6
     assert len(component_bfs(W(B2, 1, 2))) == 10
+    # CPython hashes -1 and -2 alike, yet the words of a component hash apart
+    B4, D4 = AlgebraKind("B", 4), AlgebraKind("D", 4)
+    for kind, lam, size in [(B3, (3, 1, 0), 819), (B4, (1, 1, 0, 1), 2560), (D4, (0, 1, 1, 1), 840)]:
+        words = component_bfs(tabloid_reading(highest_tabloid(shape_for_lambda(lam, kind))))
+        assert len(words) == size
+        assert len({hash(w) for w in words}) == size, (kind, lam)
 
 
 def test_raising_is_schedule_independent():

@@ -51,12 +51,16 @@ def fundamental2(kind: AlgebraKind, i: int):
     return tuple(w)
 
 
+def highest_weight2(lam, kind: AlgebraKind) -> tuple[int, ...]:
+    lam2 = [0] * kind.rank
+    for i, c in enumerate(lam, start=1):
+        lam2 = [a + c * b for a, b in zip(lam2, fundamental2(kind, i))]
+    return tuple(lam2)
+
+
 def weyl_dim(lam, kind: AlgebraKind) -> int:
     n = kind.rank
-    lam2 = [0] * n
-    for i, c in enumerate(lam, start=1):
-        f = fundamental2(kind, i)
-        lam2 = [a + c * b for a, b in zip(lam2, f)]
+    lam2 = highest_weight2(lam, kind)
     roots = positive_roots2(kind)
     rho2 = [sum(r[j] for r in roots) // 2 for j in range(n)]
     dim = Fraction(1)
@@ -96,17 +100,18 @@ def simple_reflections(kind: AlgebraKind):
     return out
 
 
-@pytest.mark.parametrize(
-    "kind,lam",
-    [
-        (AlgebraKind("B", 2), (1, 1)),
-        (AlgebraKind("B", 3), (0, 1, 1)),
-        (AlgebraKind("D", 4), (1, 0, 1, 1)),
-        (AlgebraKind("D", 4), (0, 0, 1, 2)),
-        (AlgebraKind("B", 4), (1, 1, 0, 1)),
-        (AlgebraKind("D", 4), (0, 1, 1, 1)),
-    ],
-)
+# the oracle modules of test_canonical, then two larger ones
+MULTIPLICITY_MODULES = [
+    (AlgebraKind("B", 2), (1, 1)),
+    (AlgebraKind("B", 3), (0, 1, 1)),
+    (AlgebraKind("D", 4), (1, 0, 1, 1)),
+    (AlgebraKind("D", 4), (0, 0, 1, 2)),
+    (AlgebraKind("B", 4), (1, 1, 0, 1)),
+    (AlgebraKind("D", 4), (0, 1, 1, 1)),
+]
+
+
+@pytest.mark.parametrize("kind,lam", MULTIPLICITY_MODULES)
 def test_multiplicities_are_weyl_invariant(kind, lam):
     """The number of tableaux of each weight is fixed by every simple
     reflection, and the numbers add up to the Weyl dimension."""
@@ -114,3 +119,69 @@ def test_multiplicities_are_weyl_invariant(kind, lam):
     for s in simple_reflections(kind):
         assert {s(mu): c for mu, c in counts.items()} == counts
     assert sum(counts.values()) == weyl_dim(lam, kind)
+
+
+def simple_roots2(kind: AlgebraKind):
+    n = kind.rank
+    roots = []
+    for i in range(n - 1):
+        r = [0] * n
+        r[i], r[i + 1] = 2, -2
+        roots.append(tuple(r))
+    last = [0] * n
+    if kind.family == "B":
+        last[n - 1] = 2
+    else:
+        last[n - 2] = last[n - 1] = 2
+    roots.append(tuple(last))
+    return roots
+
+
+def freudenthal_multiplicities(lam, kind: AlgebraKind) -> dict:
+    """The weight multiplicities of V(lam) by Freudenthal's formula
+
+        ((lam+rho, lam+rho) - (mu+rho, mu+rho)) m(mu)
+            = 2 sum_{alpha > 0} sum_{k >= 1} (mu + k alpha, alpha) m(mu + k alpha),
+
+    over the weights lam minus simple roots whose coordinates stay within
+    lam's largest one, highest first.  The pairing is scaled away, so the
+    doubled coordinates serve as they are."""
+    lam2 = highest_weight2(lam, kind)
+    roots = positive_roots2(kind)
+    rho2 = [sum(r[j] for r in roots) // 2 for j in range(kind.rank)]
+
+    def norm(mu):
+        return sum((a + b) ** 2 for a, b in zip(mu, rho2))
+
+    bound, simple = max(lam2), simple_roots2(kind)
+    weights, frontier = {lam2}, [lam2]
+    while frontier:
+        below = {tuple(x - y for x, y in zip(mu, a)) for mu in frontier for a in simple}
+        frontier = [nu for nu in below - weights if max(map(abs, nu)) <= bound]
+        weights.update(frontier)
+    mult = {}
+    for mu in sorted(weights, key=lambda mu: -sum(a * b for a, b in zip(mu, rho2))):
+        if mu == lam2:
+            mult[mu] = Fraction(1)
+            continue
+        total = 0
+        for a in roots:
+            nu = tuple(x + y for x, y in zip(mu, a))
+            while max(map(abs, nu)) <= bound:  # beyond lam's largest coordinate no weight is left
+                total += mult.get(nu, 0) * sum(x * y for x, y in zip(nu, a))
+                nu = tuple(x + y for x, y in zip(nu, a))
+        gap = norm(lam2) - norm(mu)
+        if gap == 0:
+            assert total == 0, mu
+            mult[mu] = Fraction(0)
+        else:
+            mult[mu] = Fraction(2 * total, gap)
+    assert all(m.denominator == 1 and m >= 0 for m in mult.values())
+    return {mu: int(m) for mu, m in mult.items() if m}
+
+
+@pytest.mark.parametrize("kind,lam", MULTIPLICITY_MODULES)
+def test_multiplicities_match_freudenthal(kind, lam):
+    """The number of tableaux of each weight is the multiplicity Freudenthal's formula gives."""
+    counts = {mu: len(tabs) for mu, tabs in tableaux_by_weight(shape_for_lambda(lam, kind)).items()}
+    assert counts == freudenthal_multiplicities(lam, kind)

@@ -11,7 +11,6 @@ from qcb.modvec import apply_monomial, highest_vector, module_f_divided
 from qcb.rootdata import AlgebraKind, cartan_exponent, qi_exponent
 from qcb.shapes import (
     enumerate_columns,
-    tabloid_codes,
     tabloid_factors,
     tabloid_of_factors,
     tabloid_sort_key,
@@ -181,7 +180,7 @@ def test_recursion_split_associativity():
         factors = tabloid_factors(tab)
         for i in range(1, kind.rank + 1):
             d = d_by_i[i]
-            heads = _heads(tab.shape, tabloid_codes(tab), i)
+            heads = _heads(tab.shape, tab.codes, i)
             for m in (1, 2, 3):
                 whole = polys(_expand_divided(heads, m, d))
                 for cut in range(1, len(factors)):

@@ -26,7 +26,6 @@ from qcb.shapes import (
     parse_tabloid,
     shape_for_lambda,
     shape_of,
-    tabloid_codes,
     tabloid_factors,
     tabloid_leq,
     tabloid_of_codes,
@@ -221,9 +220,9 @@ def test_enumeration_is_in_reading_order(kind, lam, spin_class, d_sign):
     keys = [tabloid_sort_key(t) for t in rows]
     assert keys == sorted(keys) and len(set(keys)) == len(keys)
     # code order is the total order, and the codes name the same object
-    codes = [tabloid_codes(t) for t in rows]
+    codes = [t.codes for t in rows]
     assert all(a < b for a, b in zip(codes, codes[1:]))
-    assert all(tabloid_of_codes(shape, tabloid_codes(t)) is t for t in rows)
+    assert all(tabloid_of_codes(shape, t.codes) is t for t in rows)
     assert len(rows) == sum(tabloid_weight_counts(shape).values())
     by_weight: dict = {}
     for t in rows:
@@ -242,11 +241,25 @@ def test_weight_of_tabloid():
     assert weight2_of_tabloid(spin) == (1, 1, 1)
 
 
-def test_spin_tabloid_validation():
-    shape = shape_for_lambda((0, 1, 0), D3)  # spin class D-
+@pytest.mark.parametrize(
+    "kind,lam,spin,columns",
+    [
+        (B3, (1, 1, 0), None, (Column(B3, (1,)), Column(B3, (1, 2)))),  # heights differ from the shape's
+        (B3, (1, 0, 1), None, (Column(B3, (1,)),)),  # the shape needs a spin column
+        (B3, (1, 0, 0), SpinColumn.highest(B3), (Column(B3, (1,)),)),  # the shape has no spin slot
+        (D3, (0, 1, 0), SpinColumn.highest(D3), ()),  # class D+ in a D- slot
+        (B3, (0, 0, 1), SpinColumn.highest(D3), ()),  # a D spin column in a B slot
+        (B3, (1, 0, 0), None, (Column(D3, (1,)),)),  # a D column in a B shape
+    ],
+    ids=["heights", "spin-missing", "spin-extra", "spin-class", "spin-type", "column-kind"],
+)
+def test_spin_tabloid_validation(kind, lam, spin, columns):
     with pytest.raises(ValueError):
-        Tabloid(shape, SpinColumn.highest(D3), ())
-    Tabloid(shape, SpinColumn.highest_minus(D3), ())
+        Tabloid(shape_for_lambda(lam, kind), spin, columns)
+
+
+def test_spin_tabloid_of_its_class():
+    Tabloid(shape_for_lambda((0, 1, 0), D3), SpinColumn.highest_minus(D3), ())  # spin class D-
 
 
 def test_membership_splits_weight_space():
@@ -295,7 +308,7 @@ def test_one_filling_is_one_object(kind, lam):
 
     shape = shape_for_lambda(lam, kind)
     assert shape.has_spin() or shape.d_sign == "-"
-    # a cached dict of tableaux may predate the shape's current code table
+    # a cached dict of tableaux may predate the shape's current tabloids-by-codes table
     orthogonal_tableaux.cache_clear()
     table = orthogonal_tableaux(shape)
     tableau_of = {t: t for t in table}

@@ -4,6 +4,7 @@ The package depends on nothing beyond the standard library: every absolute
 import must name a standard-library module or ``qcb`` itself, and relative
 imports stay inside the package.  It holds no ``assert`` statement, since
 ``python -O`` strips them: invariant checks raise ``InvariantViolation``.
+Every ``lru_cache`` keyed by a ``Shape`` keeps at most 8 shapes.
 """
 
 import ast
@@ -49,4 +50,40 @@ def test_package_has_no_assert_statements():
         for node in ast.walk(tree)
         if isinstance(node, ast.Assert)
     ]
+    assert not bad, bad
+
+
+def _lru_maxsize(decorator):
+    """The maxsize of an ``lru_cache`` or ``cache`` decorator as an AST node,
+    with the default filled in (128, or None for ``cache``); None for any
+    other decorator."""
+    call = decorator if isinstance(decorator, ast.Call) else None
+    target = call.func if call else decorator
+    name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+    if name == "cache":
+        return ast.Constant(None)
+    if name != "lru_cache":
+        return None
+    if call is None:
+        return ast.Constant(128)
+    given = [k.value for k in call.keywords if k.arg == "maxsize"] + call.args[:1]
+    return given[0] if given else ast.Constant(128)
+
+
+def test_per_shape_caches_are_bounded():
+    """A cache keyed by a shape holds that shape's tables, so it keeps at most 8 shapes."""
+    bad = []
+    for name, tree in _sources():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.FunctionDef) or not node.args.args:
+                continue
+            first = node.args.args[0].annotation
+            if not (isinstance(first, ast.Name) and first.id == "Shape"):
+                continue
+            for dec in node.decorator_list:
+                size = _lru_maxsize(dec)
+                if size is None:
+                    continue
+                if not (isinstance(size, ast.Constant) and type(size.value) is int and size.value <= 8):
+                    bad.append(f"{name}:{node.lineno}: {node.name}")
     assert not bad, bad
