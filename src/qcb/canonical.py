@@ -5,7 +5,8 @@ raising the leftmost movable letter, recording the divided powers whose
 product rebuilds the column's global basis vector (Marsh's algorithm).
 Stage two extends the walk to a whole orthogonal tableau, producing the
 bar-invariant monomial vector A(T); each step lands on a tableau whose own
-walk is the rest, so A(T) = f_i^(r) A(next(T)) costs one divided power.
+walk is the rest, so A(T) = f_i^(r) A(next(T)) costs one divided power,
+and each shape keeps the A(T) built so far for every later request.
 Stage three corrects A(T) down the total order with bar-symmetric
 coefficients until the expansion is regular at q=0, which pins the
 canonical basis G(T); the corrections are logged and the expansions
@@ -14,13 +15,13 @@ assembled into one matrix per weight space.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from typing import Callable
 
 from .crystal import Word, raise_to_highest, spin_apply, spin_eps_phi, vec_edge, word_apply, word_eps_phi
-from .laurent import LaurentPoly, SparseVector
+from .laurent import LaurentPoly, SparseVector, _vector
 from .modvec import apply_monomial
 from .rootdata import AlgebraKind, InvariantViolation, Weight2
 from .shapes import (
@@ -263,58 +264,61 @@ def _in_component(t: Tabloid) -> bool:
     return t in orthogonal_tableaux(t.shape)
 
 
-# holds a step for every tableau walked so far, so keep only a few shapes
+# holds A(T) for every tableau built so far, so keep only a few shapes
 @lru_cache(maxsize=8)
-def _raising_table(shape: Shape) -> dict[Tabloid, tuple[int, int, Tabloid] | None]:
-    """The shape's raising steps found so far (filled by ``_MonomialBuilder``)."""
+def _monomial_vectors(shape: Shape) -> dict[Tabloid, tuple]:
+    """The shape's A(T) built so far (filled by ``_MonomialBuilder``), each as
+    one flat (tabloid, coefficient, tabloid, coefficient, ...) tuple: under
+    half the memory of a SparseVector's dict."""
     return {}
 
 
 class _MonomialBuilder:
-    """A(T) for a set of tableaux, each as f_i^(r) A(next(T)).
+    """A(T) for a set of tableaux of one shape, each as f_i^(r) A(next(T)).
 
-    ``steps`` is the shape's raising table, shared by every request: it maps
-    each tableau walked so far to its step (i, r, next(T)), or to None where
-    its walk ends.  A built vector is kept only while some tableau still to
-    be built raises to it.
+    ``vectors`` is the shape's A(T) table, shared by every request on the
+    shape.  The builder first raises each tableau until its walk meets one
+    already in the table, or ends; ``steps`` maps each tableau so walked to
+    its step (i, r, next(T)), or to None where the walk ends.  ``vector``
+    then builds down those steps and stores every A(T) it makes, so each
+    A(T) is built once while the shape stays cached.  (All raising before
+    any algebra: on whole-module runs that order is faster than raising and
+    building tableau by tableau.)
     """
 
     def __init__(self, tabs: list[Tabloid]):
-        steps = _raising_table(tabs[0].shape)
-        walked: set[Tabloid] = set()
+        vectors = self.vectors = _monomial_vectors(tabs[0].shape)
+        steps: dict[Tabloid, tuple[int, int, Tabloid] | None] = {}
         for t in tabs:
-            while t not in walked:
-                walked.add(t)
-                if t not in steps:
-                    step = _raise_once(t, _in_component)
-                    if step is not None:
-                        # keep the shape's one object for next(T), not the fresh one
-                        step = step[0], step[1], tabloid_of_codes(t.shape, step[2].codes)
-                    steps[t] = step
-                if steps[t] is None:
+            while t not in vectors and t not in steps:
+                step = _raise_once(t, _in_component)
+                if step is not None:
+                    # keep the shape's one object for next(T), not the fresh one
+                    step = step[0], step[1], tabloid_of_codes(t.shape, step[2].codes)
+                steps[t] = step
+                if step is None:
                     break
-                t = steps[t][2]
+                t = step[2]
         self.steps = steps
-        self.pending = Counter(steps[t][2] for t in walked if steps[t] is not None)
-        self.memo: dict[Tabloid, SparseVector] = {}
 
     def vector(self, tab: Tabloid) -> SparseVector:
-        chain = []
+        vectors, steps = self.vectors, self.steps
+        walked = []  # the tableaux walked whose A(T) is still to build
         t = tab
-        while t not in self.memo and self.steps[t] is not None:
-            if len(chain) >= MAX_RAISING_STEPS:
+        while t not in vectors:
+            if steps[t] is None:
+                vectors[t] = (t, LaurentPoly.one())
+                break
+            if len(walked) >= MAX_RAISING_STEPS:
                 raise IterationLimit(f"raising walk from {tab} did not terminate")
-            chain.append(t)
-            t = self.steps[t][2]
-        v = self.memo[t] if t in self.memo else SparseVector.unit(t)
-        for c in reversed(chain):
-            i, r, above = self.steps[c]
+            walked.append(t)
+            t = steps[t][2]
+        terms = iter(vectors[t])
+        v = _vector(dict(zip(terms, terms)))
+        for c in reversed(walked):
+            i, r, _next = steps[c]
             v = apply_monomial(v, [(i, r)])
-            self.pending[above] -= 1
-            if not self.pending[above]:
-                self.memo.pop(above, None)
-            if self.pending[c]:
-                self.memo[c] = v
+            vectors[c] = tuple(chain.from_iterable(v.terms))
         return v
 
 
@@ -382,12 +386,6 @@ def _correct_group(
     return out, log
 
 
-def _level(mu: Weight2) -> int:
-    """A linear form that every raising operator increases."""
-    n = len(mu)
-    return sum((n - k) * a for k, a in enumerate(mu))
-
-
 def canonical_matrix(
     lam: tuple[int, ...],
     kind: AlgebraKind,
@@ -399,12 +397,8 @@ def canonical_matrix(
     if not tableaux:
         return CanonicalMatrix(kind, tuple(lam), weight2, (), (), {}, ())
     groups = tableaux_by_weight(shape) if weight2 is None else {weight2: tableaux}
-    # highest weight spaces first: then next(T) is built before T, and one
-    # memo of A(next(T)) serves every weight space
-    group_items = sorted(groups.items(), key=lambda item: -_level(item[0]))
     build = _MonomialBuilder(tableaux)
-    results = [_correct_group([build.vector(t) for t in tabs], tabs) for _mu, tabs in group_items]
-    del build  # frees its pending counts; the raising table stays cached with the shape
+    results = [_correct_group([build.vector(t) for t in tabs], tabs) for tabs in groups.values()]
 
     if weight2 is not None:
         rows = tuple(enumerate_tabloids(shape, weight2))
@@ -419,7 +413,7 @@ def canonical_matrix(
     col_index = {t: i for i, t in enumerate(tableaux)}
     entries: dict[tuple[int, int], LaurentPoly] = {}
     gamma: list[tuple[int, int, LaurentPoly]] = []
-    for (mu, tabs), (vecs, log) in zip(group_items, results):
+    for (mu, tabs), (vecs, log) in zip(groups.items(), results):
         for t, v in zip(tabs, vecs):
             ci, diag = col_index[t], row_index[t]
             for tau, coeff in v.terms:

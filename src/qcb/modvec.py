@@ -16,8 +16,9 @@ factor codes (``Tabloid.codes``), with coded powers kept per slot kind and
 node.  A partial term holds the codes chosen so far, the part of m still to
 place and a plain {exponent: coefficient} map; it is dropped as soon as the
 factors still to come cannot absorb the rest of m.  Each output coefficient
-becomes a LaurentPoly once, and each output tabloid is the shape's one
-object for its filling (``shapes.tabloid_of_codes``).
+becomes the shape's one LaurentPoly for its value (``_coefficients``), and
+each output tabloid the shape's one object for its filling
+(``shapes.tabloid_of_codes``).
 """
 
 from __future__ import annotations
@@ -96,6 +97,14 @@ def _expand_divided(heads: list[tuple[int, tuple]], m: int, d: int) -> list[tupl
     return [(codes, poly) for codes, _left, poly in states]
 
 
+# holds every distinct coefficient of the shape's vectors, so keep only a few shapes
+@lru_cache(maxsize=8)
+def _coefficients(shape: Shape) -> dict[LaurentPoly, LaurentPoly]:
+    """The shape's one LaurentPoly for each coefficient made so far; the unit is LaurentPoly.one()."""
+    one = LaurentPoly.one()
+    return {one: one}
+
+
 def module_f_divided(v: SparseVector, i: int, m: int) -> SparseVector:
     """Apply the divided power f_i^(m) to a vector on the tabloid basis."""
     if m == 0 or v.is_zero():
@@ -113,11 +122,12 @@ def module_f_divided(v: SparseVector, i: int, m: int) -> SparseVector:
                 for ce, cc in terms:
                     x = pe + ce
                     cur[x] = cur.get(x, 0) + pc * cc
+    coefficients = _coefficients(shape)
     out = {}
     for codes, poly in acc.items():
         c = LaurentPoly(poly)
         if c:
-            out[tabloid_of_codes(shape, codes)] = c
+            out[tabloid_of_codes(shape, codes)] = coefficients.setdefault(c, c)
     return SparseVector(out)
 
 

@@ -8,9 +8,10 @@ optional spin column in front); orthogonal tableaux are the tabloids whose
 reading lies in the crystal of the irreducible module: the component of the
 highest tableau's reading, or equivalently the readings that raise to it.
 A tabloid's factors fill tensor slots; a slot's fillings depend only on its
-kind, a column height or a spin class, which has one ``slot_table``.  A
-tabloid carries its codes, each a factor's index in its slot's ascending
-fillings; ``tabloid_of_codes`` builds each tabloid of a shape once.
+kind, a column height or a spin class, which has one ``slot_table`` with
+its fillings' weights and each weight's codes.  A tabloid carries its
+codes, each a factor's index in its slot's ascending fillings;
+``tabloid_of_codes`` builds each tabloid of a shape once.
 """
 
 from __future__ import annotations
@@ -423,13 +424,18 @@ class SlotTable:
     fillings: tuple  # ascending; a filling's code is its position here
     index: dict  # each filling's code
     weights: tuple[Weight2, ...]  # each code's weight
+    by_weight: dict[Weight2, tuple[int, ...]]  # each weight's codes, ascending
 
 
 @lru_cache(maxsize=None)
 def slot_table(kind: AlgebraKind, slot: int | str) -> SlotTable:
     """The table of a column height, or of a spin class ("B", "D+" or "D-")."""
     fillings = tuple(enumerate_spin_columns(kind, slot[-1]) if isinstance(slot, str) else enumerate_columns(kind, slot))
-    return SlotTable(fillings, {f: c for c, f in enumerate(fillings)}, tuple(f.weight2() for f in fillings))
+    weights = tuple(f.weight2() for f in fillings)
+    by_weight: dict[Weight2, list[int]] = {}
+    for c, w in enumerate(weights):
+        by_weight.setdefault(w, []).append(c)
+    return SlotTable(fillings, {f: c for c, f in enumerate(fillings)}, weights, {w: tuple(cs) for w, cs in by_weight.items()})
 
 
 # holds every tabloid of the shape built so far, so keep only a few shapes
@@ -476,30 +482,28 @@ def enumerate_tabloids(shape: Shape, weight2: Weight2 | None = None) -> list[Tab
     Each factor's code is picked in reading order from its slot's ascending
     fillings, so the order of code tuples is the order of readings; each
     tabloid is the shape's one object for its filling (``tabloid_of_codes``).
-    A weight is filled exactly: a filling enters only when the weight still
-    missing is one the remaining factors can make.
+    A weight is filled exactly: a slot's weight enters only when the weight
+    it leaves missing is one the remaining factors can make, and the last
+    slot's codes are those of the weight still missing.
     """
     slots = shape.slots
     if weight2 is None:
         return [tabloid_of_codes(shape, codes) for codes in itertools.product(*(range(len(s.fillings)) for s in slots))]
     suffix = _suffix_weight_counts(shape)
-    out: list[Tabloid] = []
-    picks: list[int] = []
-
-    def rec(j: int, need: Weight2) -> None:
-        if j == len(slots):
-            out.append(tabloid_of_codes(shape, tuple(picks)))
-            return
-        for c, w in enumerate(slots[j].weights):
-            rest = tuple(a - b for a, b in zip(need, w))
-            if rest in suffix[j + 1]:
-                picks.append(c)
-                rec(j + 1, rest)
-                picks.pop()
-
-    if weight2 in suffix[0]:
-        rec(0, weight2)
-    return out
+    if weight2 not in suffix[0]:
+        return []
+    if not slots:
+        return [tabloid_of_codes(shape, ())]
+    partial = [((), weight2)]  # (codes so far, the weight still missing), ascending
+    for j, slot in enumerate(slots[:-1]):
+        nxt = []
+        for prefix, need in partial:
+            # each weight of the slot once: the weight it leaves missing, where the later slots make it
+            rests = {w: rest for w in slot.by_weight if (rest := tuple(a - b for a, b in zip(need, w))) in suffix[j + 1]}
+            nxt.extend((prefix + (c,), rests[w]) for c, w in enumerate(slot.weights) if w in rests)
+        partial = nxt
+    last = slots[-1].by_weight
+    return [tabloid_of_codes(shape, prefix + (c,)) for prefix, need in partial for c in last.get(need, ())]
 
 
 # each entry holds a whole crystal component, so keep only a few shapes

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import re
 
 import pytest
 
@@ -170,23 +171,33 @@ def test_spin_shape_a_vectors():
 ORACLE_MODULES = [(B2, (1, 1)), (B3, (0, 1, 1)), (D4, (1, 0, 1, 1)), (D4, (0, 0, 1, 2))]
 
 
+def _shape_a_vectors(shape):
+    """Each A(T) in the shape's table, read through the builder (which builds nothing new)."""
+    from qcb.canonical import _MonomialBuilder, _monomial_vectors
+
+    built = list(_monomial_vectors(shape))
+    build = _MonomialBuilder(built)
+    return {t: build.vector(t) for t in built}
+
+
 @pytest.mark.parametrize("kind,lam", ORACLE_MODULES)
 def test_memoised_a_vectors_match_replay(kind, lam):
-    """A(T) built as f_i^(r) A(next(T)) from the memo equals the replayed
-    monomial of a_path, both for the whole module at once (serial run) and
-    for one weight space at a time (single-weight runs); the memo empties."""
-    from qcb.canonical import _MonomialBuilder
-
+    """The shape's A(T) table, built as f_i^(r) A(next(T)), equals the replayed
+    monomial of a_path: after one weight space on cold tables, and after a
+    whole-module request."""
+    shape = shape_for_lambda(lam, kind)
     tabs = enumerate_tableaux(lam, kind)
     replayed = {t: a_vector(a_path(t)) for t in tabs}
-    build = _MonomialBuilder(tabs)
-    assert {t: build.vector(t) for t in tabs} == replayed
-    assert not build.memo
     mu = weight2_of_tabloid(tabs[len(tabs) // 2])
-    space = [t for t in tabs if weight2_of_tabloid(t) == mu]
-    build = _MonomialBuilder(space)
-    assert [build.vector(t) for t in space] == [replayed[t] for t in space]
-    assert not build.memo
+
+    _clear_shape_tables()
+    canonical_matrix(lam, kind, mu)
+    cold = _shape_a_vectors(shape)
+    assert {t for t in tabs if weight2_of_tabloid(t) == mu} <= cold.keys()
+    assert cold == {t: replayed[t] for t in cold}
+    canonical_matrix(lam, kind)
+    assert _shape_a_vectors(shape) == replayed
+    _clear_shape_tables()
 
 
 @pytest.mark.parametrize("kind,lam", ORACLE_MODULES)
@@ -202,6 +213,20 @@ def test_builder_builds_each_tabloid_once(kind, lam):
         for t, _c in v.terms:
             assert seen.setdefault(t, t) is t, t
     assert len(seen) > len(tabs)
+
+
+@pytest.mark.parametrize("kind,lam", ORACLE_MODULES)
+def test_a_vector_coefficients_are_interned(kind, lam):
+    """After a whole-module request on cold tables, equal coefficients across
+    the shape's A(T) vectors are one LaurentPoly object."""
+    _clear_shape_tables()
+    canonical_matrix(lam, kind)
+    coefficients = [c for v in _shape_a_vectors(shape_for_lambda(lam, kind)).values() for _t, c in v.terms]
+    seen = {}
+    for c in coefficients:
+        assert seen.setdefault(c, c) is c, c
+    assert len(seen) < len(coefficients)
+    _clear_shape_tables()
 
 
 @pytest.mark.parametrize("kind,lam", ORACLE_MODULES)
@@ -259,11 +284,13 @@ def test_weight_request_filters_the_whole_list(kind, lam):
 
 def _shape_tables():
     """Every table kept per shape."""
-    from qcb.canonical import _raising_table
+    from qcb.canonical import _monomial_vectors
+    from qcb.modvec import _coefficients
     from qcb.shapes import _suffix_weight_counts, _tabloids_by_codes
 
     return (
-        _raising_table,
+        _monomial_vectors,
+        _coefficients,
         tableaux_by_weight,
         orthogonal_tableaux,
         _tabloids_by_codes,
@@ -335,8 +362,10 @@ def test_raising_sweep_fails_only_on_known_modules():
 
 
 def test_repeated_request_raises_nothing(monkeypatch):
-    """A second request for a weight space reads every raising step from the shape's table."""
+    """A second request for a weight space reads every raising step and every
+    A(T) from the shape's tables: it raises nothing and applies no divided power."""
     import qcb.canonical as canonical
+    import qcb.modvec as modvec
 
     calls = []
     raise_once = canonical._raise_once
@@ -345,16 +374,25 @@ def test_repeated_request_raises_nothing(monkeypatch):
         calls.append(cur)
         return raise_once(cur, member)
 
+    divided = []
+    f_divided = modvec.module_f_divided
+
+    def counting_f_divided(v, i, m):
+        divided.append(i)
+        return f_divided(v, i, m)
+
     monkeypatch.setattr(canonical, "_raise_once", counting_raise_once)
-    canonical._raising_table.cache_clear()
+    monkeypatch.setattr(modvec, "module_f_divided", counting_f_divided)
+    _clear_shape_tables()
     lam = (0, 1, 1)
     tabs = enumerate_tableaux(lam, B3)
     mu = weight2_of_tabloid(tabs[len(tabs) // 2])
     first = canonical_matrix(lam, B3, mu)
-    made = len(calls)
-    assert made
+    made, built = len(calls), len(divided)
+    assert made and built
     assert canonical_matrix(lam, B3, mu) == first
-    assert len(calls) == made
+    assert (len(calls), len(divided)) == (made, built)
+    _clear_shape_tables()
 
 
 def test_per_shape_tables_stay_bounded():
@@ -374,6 +412,47 @@ def test_per_shape_tables_stay_bounded():
         assert table.cache_info().currsize <= 8, table
     assert slot_table.cache_info().currsize <= 3
     assert _coded_powers.cache_info().currsize <= 6
+
+
+def test_every_shape_table_is_listed():
+    """Every cache in src/qcb keyed by a Shape is one of ``_shape_tables()``, so
+    the warm-against-cold and bounded-size tests above cover it."""
+    from test_stdlib_only import shape_caches
+
+    assert {node.name for _file, node, _size in shape_caches()} == {t.__name__ for t in _shape_tables()}
+
+
+def _swap_last_letter(text: str, n: int) -> str:
+    """A tabloid string with the letters n and -n swapped, in the columns and the spin column."""
+    return re.sub(r"-?\d+", lambda m: str(-int(m[0])) if abs(int(m[0])) == n else m[0], text)
+
+
+@pytest.mark.parametrize(
+    "kind,lam,image,entries",
+    [
+        (D3, (0, 1, 2), (0, 2, 1), 78),
+        (D3, (1, 0, 1), (1, 1, 0), 28),
+        (D4, (1, 0, 0, 1), (1, 0, 1, 0), 80),
+        (D4, (0, 0, 1, 2), (0, 0, 2, 1), 816),
+    ],
+)
+def test_diagram_automorphism_of_D(kind, lam, image, entries):
+    """The D_n diagram automorphism swaps the nodes n-1 and n, so it swaps
+    lambda_{n-1} and lambda_n and the letters n and -n.  The canonical matrix
+    of lambda maps onto that of its image entry by entry, on row and column
+    strings; the correction logs may differ, since the total order breaks
+    the n/-n tie one way."""
+    n = kind.rank
+    assert image == lam[: n - 2] + (lam[n - 1], lam[n - 2])
+
+    def cells(M, rename):
+        rows = [rename(str(t)) for t in M.rows]
+        cols = [rename(str(t)) for t in M.cols]
+        return sorted(rows), sorted(cols), {(rows[r], cols[c]): str(v) for (r, c), v in M.entries.items()}
+
+    mapped = cells(canonical_matrix(lam, kind), lambda s: _swap_last_letter(s, n))
+    assert len(mapped[2]) == entries
+    assert mapped == cells(canonical_matrix(image, kind), str)
 
 
 def test_canonical_matrix_fundamental_matches_global():

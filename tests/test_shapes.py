@@ -210,6 +210,8 @@ def test_tabloid_order():
         (AlgebraKind("D", 4), (0, 1, 0, 1), "D+", "0"),
         (AlgebraKind("D", 4), (1, 0, 2, 1), "D-", "0"),
         (AlgebraKind("D", 4), (0, 0, 3, 0), "D-", "-"),
+        (B3, (0, 0, 1), "B", None),  # spin only: the first slot is the last
+        (B3, (0, 0, 0), None, None),  # no slot at all
     ],
 )
 def test_enumeration_is_in_reading_order(kind, lam, spin_class, d_sign):

@@ -70,9 +70,9 @@ def _lru_maxsize(decorator):
     return given[0] if given else ast.Constant(128)
 
 
-def test_per_shape_caches_are_bounded():
-    """A cache keyed by a shape holds that shape's tables, so it keeps at most 8 shapes."""
-    bad = []
+def shape_caches():
+    """Each ``lru_cache`` or ``cache`` whose first parameter is annotated ``Shape``,
+    as (file name, function node, maxsize node)."""
     for name, tree in _sources():
         for node in ast.walk(tree):
             if not isinstance(node, ast.FunctionDef) or not node.args.args:
@@ -82,8 +82,15 @@ def test_per_shape_caches_are_bounded():
                 continue
             for dec in node.decorator_list:
                 size = _lru_maxsize(dec)
-                if size is None:
-                    continue
-                if not (isinstance(size, ast.Constant) and type(size.value) is int and size.value <= 8):
-                    bad.append(f"{name}:{node.lineno}: {node.name}")
+                if size is not None:
+                    yield name, node, size
+
+
+def test_per_shape_caches_are_bounded():
+    """A cache keyed by a shape holds that shape's tables, so it keeps at most 8 shapes."""
+    bad = [
+        f"{name}:{node.lineno}: {node.name}"
+        for name, node, size in shape_caches()
+        if not (isinstance(size, ast.Constant) and type(size.value) is int and size.value <= 8)
+    ]
     assert not bad, bad
