@@ -16,7 +16,6 @@ assembled into one matrix per weight space.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import chain
 from typing import Callable
 
@@ -26,7 +25,6 @@ from .modvec import apply_monomial
 from .rootdata import AlgebraKind, InvariantViolation, Weight2
 from .shapes import (
     Column,
-    Shape,
     Tabloid,
     enumerate_tableaux,
     enumerate_tabloids,
@@ -35,8 +33,8 @@ from .shapes import (
     is_orthogonal_tableau,
     orthogonal_tableaux,
     shape_for_lambda,
-    tableaux_by_weight,
-    tabloid_of_codes,
+    shape_tables,
+    tabloid_of_columns,
     tabloid_reading,
     tabloid_weight_counts,
     weight2_of_tabloid,
@@ -174,7 +172,7 @@ def _spin_step(cur: Tabloid, member: Member) -> tuple[int, int, Tabloid]:
         g2 = spin_apply(cur.spin, j, "e")
         if g2 is None:
             continue
-        cand = Tabloid(cur.shape, g2, cur.columns)
+        cand = tabloid_of_columns(cur.shape, g2, cur.columns)
         if member(cand):
             return j, 1, cand
     raise InvariantViolation(f"no spin raise leaves {cur} in the crystal")
@@ -232,7 +230,7 @@ def _raise_once(cur: Tabloid, member: Member) -> tuple[int, int, Tabloid] | None
         # picks up a stray power of q_i on the target tabloid
         new_spin = spin_apply(cur.spin, i1, "e")
         r += 1
-    nxt = Tabloid(shape, new_spin, tuple(new_cols))
+    nxt = tabloid_of_columns(shape, new_spin, new_cols)
     if not member(nxt):
         raise InvariantViolation(f"raising left the crystal at {nxt}")
     return i1, r, nxt
@@ -264,15 +262,6 @@ def _in_component(t: Tabloid) -> bool:
     return t in orthogonal_tableaux(t.shape)
 
 
-# holds A(T) for every tableau built so far, so keep only a few shapes
-@lru_cache(maxsize=8)
-def _monomial_vectors(shape: Shape) -> dict[Tabloid, tuple]:
-    """The shape's A(T) built so far (filled by ``_MonomialBuilder``), each as
-    one flat (tabloid, coefficient, tabloid, coefficient, ...) tuple: under
-    half the memory of a SparseVector's dict."""
-    return {}
-
-
 class _MonomialBuilder:
     """A(T) for a set of tableaux of one shape, each as f_i^(r) A(next(T)).
 
@@ -287,15 +276,11 @@ class _MonomialBuilder:
     """
 
     def __init__(self, tabs: list[Tabloid]):
-        vectors = self.vectors = _monomial_vectors(tabs[0].shape)
+        vectors = self.vectors = shape_tables(tabs[0].shape).vectors
         steps: dict[Tabloid, tuple[int, int, Tabloid] | None] = {}
         for t in tabs:
             while t not in vectors and t not in steps:
-                step = _raise_once(t, _in_component)
-                if step is not None:
-                    # keep the shape's one object for next(T), not the fresh one
-                    step = step[0], step[1], tabloid_of_codes(t.shape, step[2].codes)
-                steps[t] = step
+                step = steps[t] = _raise_once(t, _in_component)
                 if step is None:
                     break
                 t = step[2]
@@ -396,7 +381,7 @@ def canonical_matrix(
     tableaux = enumerate_tableaux(lam, kind, weight2=weight2)
     if not tableaux:
         return CanonicalMatrix(kind, tuple(lam), weight2, (), (), {}, ())
-    groups = tableaux_by_weight(shape) if weight2 is None else {weight2: tableaux}
+    groups = shape_tables(shape).by_weight if weight2 is None else {weight2: tableaux}
     build = _MonomialBuilder(tableaux)
     results = [_correct_group([build.vector(t) for t in tabs], tabs) for tabs in groups.values()]
 

@@ -304,7 +304,7 @@ def _cmd_apath(kind: AlgebraKind, args) -> dict:
 
 def _cmd_canonical(kind: AlgebraKind, args) -> CanonicalMatrix:
     lam = _parse_lambda(args.lam, kind.rank)
-    weight2 = parse_weight(args.weight, kind.rank) if args.weight else None
+    weight2 = None if args.weight is None else parse_weight(args.weight, kind.rank)
     return canonical_matrix(lam, kind, weight2=weight2)
 
 

@@ -16,9 +16,9 @@ factor codes (``Tabloid.codes``), with coded powers kept per slot kind and
 node.  A partial term holds the codes chosen so far, the part of m still to
 place and a plain {exponent: coefficient} map; it is dropped as soon as the
 factors still to come cannot absorb the rest of m.  Each output coefficient
-becomes the shape's one LaurentPoly for its value (``_coefficients``), and
-each output tabloid the shape's one object for its filling
-(``shapes.tabloid_of_codes``).
+becomes the shape's one LaurentPoly for its value, and each output tabloid
+the shape's one object for its filling, both from the shape's tables
+(``shapes.shape_tables``).
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from functools import lru_cache
 from .crystal import SpinColumn, spin_apply
 from .laurent import LaurentPoly, SparseVector
 from .rootdata import AlgebraKind, cartan_exponent, qi_exponent
-from .shapes import Shape, SlotTable, highest_tabloid, shape_for_lambda, tabloid_of_codes
+from .shapes import Shape, SlotTable, highest_tabloid, shape_for_lambda, shape_tables, tabloid_of_codes
 from .wedge import wedge_f_divided
 
 
@@ -97,14 +97,6 @@ def _expand_divided(heads: list[tuple[int, tuple]], m: int, d: int) -> list[tupl
     return [(codes, poly) for codes, _left, poly in states]
 
 
-# holds every distinct coefficient of the shape's vectors, so keep only a few shapes
-@lru_cache(maxsize=8)
-def _coefficients(shape: Shape) -> dict[LaurentPoly, LaurentPoly]:
-    """The shape's one LaurentPoly for each coefficient made so far; the unit is LaurentPoly.one()."""
-    one = LaurentPoly.one()
-    return {one: one}
-
-
 def module_f_divided(v: SparseVector, i: int, m: int) -> SparseVector:
     """Apply the divided power f_i^(m) to a vector on the tabloid basis."""
     if m == 0 or v.is_zero():
@@ -122,7 +114,7 @@ def module_f_divided(v: SparseVector, i: int, m: int) -> SparseVector:
                 for ce, cc in terms:
                     x = pe + ce
                     cur[x] = cur.get(x, 0) + pc * cc
-    coefficients = _coefficients(shape)
+    coefficients = shape_tables(shape).coefficients
     out = {}
     for codes, poly in acc.items():
         c = LaurentPoly(poly)

@@ -10,8 +10,9 @@ highest tableau's reading, or equivalently the readings that raise to it.
 A tabloid's factors fill tensor slots; a slot's fillings depend only on its
 kind, a column height or a spin class, which has one ``slot_table`` with
 its fillings' weights and each weight's codes.  A tabloid carries its
-codes, each a factor's index in its slot's ascending fillings;
-``tabloid_of_codes`` builds each tabloid of a shape once.
+codes, each a factor's index in its slot's ascending fillings.  What
+depends only on the shape lives in its ``shape_tables``, which hands out
+one tabloid object per filling.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .crystal import (
     raise_to_highest,
     word_sort_key,
 )
+from .laurent import LaurentPoly
 from .rootdata import (
     AlgebraKind,
     Letter,
@@ -156,6 +158,13 @@ class Shape:
         spin = () if self.spin_class is None else (slot_table(self.kind, self.spin_class),)
         return spin + tuple(slot_table(self.kind, h) for h in reversed(self.heights))
 
+    def codes_of(self, factors: Sequence) -> tuple[int, ...]:
+        """Each factor's code in its slot, in reading order; a ValueError unless the factors fill the slots."""
+        try:
+            return tuple(s.index[f] for s, f in zip(self.slots, factors, strict=True))
+        except (KeyError, ValueError):
+            raise ValueError(f"factors {'/'.join(map(str, factors))} do not fill the slots of {self.heights}") from None
+
 
 @cache_hash
 @dataclass(frozen=True)
@@ -172,11 +181,7 @@ class Tabloid:
     codes: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        try:
-            codes = tuple(s.index[f] for s, f in zip(self.shape.slots, tabloid_factors(self), strict=True))
-        except (KeyError, ValueError):
-            raise ValueError(f"{self} does not fill the slots of its shape {self.shape.heights}") from None
-        object.__setattr__(self, "codes", codes)
+        object.__setattr__(self, "codes", self.shape.codes_of(tabloid_factors(self)))
 
     def __str__(self) -> str:
         parts = [] if self.spin is None else [str(self.spin)]
@@ -272,23 +277,9 @@ def lambda_of_shape(shape: Shape) -> tuple[int, ...]:
     return tuple(lam)
 
 
-@lru_cache(maxsize=8)
 def highest_tabloid(shape: Shape) -> Tabloid:
     """The tableau whose k-th row holds letter k (n-th row -n for minus shapes)."""
-    kind = shape.kind
-    n = kind.rank
-    cols = []
-    for h in shape.heights:
-        letters = tuple(range(1, h + 1))
-        if kind.family == "D" and h == n and shape.d_sign == "-":
-            letters = tuple(range(1, n)) + (-n,)
-        cols.append(Column(kind, letters))
-    spin = None
-    if shape.spin_class in ("B", "D+"):
-        spin = SpinColumn.highest(kind)
-    elif shape.spin_class == "D-":
-        spin = SpinColumn.highest_minus(kind)
-    return Tabloid(shape, spin, tuple(cols))
+    return shape_tables(shape).highest
 
 
 # -- tensor factors and readings ---------------------------------------------
@@ -301,10 +292,13 @@ def tabloid_factors(t: Tabloid) -> tuple:
 
 
 def tabloid_of_factors(shape: Shape, factors: Sequence) -> Tabloid:
-    """Inverse of tabloid_factors: the tabloid of the shape with these factors."""
-    if shape.has_spin():
-        return Tabloid(shape, factors[0], tuple(factors[:0:-1]))
-    return Tabloid(shape, None, tuple(factors[::-1]))
+    """Inverse of tabloid_factors: the shape's one tabloid with these factors."""
+    return tabloid_of_codes(shape, shape.codes_of(factors))
+
+
+def tabloid_of_columns(shape: Shape, spin: SpinColumn | None, columns: Sequence[Column]) -> Tabloid:
+    """The shape's one tabloid with this spin column (or None) and these columns, left to right."""
+    return tabloid_of_factors(shape, columns[::-1] if spin is None else (spin, *columns[::-1]))
 
 
 def tabloid_reading(t: Tabloid) -> Word:
@@ -438,42 +432,20 @@ def slot_table(kind: AlgebraKind, slot: int | str) -> SlotTable:
     return SlotTable(fillings, {f: c for c, f in enumerate(fillings)}, weights, {w: tuple(cs) for w, cs in by_weight.items()})
 
 
-# holds every tabloid of the shape built so far, so keep only a few shapes
-@lru_cache(maxsize=8)
-def _tabloids_by_codes(shape: Shape) -> dict[tuple[int, ...], Tabloid]:
-    """The tabloids of the shape built so far, keyed by their own codes."""
-    return {}
-
-
 def tabloid_of_codes(shape: Shape, codes: tuple[int, ...]) -> Tabloid:
-    """The tabloid with these codes: one object per filling while the shape's table is cached."""
-    tabloids = _tabloids_by_codes(shape)
+    """The tabloid with these codes: one object per filling while the shape's tables are kept."""
+    tabloids = shape_tables(shape).tabloids
     t = tabloids.get(codes)
     if t is None:
-        t = tabloid_of_factors(shape, [s.fillings[c] for s, c in zip(shape.slots, codes)])
-        tabloids[t.codes] = t
+        f = [s.fillings[c] for s, c in zip(shape.slots, codes)]
+        t = Tabloid(shape, f[0], tuple(f[:0:-1])) if shape.has_spin() else Tabloid(shape, None, tuple(f[::-1]))
+        tabloids[t.codes] = t  # the tabloid's own tuple: an equal copy as key would cost memory
     return t
-
-
-@lru_cache(maxsize=8)
-def _suffix_weight_counts(shape: Shape) -> tuple[Counter[Weight2], ...]:
-    """Entry j counts the fillings of factors j, j+1, ... by weight (cached: do not mutate)."""
-    counts = Counter({weight2_zero(shape.kind.rank): 1})
-    table = [counts]
-    for s in reversed(shape.slots):
-        slot = Counter(s.weights)
-        nxt: Counter[Weight2] = Counter()
-        for w, c in counts.items():
-            for sw, k in slot.items():
-                nxt[weight2_add(w, sw)] += c * k
-        counts = nxt
-        table.append(counts)
-    return tuple(reversed(table))
 
 
 def tabloid_weight_counts(shape: Shape) -> Counter[Weight2]:
     """The number of tabloids of the shape of each weight (cached: do not mutate)."""
-    return _suffix_weight_counts(shape)[0]
+    return shape_tables(shape).suffix_counts[0]
 
 
 def enumerate_tabloids(shape: Shape, weight2: Weight2 | None = None) -> list[Tabloid]:
@@ -489,7 +461,7 @@ def enumerate_tabloids(shape: Shape, weight2: Weight2 | None = None) -> list[Tab
     slots = shape.slots
     if weight2 is None:
         return [tabloid_of_codes(shape, codes) for codes in itertools.product(*(range(len(s.fillings)) for s in slots))]
-    suffix = _suffix_weight_counts(shape)
+    suffix = shape_tables(shape).suffix_counts
     if weight2 not in suffix[0]:
         return []
     if not slots:
@@ -506,26 +478,77 @@ def enumerate_tabloids(shape: Shape, weight2: Weight2 | None = None) -> list[Tab
     return [tabloid_of_codes(shape, prefix + (c,)) for prefix, need in partial for c in last.get(need, ())]
 
 
-# each entry holds a whole crystal component, so keep only a few shapes
-@lru_cache(maxsize=8)
 def orthogonal_tableaux(shape: Shape) -> dict[Tabloid, Weight2]:
-    """Each orthogonal tableau with its weight, in ascending order (cached: do not mutate).
+    """Each orthogonal tableau with its weight, ascending: the crystal component of the highest tableau."""
+    return shape_tables(shape).component
 
-    The tableaux are read off the crystal component of the highest tableau's reading.
+
+class ShapeTables:
+    """What the requests on one shape share, each part built on first use.
+
+    ``tabloids`` holds the tabloids built so far by their codes, so every
+    route to a filling gets one object (``tabloid_of_codes``).  ``canonical``
+    fills ``vectors`` with the A(T) built so far, each a flat (tabloid,
+    coefficient, ...) tuple, and ``modvec`` fills ``coefficients`` with one
+    LaurentPoly per value.  Do not mutate the other tables.
     """
-    words = sorted(component_bfs(tabloid_reading(highest_tabloid(shape))), key=word_sort_key)
-    weights: dict[Weight2, Weight2] = {}  # one tuple per distinct weight
-    return {word_to_tabloid(w, shape): weights.setdefault(mu := w.weight2(), mu) for w in words}
+
+    def __init__(self, shape: Shape):
+        self.shape = shape
+        self.tabloids: dict[tuple[int, ...], Tabloid] = {}
+        self.vectors: dict[Tabloid, tuple] = {}
+        self.coefficients: dict[LaurentPoly, LaurentPoly] = {LaurentPoly.one(): LaurentPoly.one()}
+
+    @cached_property
+    def highest(self) -> Tabloid:
+        shape = self.shape
+        kind = shape.kind
+        n = kind.rank
+        letters = [(*range(1, h), -n if h == n and shape.d_sign == "-" else h) for h in shape.heights]
+        cols = [_columns_by_letters(kind, len(c))[c] for c in letters]
+        spin = None
+        if shape.spin_class in ("B", "D+"):
+            spin = SpinColumn.highest(kind)
+        elif shape.spin_class == "D-":
+            spin = SpinColumn.highest_minus(kind)
+        return tabloid_of_columns(shape, spin, cols)
+
+    @cached_property
+    def suffix_counts(self) -> tuple[Counter[Weight2], ...]:
+        """Entry j counts the fillings of factors j, j+1, ... by weight."""
+        counts = Counter({weight2_zero(self.shape.kind.rank): 1})
+        table = [counts]
+        for s in reversed(self.shape.slots):
+            slot = Counter(s.weights)
+            nxt: Counter[Weight2] = Counter()
+            for w, c in counts.items():
+                for sw, k in slot.items():
+                    nxt[weight2_add(w, sw)] += c * k
+            counts = nxt
+            table.append(counts)
+        return tuple(reversed(table))
+
+    @cached_property
+    def component(self) -> dict[Tabloid, Weight2]:
+        words = sorted(component_bfs(tabloid_reading(self.highest)), key=word_sort_key)
+        weights: dict[Weight2, Weight2] = {}  # one tuple per distinct weight
+        return {word_to_tabloid(w, self.shape): weights.setdefault(mu := w.weight2(), mu) for w in words}
+
+    @cached_property
+    def by_weight(self) -> dict[Weight2, tuple[Tabloid, ...]]:
+        """The orthogonal tableaux of each weight, ascending."""
+        index: dict[Weight2, list[Tabloid]] = {}
+        for t, mu in self.component.items():
+            index.setdefault(mu, []).append(t)
+        return {mu: tuple(tabs) for mu, tabs in index.items()}
 
 
-# each entry holds a whole crystal component, so keep only a few shapes
+# a whole crystal component and every A(T) built, so only a few shapes; not
+# stored on the shape, so a tabloid held after eviction does not keep them
 @lru_cache(maxsize=8)
-def tableaux_by_weight(shape: Shape) -> dict[Weight2, tuple[Tabloid, ...]]:
-    """The orthogonal tableaux of each weight, in ascending order (cached: do not mutate)."""
-    index: dict[Weight2, list[Tabloid]] = {}
-    for t, mu in orthogonal_tableaux(shape).items():
-        index.setdefault(mu, []).append(t)
-    return {mu: tuple(tabs) for mu, tabs in index.items()}
+def shape_tables(shape: Shape) -> ShapeTables:
+    """The shape's tables."""
+    return ShapeTables(shape)
 
 
 def enumerate_tableaux(lam: tuple[int, ...], kind: AlgebraKind, weight2: Weight2 | None = None) -> list[Tabloid]:
@@ -533,7 +556,7 @@ def enumerate_tableaux(lam: tuple[int, ...], kind: AlgebraKind, weight2: Weight2
     shape = shape_for_lambda(lam, kind)
     if weight2 is None:
         return list(orthogonal_tableaux(shape))
-    return list(tableaux_by_weight(shape).get(weight2, ()))
+    return list(shape_tables(shape).by_weight.get(weight2, ()))
 
 
 # -- parsing / formatting ----------------------------------------------------
@@ -575,4 +598,4 @@ def parse_tabloid(text: str, kind: AlgebraKind, d_sign: str | None = None) -> Ta
             shape = Shape(kind, heights, spin_class, d_sign)
         else:
             shape = Shape(kind, heights, spin_class, "0")
-    return Tabloid(shape, spin, cols)
+    return tabloid_of_columns(shape, spin, cols)

@@ -26,7 +26,7 @@ from qcb.shapes import (
     orthogonal_tableaux,
     parse_tabloid,
     shape_for_lambda,
-    tableaux_by_weight,
+    shape_tables,
     tabloid_sort_key,
     weight2_of_tabloid,
 )
@@ -173,9 +173,9 @@ ORACLE_MODULES = [(B2, (1, 1)), (B3, (0, 1, 1)), (D4, (1, 0, 1, 1)), (D4, (0, 0,
 
 def _shape_a_vectors(shape):
     """Each A(T) in the shape's table, read through the builder (which builds nothing new)."""
-    from qcb.canonical import _MonomialBuilder, _monomial_vectors
+    from qcb.canonical import _MonomialBuilder
 
-    built = list(_monomial_vectors(shape))
+    built = list(shape_tables(shape).vectors)
     build = _MonomialBuilder(built)
     return {t: build.vector(t) for t in built}
 
@@ -202,7 +202,8 @@ def test_memoised_a_vectors_match_replay(kind, lam):
 
 @pytest.mark.parametrize("kind,lam", ORACLE_MODULES)
 def test_builder_builds_each_tabloid_once(kind, lam):
-    """Within one builder run, equal fillings in the A(T) vectors are one Tabloid object."""
+    """Within one request, equal fillings in the A(T) vectors, the rows and the
+    columns are one Tabloid object."""
     from qcb.canonical import _MonomialBuilder
 
     tabs = enumerate_tableaux(lam, kind)
@@ -213,6 +214,25 @@ def test_builder_builds_each_tabloid_once(kind, lam):
         for t, _c in v.terms:
             assert seen.setdefault(t, t) is t, t
     assert len(seen) > len(tabs)
+    M = canonical_matrix(lam, kind)
+    for t in (*M.rows, *M.cols):
+        assert seen.setdefault(t, t) is t, t
+
+
+@pytest.mark.parametrize("kind,lam", ORACLE_MODULES)
+def test_highest_tableau_and_raising_steps_are_interned(kind, lam):
+    """The highest tableau is the component's own object, and each raising step
+    lands on the shape's one object for next(T)."""
+    from qcb.canonical import _in_component, _raise_once
+
+    shape = shape_for_lambda(lam, kind)
+    own = {t: t for t in orthogonal_tableaux(shape)}
+    top = highest_tabloid(shape)
+    assert own[top] is top
+    steps = [step for t in own if (step := _raise_once(t, _in_component)) is not None]
+    assert steps
+    for _i, _r, nxt in steps:
+        assert own[nxt] is nxt, nxt
 
 
 @pytest.mark.parametrize("kind,lam", ORACLE_MODULES)
@@ -282,29 +302,12 @@ def test_weight_request_filters_the_whole_list(kind, lam):
         assert enumerate_tableaux(lam, kind, mu) == [t for t in tabs if weight2_of_tabloid(t) == mu], mu
 
 
-def _shape_tables():
-    """Every table kept per shape."""
-    from qcb.canonical import _monomial_vectors
-    from qcb.modvec import _coefficients
-    from qcb.shapes import _suffix_weight_counts, _tabloids_by_codes
-
-    return (
-        _monomial_vectors,
-        _coefficients,
-        tableaux_by_weight,
-        orthogonal_tableaux,
-        _tabloids_by_codes,
-        _suffix_weight_counts,
-        highest_tabloid,
-    )
-
-
 def _clear_shape_tables():
     """Empty the per-shape tables, and the slot tables and coded powers that shapes share."""
     from qcb.modvec import _coded_powers
     from qcb.shapes import slot_table
 
-    for table in (*_shape_tables(), slot_table, _coded_powers):
+    for table in (shape_tables, slot_table, _coded_powers):
         table.cache_clear()
 
 
@@ -312,7 +315,7 @@ def _clear_shape_tables():
 def test_shared_tables_match_cold_requests(kind, lam):
     """Every weight space requested in one process, in a shuffled order after
     a whole-module request, equals the same request made on cold tables."""
-    weights = sorted(tableaux_by_weight(shape_for_lambda(lam, kind)))
+    weights = sorted(shape_tables(shape_for_lambda(lam, kind)).by_weight)
     random.Random(12).shuffle(weights)
     canonical_matrix(lam, kind)
     warm = {mu: canonical_matrix(lam, kind, mu) for mu in weights}
@@ -408,18 +411,9 @@ def test_per_shape_tables_stay_bounded():
     for lam in lams:
         tabs = enumerate_tableaux(lam, B2)
         assert canonical_matrix(lam, B2, weight2_of_tabloid(tabs[len(tabs) // 2])).cols
-    for table in _shape_tables():
-        assert table.cache_info().currsize <= 8, table
+    assert shape_tables.cache_info().currsize <= 8
     assert slot_table.cache_info().currsize <= 3
     assert _coded_powers.cache_info().currsize <= 6
-
-
-def test_every_shape_table_is_listed():
-    """Every cache in src/qcb keyed by a Shape is one of ``_shape_tables()``, so
-    the warm-against-cold and bounded-size tests above cover it."""
-    from test_stdlib_only import shape_caches
-
-    assert {node.name for _file, node, _size in shape_caches()} == {t.__name__ for t in _shape_tables()}
 
 
 def _swap_last_letter(text: str, n: int) -> str:
@@ -455,6 +449,44 @@ def test_diagram_automorphism_of_D(kind, lam, image, entries):
     assert mapped == cells(canonical_matrix(image, kind), str)
 
 
+def _drop_first_letter(text: str) -> str:
+    """A tabloid string restricted to the nodes 2..n: the letters 1 and -1 dropped
+    from every column and the spin column, emptied columns dropped, and every
+    other letter moved one step toward 0."""
+
+    def factor(part):
+        spin = "s:" if part.startswith("s:") else ""
+        letters = [int(x) for x in part[len(spin) :].split(",") if abs(int(x)) != 1]
+        return spin + ",".join(str(x - 1 if x > 0 else x + 1 if x < 0 else 0) for x in letters) if letters else None
+
+    return "/".join(f for f in map(factor, text.split("/")) if f is not None)
+
+
+@pytest.mark.parametrize(
+    "kind,lam,entries",
+    [(B3, (1, 1, 1), 24), (B3, (0, 1, 1), 24), (D4, (1, 0, 1, 1), 18), (D4, (0, 1, 1, 1), 142)],
+)
+def test_levi_restriction(kind, lam, entries):
+    """The weight spaces of V(lambda) whose epsilon_1 coordinate is the highest
+    weight's form the module of the Levi subalgebra of the nodes 2..n with
+    highest weight lambda[1:], and the global basis restricts to its global
+    basis.  So those weight spaces of the canonical matrix, with the letter 1
+    dropped, equal the whole canonical matrix at rank n-1 entry by entry, on
+    row and column strings."""
+    top = weight2_of_tabloid(highest_tabloid(shape_for_lambda(lam, kind)))[0]
+
+    def cells(M, keep, rename):
+        rows = {r: rename(str(t)) for r, t in enumerate(M.rows) if keep(t)}
+        cols = {c: rename(str(t)) for c, t in enumerate(M.cols) if keep(t)}
+        kept = {(rows[r], cols[c]): str(v) for (r, c), v in M.entries.items() if c in cols}
+        return sorted(rows.values()), sorted(cols.values()), kept
+
+    restricted = cells(canonical_matrix(lam, kind), lambda t: weight2_of_tabloid(t)[0] == top, _drop_first_letter)
+    assert len(restricted[2]) == entries
+    levi = AlgebraKind(kind.family, kind.rank - 1)
+    assert restricted == cells(canonical_matrix(lam[1:], levi), lambda t: True, str)
+
+
 def test_canonical_matrix_fundamental_matches_global():
     M = canonical_matrix((0, 2), B2)
     assert not M.gamma
@@ -481,13 +513,13 @@ def test_component_is_computed_once_per_shape(monkeypatch):
         return bfs(w0)
 
     monkeypatch.setattr(shapes, "component_bfs", counting_bfs)
-    orthogonal_tableaux.cache_clear()
+    shape_tables.cache_clear()
     lam = (1, 1)
     first, second = sorted({weight2_of_tabloid(t) for t in enumerate_tableaux(lam, B2)})[:2]
     assert canonical_matrix(lam, B2, weight2=first).cols
     assert canonical_matrix(lam, B2, weight2=second).cols
     assert len(calls) == 1
-    orthogonal_tableaux.cache_clear()
+    shape_tables.cache_clear()
 
 
 def test_canonical_matrix_gamma_log_is_bar_symmetric():

@@ -141,6 +141,12 @@ def test_mixed_parity_weight_is_a_domain_error(capsys):
     assert err == "qcb: weight 1/2,1 mixes integer and half-integer coordinates\n"
 
 
+def test_empty_weight_is_a_domain_error(capsys):
+    """An empty --weight names no weight space: it is refused, not read as the whole module."""
+    code, out, err = run_cli(capsys, "--type", "B", "--rank", "2", "canonical", "--lambda", "1,0", "--weight=")
+    assert (code, out, err) == (1, "", "qcb: expected 2 weight coordinates, got 1\n")
+
+
 def test_marsh_raises_the_column_once(capsys, monkeypatch):
     import qcb.canonical
 

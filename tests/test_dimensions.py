@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from qcb.rootdata import AlgebraKind
-from qcb.shapes import enumerate_tableaux, shape_for_lambda, tableaux_by_weight
+from qcb.shapes import enumerate_tableaux, shape_for_lambda, shape_tables
 
 
 def positive_roots2(kind: AlgebraKind):
@@ -115,7 +115,7 @@ MULTIPLICITY_MODULES = [
 def test_multiplicities_are_weyl_invariant(kind, lam):
     """The number of tableaux of each weight is fixed by every simple
     reflection, and the numbers add up to the Weyl dimension."""
-    counts = {mu: len(tabs) for mu, tabs in tableaux_by_weight(shape_for_lambda(lam, kind)).items()}
+    counts = {mu: len(tabs) for mu, tabs in shape_tables(shape_for_lambda(lam, kind)).by_weight.items()}
     for s in simple_reflections(kind):
         assert {s(mu): c for mu, c in counts.items()} == counts
     assert sum(counts.values()) == weyl_dim(lam, kind)
@@ -183,5 +183,5 @@ def freudenthal_multiplicities(lam, kind: AlgebraKind) -> dict:
 @pytest.mark.parametrize("kind,lam", MULTIPLICITY_MODULES)
 def test_multiplicities_match_freudenthal(kind, lam):
     """The number of tableaux of each weight is the multiplicity Freudenthal's formula gives."""
-    counts = {mu: len(tabs) for mu, tabs in tableaux_by_weight(shape_for_lambda(lam, kind)).items()}
+    counts = {mu: len(tabs) for mu, tabs in shape_tables(shape_for_lambda(lam, kind)).by_weight.items()}
     assert counts == freudenthal_multiplicities(lam, kind)

@@ -310,8 +310,6 @@ def test_one_filling_is_one_object(kind, lam):
 
     shape = shape_for_lambda(lam, kind)
     assert shape.has_spin() or shape.d_sign == "-"
-    # a cached dict of tableaux may predate the shape's current tabloids-by-codes table
-    orthogonal_tableaux.cache_clear()
     table = orthogonal_tableaux(shape)
     tableau_of = {t: t for t in table}
     rows = {mu: {id(r) for r in enumerate_tabloids(shape, mu)} for mu in set(table.values())}

@@ -4,7 +4,8 @@ The package depends on nothing beyond the standard library: every absolute
 import must name a standard-library module or ``qcb`` itself, and relative
 imports stay inside the package.  It holds no ``assert`` statement, since
 ``python -O`` strips them: invariant checks raise ``InvariantViolation``.
-Every ``lru_cache`` keyed by a ``Shape`` keeps at most 8 shapes.
+One ``lru_cache`` is keyed by a ``Shape``: ``shapes.shape_tables``, the
+one owner of a shape's tables, and it keeps at most 8 shapes.
 """
 
 import ast
@@ -87,10 +88,8 @@ def shape_caches():
 
 
 def test_per_shape_caches_are_bounded():
-    """A cache keyed by a shape holds that shape's tables, so it keeps at most 8 shapes."""
-    bad = [
-        f"{name}:{node.lineno}: {node.name}"
-        for name, node, size in shape_caches()
-        if not (isinstance(size, ast.Constant) and type(size.value) is int and size.value <= 8)
-    ]
-    assert not bad, bad
+    """The only cache keyed by a shape is the owner of its tables, and it keeps at most 8 shapes."""
+    caches = [(name, node.name, size) for name, node, size in shape_caches()]
+    assert [(name, fn) for name, fn, _size in caches] == [("shapes.py", "shape_tables")], caches
+    size = caches[0][2]
+    assert isinstance(size, ast.Constant) and type(size.value) is int and size.value <= 8, ast.dump(size)
