@@ -21,7 +21,7 @@ from functools import lru_cache
 from .canonical import CanonicalMatrix, a_path, a_vector, canonical_matrix, marsh
 from .crystal import component_bfs, enumerate_spin_columns, word_apply, word_sort_key
 from .laurent import LaurentPoly, SparseVector
-from .rootdata import AlgebraKind, parse_weight
+from .rootdata import AlgebraKind, parse_int, parse_weight
 from .shapes import (
     enumerate_columns,
     highest_tabloid,
@@ -95,14 +95,14 @@ def _parse_lambda(text: str, n: int) -> tuple[int, ...]:
     parts = [t.strip() for t in text.split(",")]
     if len(parts) != n:
         raise ValueError(f"expected {n} coefficients, got {len(parts)}")
-    return tuple(int(t) for t in parts)
+    return tuple(parse_int(t, "lambda coefficient") for t in parts)
 
 
 def _emit(doc: dict | CanonicalMatrix, args) -> str:
     if isinstance(doc, CanonicalMatrix):
         return {"json": _canonical_json, "csv": _canonical_csv, "tex": _canonical_tex}[args.format](doc)
     if args.format == "json":
-        return json.dumps(doc, indent=2) + "\n"
+        return json.dumps(doc, indent=2, default=LaurentPoly.json_terms) + "\n"
     if args.format == "csv":
         return _to_csv(doc)
     return _to_tex(doc)
@@ -128,7 +128,7 @@ def _to_csv(doc: dict) -> str:
         lines.append("key,coeff")
         for t in doc["terms"]:
             key = t.get("column", t.get("tabloid"))
-            lines.append(f"\"{key}\",\"{_poly_text(t['coeff'])}\"")
+            lines.append(f"\"{key}\",\"{t['coeff']}\"")
     elif kind == "check":
         lines.append("check,result")
         for r in doc["results"]:
@@ -205,14 +205,6 @@ def _canonical_tex(M: CanonicalMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _poly_text(json_terms: list) -> str:
-    return str(LaurentPoly([(e, c) for e, c in json_terms]))
-
-
-def _poly_tex(json_terms: list) -> str:
-    return LaurentPoly([(e, c) for e, c in json_terms]).latex()
-
-
 def _to_tex(doc: dict) -> str:
     kind = doc["command"]
     lines = []
@@ -222,7 +214,7 @@ def _to_tex(doc: dict) -> str:
         )
         key = "column" if kind == "marsh" else "tabloid"
         terms = " + ".join(
-            rf"({_poly_tex(t['coeff'])})\,v_{{{t.get(key)}}}" for t in doc["terms"]
+            rf"({t['coeff'].latex()})\,v_{{{t[key]}}}" for t in doc["terms"]
         )
         lines.append(rf"{mono}\,v_{{\mathrm{{hw}}}} = {terms}")
     else:
@@ -271,9 +263,10 @@ def _cmd_crystal(kind: AlgebraKind, args) -> dict:
 
 
 def _json_terms(vec: SparseVector, key: str, sort_key) -> list[dict]:
-    """The terms of a vector, ascending in the total order on their labels."""
+    """The terms of a vector, ascending in the total order on their labels,
+    each coefficient kept as its LaurentPoly for the serializer to render."""
     terms = sorted(vec.terms, key=lambda bc: sort_key(bc[0]))
-    return [{key: str(b), "coeff": c.json_terms()} for b, c in terms]
+    return [{key: str(b), "coeff": c} for b, c in terms]
 
 
 def _cmd_marsh(kind: AlgebraKind, args) -> dict:
@@ -308,18 +301,27 @@ def _cmd_canonical(kind: AlgebraKind, args) -> CanonicalMatrix:
     return canonical_matrix(lam, kind, weight2=weight2)
 
 
-def _cmd_check(kind: AlgebraKind, args) -> tuple[dict, bool]:
+def _cmd_check(kind: AlgebraKind, args) -> dict:
     # imported here: no other command needs the invariant suite, so their
     # start-up does not load it
     from .checks import run_all
 
     results = run_all(max_rank_b=args.max_rank_b, max_rank_d=args.max_rank_d, seed=args.seed)
-    doc = {
+    return {
         "command": "check",
         "results": [{"name": r.name, "ok": r.ok} for r in results],
         "ok": all(r.ok for r in results),
     }
-    return doc, doc["ok"]
+
+
+_COMMANDS = {
+    "columns": _cmd_columns,
+    "crystal": _cmd_crystal,
+    "marsh": _cmd_marsh,
+    "apath": _cmd_apath,
+    "canonical": _cmd_canonical,
+    "check": _cmd_check,
+}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -329,23 +331,8 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"qcb: {exc}", file=sys.stderr)
         return DOMAIN_EXIT
-    check_failed = False
     try:
-        if args.command == "columns":
-            doc = _cmd_columns(kind, args)
-        elif args.command == "crystal":
-            doc = _cmd_crystal(kind, args)
-        elif args.command == "marsh":
-            doc = _cmd_marsh(kind, args)
-        elif args.command == "apath":
-            doc = _cmd_apath(kind, args)
-        elif args.command == "canonical":
-            doc = _cmd_canonical(kind, args)
-        elif args.command == "check":
-            doc, ok = _cmd_check(kind, args)
-            check_failed = not ok
-        else:  # pragma: no cover
-            raise AssertionError(args.command)
+        doc = _COMMANDS[args.command](kind, args)
     except ValueError as exc:
         print(f"qcb: {exc}", file=sys.stderr)
         return DOMAIN_EXIT
@@ -366,7 +353,7 @@ def main(argv: list[str] | None = None) -> int:
             return DOMAIN_EXIT
     else:
         sys.stdout.write(text)
-    return INTERNAL_EXIT if check_failed else 0
+    return INTERNAL_EXIT if args.command == "check" and not doc["ok"] else 0
 
 
 if __name__ == "__main__":

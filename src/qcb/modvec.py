@@ -7,15 +7,16 @@ that product with the quantum binomial recursion
     f^(m)(u (x) v) = sum_k q_i^{(m-k)(a-k)} f^(k)(u) (x) f^(m-k)(v)
 
 where q_i^a is the t_i-eigenvalue of the head factor u.  ``_factor_powers``
-tables, once per (factor, i), that exponent and the factor's non-zero
-divided powers: the closed-form wedge action on a column, the
-coefficient-free crystal edge on a spin column (f^(k) = 0 there for k >= 2).
+computes that exponent and the factor's non-zero divided powers: the
+closed-form wedge action on a column, the coefficient-free crystal edge on a
+spin column (f^(k) = 0 there for k >= 2).  ``_coded_powers`` keeps them, with
+their outputs coded, in one table per (slot table, node), filled on first use.
 
 ``module_f_divided`` unrolls the recursion left to right on small integer
-factor codes (``Tabloid.codes``), with coded powers kept per slot kind and
-node.  A partial term holds the codes chosen so far, the part of m still to
-place and a plain {exponent: coefficient} map; it is dropped as soon as the
-factors still to come cannot absorb the rest of m.  Each output coefficient
+factor codes (``Tabloid.codes``).  A partial term holds the codes chosen so
+far, the part of m still to place and a plain {exponent: coefficient} map;
+it is dropped as soon as the factors still to come cannot absorb the rest
+of m.  Each output coefficient
 becomes the shape's one LaurentPoly for its value, and each output tabloid
 the shape's one object for its filling, both from the shape's tables
 (``shapes.shape_tables``).
@@ -36,10 +37,9 @@ def highest_vector(lam: tuple[int, ...], kind: AlgebraKind) -> SparseVector:
     return SparseVector.unit(highest_tabloid(shape_for_lambda(lam, kind)))
 
 
-@lru_cache(maxsize=None)
 def _factor_powers(f, i: int) -> tuple[int, tuple[tuple[tuple[object, LaurentPoly], ...], ...]]:
     """The t_i exponent of a factor and its non-zero f_i^(0), f_i^(1), ..., each
-    as a tuple of (label, coefficient) pairs: lighter to keep than a SparseVector."""
+    as a tuple of (label, coefficient) pairs."""
     a = cartan_exponent(f.weight2(), i, f.kind)
     one = LaurentPoly.one()
     if isinstance(f, SpinColumn):

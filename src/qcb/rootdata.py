@@ -166,6 +166,15 @@ def qi_exponent(kind: AlgebraKind, i: int) -> int:
     return 1
 
 
+def parse_int(text: str, what: str, token: str | None = None) -> int:
+    """``int(text)``, or a ValueError naming what the token was meant to be
+    and quoting the token as typed (the whole token when text is a part of it)."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"bad {what} {text if token is None else token!r}") from None
+
+
 def parse_weight(text: str, n: int) -> Weight2:
     """Parse epsilon-coordinates, allowing 'a/2' tokens, into doubled form."""
     parts = [t.strip() for t in text.split(",")]
@@ -174,9 +183,9 @@ def parse_weight(text: str, n: int) -> Weight2:
     out = []
     for t in parts:
         if t.endswith("/2"):
-            out.append(int(t[:-2]))
+            out.append(parse_int(t[:-2], "weight coordinate", t))
         else:
-            out.append(2 * int(t))
+            out.append(2 * parse_int(t, "weight coordinate"))
     if len({x % 2 for x in out}) > 1:
         raise ValueError(f"weight {text} mixes integer and half-integer coordinates")
     return tuple(out)

@@ -42,6 +42,7 @@ from .rootdata import (
     letter_key,
     letter_weight2,
     letters_hash_key,
+    parse_int,
     weight2_add,
     weight2_zero,
 )
@@ -246,35 +247,6 @@ def shape_of(lam_prime: tuple[int, ...], spin_tag: str | None, kind: AlgebraKind
 def shape_for_lambda(lam: tuple[int, ...], kind: AlgebraKind) -> Shape:
     tag, lam_prime = decompose_lambda(lam, kind)
     return shape_of(lam_prime, tag, kind)
-
-
-def lambda_of_shape(shape: Shape) -> tuple[int, ...]:
-    """Recover the dominant weight a shape encodes."""
-    n = shape.kind.rank
-    counts = [0] * (n + 1)
-    for h in shape.heights:
-        counts[h] += 1
-    lam = [0] * n
-    if shape.kind.family == "B":
-        for i in range(1, n):
-            lam[i - 1] = counts[i]
-        lam[n - 1] = 2 * counts[n]
-        if shape.spin_class == "B":
-            lam[n - 1] += 1
-        return tuple(lam)
-    for i in range(1, n - 1):
-        lam[i - 1] = counts[i]
-    if shape.d_sign == "-":
-        lam[n - 2] = counts[n - 1] + 2 * counts[n]
-        lam[n - 1] = counts[n - 1]
-    else:
-        lam[n - 2] = counts[n - 1]
-        lam[n - 1] = counts[n - 1] + 2 * counts[n]
-    if shape.spin_class == "D+":
-        lam[n - 1] += 1
-    elif shape.spin_class == "D-":
-        lam[n - 2] += 1
-    return tuple(lam)
 
 
 def highest_tabloid(shape: Shape) -> Tabloid:
@@ -563,7 +535,7 @@ def enumerate_tableaux(lam: tuple[int, ...], kind: AlgebraKind, weight2: Weight2
 
 
 def parse_column(text: str, kind: AlgebraKind) -> Column:
-    letters = tuple(int(tok) for tok in text.split(",") if tok.strip() != "")
+    letters = tuple(parse_int(tok.strip(), "letter") for tok in text.split(",") if tok.strip() != "")
     for x in letters:
         check_letter(kind, x)
     return Column(kind, letters)
@@ -578,7 +550,7 @@ def parse_tabloid(text: str, kind: AlgebraKind, d_sign: str | None = None) -> Ta
     parts = [p for p in text.split("/") if p.strip() != ""]
     spin = None
     if parts and parts[0].startswith("s:"):
-        letters = [int(tok) for tok in parts[0][2:].split(",")]
+        letters = [parse_int(tok.strip(), "letter") for tok in parts[0][2:].split(",")]
         barred = frozenset(-x for x in letters if x < 0)
         if sorted(abs(x) for x in letters) != list(range(1, kind.rank + 1)):
             raise ValueError("spin column must pick one letter per pair")

@@ -147,6 +147,22 @@ def test_empty_weight_is_a_domain_error(capsys):
     assert (code, out, err) == (1, "", "qcb: expected 2 weight coordinates, got 1\n")
 
 
+@pytest.mark.parametrize(
+    "argv,err",
+    [
+        (["canonical", "--lambda", "1,0", "--weight=,"], "qcb: bad weight coordinate ''\n"),
+        (["canonical", "--lambda", "1,a"], "qcb: bad lambda coefficient 'a'\n"),
+        (["canonical", "--lambda", "1,0", "--weight", "b/2,1/2"], "qcb: bad weight coordinate 'b/2'\n"),
+        (["marsh", "--column", "1,a"], "qcb: bad letter 'a'\n"),
+        (["apath", "--tabloid", "1,a/2"], "qcb: bad letter 'a'\n"),
+        (["apath", "--tabloid", "s:1,x/1"], "qcb: bad letter 'x'\n"),
+    ],
+)
+def test_malformed_numbers_are_named(capsys, argv, err):
+    """A token that is not an integer is refused by what it stands for, quoted as typed."""
+    assert run_cli(capsys, "--type", "B", "--rank", "2", *argv) == (1, "", err)
+
+
 def test_marsh_raises_the_column_once(capsys, monkeypatch):
     import qcb.canonical
 

@@ -5,9 +5,9 @@ Each example runs ``qcb.cli.main`` in process on an argv for ``columns``,
 an invalid type or rank), with well-formed and malformed tokens mixed in.
 Exit 0 must come with output that parses in its format, and no exception
 may escape ``main``, since on the command line it would print a traceback.
-Exit 2 (an internal check failed) is allowed only on the modules whose
-raising walk is known to leave the crystal; two pinned examples run one
-of them.  The lambda sums are capped
+Exit 2 (an internal check failed) is allowed only on the shapes of the
+modules whose raising walk is known to leave the crystal; two pinned
+examples run one of them.  The lambda sums are capped
 (5 on B2 and D3, 3 on B3, 2 on D4) so that a whole module stays small,
 and no rank is large, since the spin columns of rank n number 2^n; the
 known failing modules of B2 and D3 lie inside the caps on purpose.
@@ -24,9 +24,10 @@ from test_canonical import KNOWN_RAISING_FAILURES
 
 from qcb.cli import main
 from qcb.rootdata import AlgebraKind
-from qcb.shapes import enumerate_columns, enumerate_tableaux, lambda_of_shape, parse_tabloid
+from qcb.shapes import enumerate_columns, enumerate_tableaux, parse_tabloid, shape_for_lambda
 
 B2 = AlgebraKind("B", 2)
+KNOWN_FAILING_SHAPES = {shape_for_lambda(lam, kind) for kind, lam in KNOWN_RAISING_FAILURES}
 CAPS = {("B", 2): 5, ("B", 3): 3, ("D", 3): 5, ("D", 4): 2}
 INVALID_KINDS = [("B", "1"), ("B", "0"), ("D", "2"), ("D", "1"), ("B", "-1"), ("B", "x"), ("X", "2"), ("B", "")]
 GARBAGE = ["", ",", " ", "a", "1,,0", "1.5", "--", "1/3", "s:", "/", "0x1", "-", "1e2"]
@@ -82,30 +83,31 @@ def _mutated(draw, text):
     return text
 
 
-def _ints(text):
+def _lambda_shape(kind, text):
+    """The shape of a lambda text, or None where it does not parse."""
     try:
-        return tuple(int(x) for x in text.split(","))
+        return shape_for_lambda(tuple(int(x) for x in text.split(",")), kind)
     except ValueError:
         return None
 
 
-def _module_of(kind, text, dsign):
-    """The (kind, lambda) of a tabloid text's shape, or None where it does not parse."""
+def _tabloid_shape(kind, text, dsign):
+    """The shape of a tabloid text, or None where it does not parse."""
     try:
-        return kind, lambda_of_shape(parse_tabloid(text, kind, d_sign=dsign).shape)
+        return parse_tabloid(text, kind, d_sign=dsign).shape
     except ValueError:
         return None
 
 
 @st.composite
 def command_lines(draw):
-    """An argv, and the module that an apath or canonical run on it works on (or None)."""
+    """An argv, and the shape that an apath or canonical run on it works on (or None)."""
     fam, rank = draw(st.sampled_from(INVALID_KINDS if draw(st.integers(0, 4)) == 0 else sorted(CAPS)))
     valid = (fam, rank) in CAPS
     kind = AlgebraKind(fam, rank) if valid else B2  # B2 tokens for an invalid kind
     command = draw(st.sampled_from(["columns", "crystal", "marsh", "apath", "canonical"]))
     argv = ["--type", fam, "--rank", str(rank), command]
-    module = None
+    shape = None
     if command == "columns":
         if draw(st.booleans()):
             argv.append("--spin")
@@ -125,15 +127,15 @@ def command_lines(draw):
         text = _mutated(draw, str(draw(st.sampled_from(tabs))))
         dsign = draw(st.sampled_from([None, "+", "-", None, "+", "-", "0"]))
         argv += ["--tabloid", text] + ([] if dsign is None else ["--dsign", dsign])
-        module = _module_of(kind, text, dsign) if valid else None
+        shape = _tabloid_shape(kind, text, dsign) if valid else None
     else:
         lam = draw(_lambda_token(kind))
         argv += ["--lambda", lam]
         if draw(st.booleans()):
             argv.append("--weight=" + draw(_weight_token(kind)))
-        module = (kind, _ints(lam)) if valid else None
+        shape = _lambda_shape(kind, lam) if valid else None
     fmt = draw(st.sampled_from([None, "json", "csv", "tex", None, "csv", "tex", "json", "csv", "tex", "xml", ""]))
-    return argv + ([] if fmt is None else ["--format", fmt]), module
+    return argv + ([] if fmt is None else ["--format", fmt]), shape
 
 
 def _check_parses(text, argv):
@@ -152,10 +154,10 @@ def _check_parses(text, argv):
 
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
 @given(command_lines())
-@example((["--type", "B", "--rank", "2", "canonical", "--lambda", "2,3"], (B2, (2, 3))))
-@example((["--type", "B", "--rank", "2", "apath", "--tabloid", "s:1,-2/1,0/1/-2"], (B2, (2, 3))))
+@example((["--type", "B", "--rank", "2", "canonical", "--lambda", "2,3"], shape_for_lambda((2, 3), B2)))
+@example((["--type", "B", "--rank", "2", "apath", "--tabloid", "s:1,-2/1,0/1/-2"], shape_for_lambda((2, 3), B2)))
 def test_fuzzed_command_lines_exit_cleanly(case):
-    argv, module = case
+    argv, shape = case
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         try:
@@ -165,7 +167,7 @@ def test_fuzzed_command_lines_exit_cleanly(case):
     out, err = out.getvalue(), err.getvalue()
     assert "Traceback" not in err, argv
     if code == 2:
-        assert module in KNOWN_RAISING_FAILURES, (argv, err)
+        assert shape in KNOWN_FAILING_SHAPES, (argv, err)
     elif code == 0:
         _check_parses(out, argv)
     else:

@@ -2,7 +2,8 @@
 
 Each case runs ``qcb`` in-process and compares the bytes it writes with the
 file of the same name under ``tests/golden/``.  The ``marsh`` and ``apath``
-cases pin the order in which vector terms are printed; the ``canonical``
+cases pin the order in which vector terms are printed, and how each format
+writes their coefficients; the ``canonical``
 cases pin whole-module and single-weight matrices (JSON, CSV and TeX),
 including a weight outside the module (empty lists); the
 ``crystal`` cases pin the vertex and edge lists of two spin modules.
@@ -23,10 +24,12 @@ GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
 CASES = {
     "marsh_B3.json": ["--type", "B", "--rank", "3", "marsh", "--column", "0,0,0"],
+    "marsh_B3.csv": ["--type", "B", "--rank", "3", "marsh", "--column", "0,0,0", "--format", "csv"],
     "marsh_D4.json": ["--type", "D", "--rank", "4", "marsh", "--column", "4,-4,4,-4"],
     "marsh_D4.tex": ["--type", "D", "--rank", "4", "marsh", "--column", "4,-4,4,-4", "--format", "tex"],
     "apath_B3.json": ["--type", "B", "--rank", "3", "apath", "--tabloid", "2,0,0/2,-3/3"],
     "apath_B3.csv": ["--type", "B", "--rank", "3", "apath", "--tabloid", "2,0,0/2,-3/3", "--format", "csv"],
+    "apath_B3.tex": ["--type", "B", "--rank", "3", "apath", "--tabloid", "2,0,0/2,-3/3", "--format", "tex"],
     "apath_B3_spin.json": ["--type", "B", "--rank", "3", "apath", "--tabloid", "s:-1,2,3/-2"],
     "apath_B4_spin.json": ["--type", "B", "--rank", "4", "apath", "--tabloid", "s:-1,-2,3,-4/4,-2"],
     "apath_D4.json": ["--type", "D", "--rank", "4", "apath", "--tabloid", "2,-2/-2"],

@@ -5,12 +5,17 @@ pins the recursion's q-powers."""
 
 import random
 
+from test_canonical import ORACLE_MODULES, _clear_shape_tables
+
+from qcb.canonical import canonical_matrix
 from qcb.crystal import SpinColumn, enumerate_spin_columns, spin_apply
 from qcb.laurent import LaurentPoly, SparseVector, divide_exact, quantum_factorial
 from qcb.modvec import apply_monomial, highest_vector, module_f_divided
 from qcb.rootdata import AlgebraKind, cartan_exponent, qi_exponent
 from qcb.shapes import (
     enumerate_columns,
+    shape_for_lambda,
+    shape_tables,
     tabloid_factors,
     tabloid_of_factors,
     tabloid_sort_key,
@@ -201,3 +206,27 @@ def test_recursion_split_associativity():
                                 combined[key] = combined.get(key, LaurentPoly.zero()) + add
                     combined = {k: c for k, c in combined.items() if not c.is_zero()}
                     assert combined == whole, (kind, lam, i, m, cut)
+
+
+def test_each_factor_power_is_computed_once(monkeypatch):
+    """``_heads`` computes a (slot, code, node) entry once, on a miss in the coded
+    tables: after whole-module requests the calls equal the filled entries, and a
+    rerun on cleared shape tables, which runs the divided powers again, adds none."""
+    import qcb.modvec as modvec
+
+    calls, heads = [], []
+    factor_powers, real_heads = modvec._factor_powers, modvec._heads
+    monkeypatch.setattr(modvec, "_factor_powers", lambda f, i: calls.append((f, i)) or factor_powers(f, i))
+    monkeypatch.setattr(modvec, "_heads", lambda *a: heads.append(a) or real_heads(*a))
+    _clear_shape_tables()
+    for kind, lam in ORACLE_MODULES:
+        canonical_matrix(lam, kind)
+    slots = {(s, kind.rank) for kind, lam in ORACLE_MODULES for s in shape_for_lambda(lam, kind).slots}
+    filled = sum(h is not None for s, n in slots for i in range(1, n + 1) for h in modvec._coded_powers(s, i))
+    assert len(calls) == filled > 0
+    shape_tables.cache_clear()
+    del heads[:]
+    for kind, lam in ORACLE_MODULES:
+        canonical_matrix(lam, kind)
+    assert heads and len(calls) == filled
+    _clear_shape_tables()

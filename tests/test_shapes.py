@@ -1,3 +1,4 @@
+import itertools
 import os
 import subprocess
 import sys
@@ -21,7 +22,6 @@ from qcb.shapes import (
     highest_tabloid,
     is_admissible,
     is_orthogonal_tableau,
-    lambda_of_shape,
     orthogonal_tableaux,
     parse_tabloid,
     shape_for_lambda,
@@ -94,12 +94,12 @@ def test_shape_of():
         shape_of((0, 0, 1), None, B3)
 
 
-def test_lambda_roundtrip():
-    for kind, lam in [
-        (B3, (1, 1, 2)), (B3, (1, 1, 3)), (B3, (0, 0, 1)),
-        (D3, (0, 1, 2)), (D3, (0, 2, 1)), (D3, (2, 0, 0)), (D3, (0, 2, 0)),
-    ]:
-        assert lambda_of_shape(shape_for_lambda(lam, kind)) == lam
+def test_shape_for_lambda_is_injective():
+    """Distinct dominant weights with |lambda| <= 3 get distinct shapes, at B3 and at D3."""
+    for kind in (B3, D3):
+        lams = [lam for lam in itertools.product(range(4), repeat=3) if sum(lam) <= 3]
+        shapes = {shape_for_lambda(lam, kind) for lam in lams}
+        assert len(shapes) == len(lams), kind
 
 
 def test_highest_tabloid():

@@ -5,7 +5,9 @@ import must name a standard-library module or ``qcb`` itself, and relative
 imports stay inside the package.  It holds no ``assert`` statement, since
 ``python -O`` strips them: invariant checks raise ``InvariantViolation``.
 One ``lru_cache`` is keyed by a ``Shape``: ``shapes.shape_tables``, the
-one owner of a shape's tables, and it keeps at most 8 shapes.
+one owner of a shape's tables, and it keeps at most 8 shapes.  Every
+module-level function and class is named somewhere else in the package, so
+a helper that no caller uses does not stay.
 """
 
 import ast
@@ -93,3 +95,34 @@ def test_per_shape_caches_are_bounded():
     assert [(name, fn) for name, fn, _size in caches] == [("shapes.py", "shape_tables")], caches
     size = caches[0][2]
     assert isinstance(size, ast.Constant) and type(size.value) is int and size.value <= 8, ast.dump(size)
+
+
+def _references(tree):
+    """Each name the module refers to, with the top-level definition it sits in (None outside one):
+    a plain name, the attribute of an attribute access, or an imported name."""
+    for stmt in tree.body:
+        owner = stmt.name if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) else None
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name):
+                yield node.id, owner
+            elif isinstance(node, ast.Attribute):
+                yield node.attr, owner
+            elif isinstance(node, ast.alias):
+                yield node.name, owner
+
+
+def test_every_module_level_definition_has_a_caller():
+    """A module-level function or class that only its own body names is dead code, tests or not."""
+    trees = dict(_sources())
+    callers: dict[str, set] = {}
+    for name, tree in trees.items():
+        for ref, owner in _references(tree):
+            callers.setdefault(ref, set()).add((name, owner))
+    dead = [
+        f"{name}:{stmt.lineno}: {stmt.name}"
+        for name, tree in trees.items()
+        for stmt in tree.body
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+        and not callers.get(stmt.name, set()) - {(name, stmt.name)}
+    ]
+    assert not dead, dead
