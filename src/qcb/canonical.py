@@ -75,26 +75,21 @@ class APath:
 
 
 def _marsh_color(col: Column) -> int:
-    """The node index the leftmost movable letter of the column selects."""
+    """The node of the edge that raises the leftmost movable letter of the column.
+
+    In type B every letter has at most one raising edge.  In type D only
+    -(n-1) has two, and it takes node n-1; n and -n take the node their run
+    of alternating n, -n letters selects.
+    """
     kind = col.kind
     n = kind.rank
     letters = col.letters
-    z = None
-    for x in letters:
-        for i in range(1, n + 1):
-            y = vec_edge(x, i, "e", kind)
-            if y is not None and y not in letters:
-                z = x
-                break
-        if z is not None:
-            break
+    blocked = {None, *letters}  # no edge, or an edge onto a letter the column holds
+    z, color = next(((x, i) for x in letters for i in range(1, n + 1) if vec_edge(x, i, "e", kind) not in blocked), (None, 0))
     if z is None:
         raise NotAdmissible(f"no movable letter in {col}")
     if kind.family == "B":
-        for i in range(1, n + 1):
-            if vec_edge(z, i, "e", kind) is not None:
-                return i
-        raise InvariantViolation(f"movable letter {z} of {col} has no raising edge")
+        return color
     m = n - 1
     sel = {m, n, -n, -m}
     w = tuple(x for x in letters if x in sel)
@@ -108,10 +103,7 @@ def _marsh_color(col: Column) -> int:
         if len(w) >= 3 and len(w) % 2 == 1 and w == _alt_word(n, len(w) - 1) + (-m,):
             return n  # (n -n)^r followed by -(n-1)
         return m
-    for i in range(1, n + 1):
-        if vec_edge(z, i, "e", kind) is not None:
-            return i
-    raise InvariantViolation(f"movable letter {z} of {col} has no raising edge")
+    return color
 
 
 def _raise_column(col: Column, i: int) -> tuple[int, Column]:
@@ -204,20 +196,11 @@ def _raise_once(cur: Tabloid, member: Member) -> tuple[int, int, Tabloid] | None
         # the spin column blocks this node (its t-eigenvalue spoils the
         # unit coefficient); raise the spin itself instead
         return _spin_step(cur, member)
-    if k == 0:
-        low = 0
-    elif not wedge_f(colk, i1).is_zero() or word_eps_phi(cols[k - 1].word(), i1)[0] == 0:
-        low = k
-    else:
-        low = None
-        for cand in range(0, k):
-            if all(wedge_f(cols[j], i1).is_zero() for j in range(cand + 1, k + 1)) and all(
-                word_eps_phi(cols[j].word(), i1)[0] > 0 for j in range(cand, k + 1)
-            ):
-                low = cand
-                break
-        if low is None:
-            raise InvariantViolation(f"no admissible left end for the raising block of {cur}")
+    # the block: columns left of k join while the one to their right has no
+    # f_i1 and they can be raised by i1
+    low = k
+    while low > 0 and wedge_f(cols[low], i1).is_zero() and word_eps_phi(cols[low - 1].word(), i1)[0] > 0:
+        low -= 1
     new_cols = list(cols)
     r = 0
     for j in range(low, k + 1):

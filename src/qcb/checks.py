@@ -227,16 +227,17 @@ def check_crystal(kinds: list[AlgebraKind], rng: random.Random) -> list[CheckRes
 
 
 def check_counting(max_rank_b: int) -> list[CheckResult]:
+    """Column counts of B2 up to max_rank_b and of D3-D5 against closed forms."""
     ok = True
-    for n in range(2, max_rank_b + 1):
-        kind = AlgebraKind("B", n)
+    for kind in [AlgebraKind("B", n) for n in range(2, max_rank_b + 1)] + [AlgebraKind("D", n) for n in range(3, 6)]:
+        n = kind.rank
         for p in range(1, n + 1):
-            n_all = len(enumerate_columns(kind, p))
-            n_adm = len(enumerate_columns(kind, p, admissible_only=True))
-            if n_all != sum(comb(2 * n + 1, p - 2 * k) for k in range(p // 2 + 1)):
-                ok = False
-            if n_adm != comb(2 * n + 1, p):
-                ok = False
+            if kind.family == "B":
+                n_all = sum(comb(2 * n + 1, p - 2 * k) for k in range(p // 2 + 1))
+            else:  # p - m letters off {n, -n}, and a run of m alternating n, -n begun either way
+                n_all = comb(2 * n - 2, p) + 2 * sum(comb(2 * n - 2, p - m) for m in range(1, p + 1))
+            counts = (len(enumerate_columns(kind, p)), len(enumerate_columns(kind, p, admissible_only=True)))
+            ok = ok and counts == (n_all, comb(len(alphabet(kind)), p))
     return [CheckResult("shapes.column_counting_identities", ok)]
 
 

@@ -133,8 +133,6 @@ def _to_csv(doc: dict) -> str:
         lines.append("check,result")
         for r in doc["results"]:
             lines.append(f"{r['name']},{'pass' if r['ok'] else 'FAIL'}")
-    else:
-        lines.append(json.dumps(doc))
     return "\n".join(lines) + "\n"
 
 
@@ -306,6 +304,10 @@ def _cmd_check(kind: AlgebraKind, args) -> dict:
     # start-up does not load it
     from .checks import run_all
 
+    # the suite's smallest algebras are B2 and D3: below them it would check nothing
+    for flag, value, least in (("--max-rank-b", args.max_rank_b, 2), ("--max-rank-d", args.max_rank_d, 3)):
+        if value < least:
+            raise ValueError(f"{flag} must be at least {least}, got {value}")
     results = run_all(max_rank_b=args.max_rank_b, max_rank_d=args.max_rank_d, seed=args.seed)
     return {
         "command": "check",

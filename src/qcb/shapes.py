@@ -36,11 +36,11 @@ from .rootdata import (
     AlgebraKind,
     Letter,
     Weight2,
+    alphabet,
     cache_hash,
     check_letter,
     is_valid_letter,
     letter_key,
-    letter_weight2,
     letters_hash_key,
     parse_int,
     weight2_add,
@@ -108,11 +108,7 @@ class Column:
         return Word(self.kind, self.letters)
 
     def weight2(self) -> Weight2:
-        n = self.kind.rank
-        w = weight2_zero(n)
-        for x in self.letters:
-            w = weight2_add(w, letter_weight2(x, n))
-        return w
+        return self.word().weight2()
 
     def __str__(self) -> str:
         return ",".join(str(x) for x in self.letters)
@@ -341,40 +337,19 @@ def is_orthogonal_tableau(t: Tabloid) -> bool:
 
 @lru_cache(maxsize=None)
 def enumerate_columns(kind: AlgebraKind, p: int, admissible_only: bool = False) -> tuple[Column, ...]:
-    """All (or all admissible) height-p columns, sorted by their readings."""
-    n = kind.rank
-    if not 1 <= p <= n:
-        raise ValueError(f"height must lie in 1..{n}")
-    cols: list[Column] = []
-    if kind.family == "B":
-        nonzero = [x for x in range(1, n + 1)] + [-x for x in range(n, 0, -1)]
-        for zeros in range(0, p + 1):
-            for rest in itertools.combinations(nonzero, p - zeros):
-                letters = sorted(rest + (0,) * zeros, key=lambda x: letter_key(x, n))
-                cols.append(Column(kind, tuple(letters)))
-    else:
-        low = list(range(1, n))
-        high = [-x for x in range(n - 1, 0, -1)]
-        for mid_len in range(0, p + 1):
-            mids: list[tuple[int, ...]]
-            if mid_len == 0:
-                mids = [()]
-            else:
-                # alternating n / -n runs; two of each positive length
-                a = tuple(n if j % 2 == 0 else -n for j in range(mid_len))
-                b = tuple(-n if j % 2 == 0 else n for j in range(mid_len))
-                mids = [a, b]
-            rest = p - mid_len
-            for lo_len in range(0, rest + 1):
-                hi_len = rest - lo_len
-                for lo in itertools.combinations(low, lo_len):
-                    for hi in itertools.combinations(high, hi_len):
-                        for mid in mids:
-                            cols.append(Column(kind, lo + mid + hi))
-    if admissible_only:
-        cols = [c for c in cols if is_admissible(c)]
-    cols.sort(key=lambda c: word_sort_key(c.word()))
-    return tuple(cols)
+    """All (or all admissible) height-p columns, sorted by their readings.
+
+    The words are grown a letter at a time over the alphabet, keeping each
+    letter the column condition (``first_violation``) lets follow the last;
+    trying the letters in alphabet order yields the words already sorted.
+    """
+    if not 1 <= p <= kind.rank:
+        raise ValueError(f"height must lie in 1..{kind.rank}")
+    words: list[tuple[Letter, ...]] = [()]
+    for _ in range(p):
+        words = [w + (x,) for w in words for x in alphabet(kind) if not w or first_violation(kind, (w[-1], x)) is None]
+    cols = [Column(kind, w) for w in words]
+    return tuple(c for c in cols if is_admissible(c)) if admissible_only else tuple(cols)
 
 
 @lru_cache(maxsize=None)

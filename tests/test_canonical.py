@@ -338,10 +338,17 @@ KNOWN_RAISING_FAILURES = {
 }
 
 
+# SHA-256 of every successful step of the sweep below, one line per step
+RAISING_STEPS_DIGEST = "2fa30a8ae88daf3c80a9d28e913725dbf40fe940e6864edf2ebd5f986203fbec"
+
+
 def test_raising_sweep_fails_only_on_known_modules():
     """One raising step from every tableau of every small module (B2 |lam| <= 7,
     B3 and D3 <= 5, D4 <= 4, dimension <= 500) stays in the crystal, except on
-    the known spin modules."""
+    the known spin modules; and every step that succeeds is the one pinned by
+    ``RAISING_STEPS_DIGEST``."""
+    import hashlib
+
     from test_dimensions import weyl_dim
 
     from qcb.canonical import _in_component, _raise_once
@@ -355,13 +362,18 @@ def test_raising_sweep_fails_only_on_known_modules():
     ]
     assert len(modules) == 136
     failing = set()
+    digest = hashlib.sha256()
     for kind, lam in modules:
         try:
             for t in enumerate_tableaux(lam, kind):
-                _raise_once(t, _in_component)
+                step = _raise_once(t, _in_component)
+                if step is not None:
+                    i, r, nxt = step
+                    digest.update(f"{kind} {lam} {t} {i} {r} {nxt}\n".encode())
         except InvariantViolation:
             failing.add((kind, lam))
     assert failing == KNOWN_RAISING_FAILURES
+    assert digest.hexdigest() == RAISING_STEPS_DIGEST
 
 
 def test_repeated_request_raises_nothing(monkeypatch):

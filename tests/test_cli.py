@@ -163,6 +163,19 @@ def test_malformed_numbers_are_named(capsys, argv, err):
     assert run_cli(capsys, "--type", "B", "--rank", "2", *argv) == (1, "", err)
 
 
+@pytest.mark.parametrize(
+    "flags,err",
+    [
+        (["--max-rank-b", "1"], "qcb: --max-rank-b must be at least 2, got 1\n"),
+        (["--max-rank-d", "2"], "qcb: --max-rank-d must be at least 3, got 2\n"),
+        (["--max-rank-b", "1", "--max-rank-d", "0"], "qcb: --max-rank-b must be at least 2, got 1\n"),
+    ],
+)
+def test_check_refuses_an_empty_rank_range(capsys, flags, err):
+    """A rank range with no algebra in it is refused, not passed over no algebra."""
+    assert run_cli(capsys, "--type", "B", "--rank", "2", "check", *flags) == (1, "", err)
+
+
 def test_marsh_raises_the_column_once(capsys, monkeypatch):
     import qcb.canonical
 

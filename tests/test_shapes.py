@@ -7,8 +7,8 @@ from math import comb
 
 import pytest
 
-from qcb.crystal import SpinColumn, Word, component_bfs, enumerate_spin_columns
-from qcb.rootdata import AlgebraKind
+from qcb.crystal import SpinColumn, Word, component_bfs, enumerate_spin_columns, word_sort_key
+from qcb.rootdata import AlgebraKind, alphabet
 from qcb.shapes import (
     Column,
     MalformedWord,
@@ -21,6 +21,7 @@ from qcb.shapes import (
     enumerate_tabloids,
     highest_tabloid,
     is_admissible,
+    is_valid_column_letters,
     is_orthogonal_tableau,
     orthogonal_tableaux,
     parse_tabloid,
@@ -168,6 +169,19 @@ def test_column_counts():
             allc = enumerate_columns(kind, p)
             assert len(allc) == sum(comb(2 * n + 1, p - 2 * k) for k in range(p // 2 + 1))
             assert len(enumerate_columns(kind, p, admissible_only=True)) == comb(2 * n + 1, p)
+    for n in range(3, 6):
+        kind = AlgebraKind("D", n)
+        for p in range(1, n + 1):
+            # p - m letters off {n, -n}, and a run of m alternating n, -n begun either way
+            allc = enumerate_columns(kind, p)
+            assert len(allc) == comb(2 * n - 2, p) + 2 * sum(comb(2 * n - 2, p - m) for m in range(1, p + 1))
+            assert len(enumerate_columns(kind, p, admissible_only=True)) == comb(2 * n, p)
+    # brute force: every word the column condition accepts, in reading order
+    for kind in (B2, B3, AlgebraKind("B", 4), D3, AlgebraKind("D", 4)):
+        for p in range(1, kind.rank + 1):
+            words = [w for w in itertools.product(alphabet(kind), repeat=p) if is_valid_column_letters(kind, w)]
+            brute = sorted((Column(kind, w) for w in words), key=lambda c: word_sort_key(c.word()))
+            assert enumerate_columns(kind, p) == tuple(brute)
 
 
 def test_enumerate_tabloids_weight_space():

@@ -7,7 +7,8 @@ imports stay inside the package.  It holds no ``assert`` statement, since
 One ``lru_cache`` is keyed by a ``Shape``: ``shapes.shape_tables``, the
 one owner of a shape's tables, and it keeps at most 8 shapes.  Every
 module-level function and class is named somewhere else in the package, so
-a helper that no caller uses does not stay.
+a helper that no caller uses does not stay; and every name a module imports
+is used in it (``__init__`` excepted: its imports are its exports).
 """
 
 import ast
@@ -126,3 +127,19 @@ def test_every_module_level_definition_has_a_caller():
         and not callers.get(stmt.name, set()) - {(name, stmt.name)}
     ]
     assert not dead, dead
+
+
+def test_every_imported_name_is_used():
+    """A name a module imports but never uses is left over from code that went."""
+    unused = []
+    for name, tree in _sources():
+        if name == "__init__.py":
+            continue
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in used:
+                        unused.append(f"{name}:{node.lineno}: {bound}")
+    assert not unused, unused
