@@ -20,10 +20,11 @@ from itertools import chain
 from typing import Callable
 
 from .crystal import Word, raise_to_highest, spin_apply, spin_eps_phi, vec_edge, word_apply, word_eps_phi
-from .laurent import LaurentPoly, SparseVector, _vector
-from .modvec import apply_monomial
+from .laurent import LaurentPoly, SparseVector
+from .modvec import CodedVector, apply_monomial, terms_of
 from .rootdata import AlgebraKind, InvariantViolation, Weight2
 from .shapes import (
+    ONE_TERMS,
     Column,
     Tabloid,
     enumerate_tableaux,
@@ -34,6 +35,7 @@ from .shapes import (
     orthogonal_tableaux,
     shape_for_lambda,
     shape_tables,
+    tabloid_of_codes,
     tabloid_of_columns,
     tabloid_reading,
     tabloid_weight_counts,
@@ -255,11 +257,13 @@ class _MonomialBuilder:
     then builds down those steps and stores every A(T) it makes, so each
     A(T) is built once while the shape stays cached.  (All raising before
     any algebra: on whole-module runs that order is faster than raising and
-    building tableau by tableau.)
+    building tableau by tableau.)  ``memo`` keeps each tabloid's divided
+    powers (``modvec.module_f_divided``) for this builder's request alone.
     """
 
     def __init__(self, tabs: list[Tabloid]):
-        vectors = self.vectors = shape_tables(tabs[0].shape).vectors
+        self.tables = shape_tables(tabs[0].shape)
+        vectors = self.tables.vectors
         steps: dict[Tabloid, tuple[int, int, Tabloid] | None] = {}
         for t in tabs:
             while t not in vectors and t not in steps:
@@ -268,32 +272,36 @@ class _MonomialBuilder:
                     break
                 t = step[2]
         self.steps = steps
+        self.memo: dict = {}
 
-    def vector(self, tab: Tabloid) -> SparseVector:
-        vectors, steps = self.vectors, self.steps
+    def vector(self, tab: Tabloid) -> tuple:
+        """A(tab) as the table holds it: a flat (codes, terms, ...) tuple."""
+        tables, steps = self.tables, self.steps
+        vectors = tables.vectors
         walked = []  # the tableaux walked whose A(T) is still to build
         t = tab
         while t not in vectors:
             if steps[t] is None:
-                vectors[t] = (t, LaurentPoly.one())
+                vectors[t] = (t.codes, ONE_TERMS)
                 break
             if len(walked) >= MAX_RAISING_STEPS:
                 raise IterationLimit(f"raising walk from {tab} did not terminate")
             walked.append(t)
             t = steps[t][2]
-        terms = iter(vectors[t])
-        v = _vector(dict(zip(terms, terms)))
+        flat = vectors[t]
         for c in reversed(walked):
             i, r, _next = steps[c]
-            v = apply_monomial(v, [(i, r)])
-            vectors[c] = tuple(chain.from_iterable(v.terms))
-        return v
+            pairs = iter(flat)
+            v = apply_monomial(CodedVector(tables.shape, dict(zip(pairs, pairs)), self.memo), [(i, r)])
+            flat = vectors[c] = tuple(chain.from_iterable(v.terms.items()))
+        return flat
 
 
-def _gamma_symmetrize(c: LaurentPoly) -> LaurentPoly:
-    """Bar-invariant part forced by the non-positive exponents of c."""
+def _gamma_symmetrize(c) -> LaurentPoly:
+    """Bar-invariant part forced by the non-positive exponents of c, given as
+    (exponent, coefficient) pairs (a LaurentPoly iterates as its pairs)."""
     terms: dict[int, int] = {}
-    for e, a in c.terms():
+    for e, a in c:
         if e <= 0:
             terms[e] = terms.get(e, 0) + a
             if e < 0:
@@ -332,23 +340,45 @@ class CanonicalMatrix:
 
 
 def _correct_group(
-    vectors: list[SparseVector], tableaux: list[Tabloid]
-) -> tuple[list[SparseVector], list[tuple[int, int, LaurentPoly]]]:
-    """Unitriangular correction of one weight space, in increasing order."""
-    out: list[SparseVector] = []
+    vectors: list[tuple], tableaux: list[Tabloid]
+) -> tuple[list[dict], list[tuple[int, int, LaurentPoly]]]:
+    """Unitriangular correction of one weight space, in increasing order.
+
+    Each A(T) comes as a flat (codes, terms, ...) tuple and each G(T) leaves
+    as a {codes: terms} dict.  A vector is copied into plain
+    {codes: {exponent: coefficient}} maps only when it gets a non-zero gamma.
+    """
+    codes = [t.codes for t in tableaux]
+    out: list[dict] = []
     log: list[tuple[int, int, LaurentPoly]] = []
-    for idx, vec in enumerate(vectors):
-        v = vec
+    for idx, flat in enumerate(vectors):
+        pairs = iter(flat)
+        v = dict(zip(pairs, pairs))
+        copied = False  # v's values are plain {exponent: coefficient} maps
         for j in range(idx - 1, -1, -1):
-            gamma = _gamma_symmetrize(v.coeff(tableaux[j]))
-            if gamma.is_zero():
+            c = v.get(codes[j])
+            if c is None:
                 continue
-            v = v - out[j].scale(gamma)
-            rest = v.coeff(tableaux[j])
-            if not (rest.is_zero() or rest.min_exp() >= 1):
-                raise InvariantViolation(f"correction left {rest} at {tableaux[j]}")
+            gamma = _gamma_symmetrize(c.items() if copied else c)
+            if not gamma:
+                continue
+            if not copied:
+                v, copied = {k: dict(terms) for k, terms in v.items()}, True
+            g = gamma.terms()
+            for k, terms in out[j].items():
+                cur = v.get(k)
+                if cur is None:
+                    cur = v[k] = {}
+                for e, a in terms:
+                    for ge, gc in g:
+                        cur[e + ge] = cur.get(e + ge, 0) - a * gc
+            rest = {e: a for e, a in v[codes[j]].items() if a}
+            if rest and min(rest) < 1:
+                raise InvariantViolation(f"correction left {LaurentPoly(rest)} at {tableaux[j]}")
             log.append((idx, j, gamma))
-        if v.coeff(tableaux[idx]) != LaurentPoly.one():
+        if copied:
+            v = {k: terms for k, poly in v.items() if (terms := terms_of(poly))}
+        if v.get(codes[idx]) != ONE_TERMS:
             raise InvariantViolation(f"diagonal of {tableaux[idx]} is not 1")
         out.append(v)
     return out, log
@@ -367,6 +397,7 @@ def canonical_matrix(
     groups = shape_tables(shape).by_weight if weight2 is None else {weight2: tableaux}
     build = _MonomialBuilder(tableaux)
     results = [_correct_group([build.vector(t) for t in tabs], tabs) for tabs in groups.values()]
+    del build  # and with it the request's memo, before the rows pass
 
     if weight2 is not None:
         rows = tuple(enumerate_tabloids(shape, weight2))
@@ -377,22 +408,27 @@ def canonical_matrix(
         rows = tuple(t for t, _mu in kept)
         row_weights = [mu for _t, mu in kept]
     # the rows ascend in the total order, so row indices compare readings
-    row_index = {t: i for i, t in enumerate(rows)}
+    row_index = {t.codes: i for i, t in enumerate(rows)}
     col_index = {t: i for i, t in enumerate(tableaux)}
     entries: dict[tuple[int, int], LaurentPoly] = {}
+    polys: dict[tuple, LaurentPoly] = {}  # one LaurentPoly per distinct terms
     gamma: list[tuple[int, int, LaurentPoly]] = []
     for (mu, tabs), (vecs, log) in zip(groups.items(), results):
         for t, v in zip(tabs, vecs):
-            ci, diag = col_index[t], row_index[t]
-            for tau, coeff in v.terms:
-                r = row_index.get(tau)
-                if coeff.min_exp() < 0:
-                    raise InvariantViolation(f"entry {coeff} at {tau} in G({t}) escaped Z[q]")
+            ci, diag = col_index[t], row_index[t.codes]
+            for codes, terms in v.items():
+                r = row_index.get(codes)
+                if terms[0][0] < 0:
+                    tau = tabloid_of_codes(shape, codes)
+                    raise InvariantViolation(f"entry {LaurentPoly(terms)} at {tau} in G({t}) escaped Z[q]: first exponent < 0")
                 if r is None or row_weights[r] != mu:
-                    raise InvariantViolation(f"G({t}) escaped its weight space at {tau}")
+                    raise InvariantViolation(f"G({t}) escaped its weight space at {tabloid_of_codes(shape, codes)}")
                 if r > diag:
-                    raise InvariantViolation(f"G({t}) has {tau} above the diagonal")
-                entries[(r, ci)] = coeff
+                    raise InvariantViolation(f"G({t}) has {rows[r]} above the diagonal")
+                p = polys.get(terms)
+                if p is None:
+                    p = polys[terms] = LaurentPoly(terms)
+                entries[(r, ci)] = p
         for idx, j, g in log:
             gamma.append((col_index[tabs[idx]], col_index[tabs[j]], g))
     gamma.sort()

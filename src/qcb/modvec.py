@@ -12,14 +12,20 @@ closed-form wedge action on a column, the coefficient-free crystal edge on a
 spin column (f^(k) = 0 there for k >= 2).  ``_coded_powers`` keeps them, with
 their outputs coded, in one table per (slot table, node), filled on first use.
 
-``module_f_divided`` unrolls the recursion left to right on small integer
-factor codes (``Tabloid.codes``).  A partial term holds the codes chosen so
-far, the part of m still to place and a plain {exponent: coefficient} map;
-it is dropped as soon as the factors still to come cannot absorb the rest
-of m.  Each output coefficient
-becomes the shape's one LaurentPoly for its value, and each output tabloid
-the shape's one object for its filling, both from the shape's tables
-(``shapes.shape_tables``).
+The algebra runs on a ``CodedVector``: each tabloid's small integer factor
+codes (``Tabloid.codes``) with its coefficient's ascending
+((exponent, coefficient), ...) terms.  ``_expand_divided`` unrolls the
+recursion on one tabloid left to right; a partial term holds the codes
+chosen so far, the part of m still to place and a plain
+{exponent: coefficient} map, and is dropped as soon as the factors still to
+come cannot absorb the rest of m.  ``module_f_divided`` keeps each
+tabloid's expansion in a memo, keyed by (i, m) and then by its codes, so a
+tabloid met again in the same request is not expanded again.  The memo's
+codes, and so every output's, are those of the shape's one tabloid for
+them, and its term tuples the shape's one tuple per value (the ``terms``
+table of ``shapes.shape_tables``); so on coded vectors a tabloid is looked
+up only on a memo miss.  A ``SparseVector`` argument is coded on entry and
+decoded on exit.
 """
 
 from __future__ import annotations
@@ -97,35 +103,86 @@ def _expand_divided(heads: list[tuple[int, tuple]], m: int, d: int) -> list[tupl
     return [(codes, poly) for codes, _left, poly in states]
 
 
-def module_f_divided(v: SparseVector, i: int, m: int) -> SparseVector:
-    """Apply the divided power f_i^(m) to a vector on the tabloid basis."""
-    if m == 0 or v.is_zero():
-        return v
+class CodedVector:
+    """A vector on one shape's tabloid basis: {codes: terms}, each terms an
+    ascending ((exponent, coefficient), ...) tuple with no zero coefficient.
+
+    ``memo`` holds the single-tabloid expansions made so far, by (i, m) and
+    then by codes, each a flat (codes, terms, ...) tuple; the vectors of one
+    request share it, and it goes with them.
+    """
+
+    __slots__ = ("shape", "terms", "memo")
+
+    def __init__(self, shape: Shape, terms: dict, memo: dict):
+        self.shape, self.terms, self.memo = shape, terms, memo
+
+
+def _coded(v: SparseVector) -> CodedVector:
     shape = next(iter(v.terms))[0].shape
-    d = qi_exponent(shape.kind, i)
+    return CodedVector(shape, {t.codes: c.terms() for t, c in v.terms}, {})
+
+
+def _decoded(v: CodedVector) -> SparseVector:
+    return SparseVector({tabloid_of_codes(v.shape, codes): LaurentPoly(terms) for codes, terms in v.terms.items()})
+
+
+def terms_of(poly: dict[int, int]) -> tuple[tuple[int, int], ...]:
+    """The non-zero terms of an {exponent: coefficient} map, ascending."""
+    return tuple(sorted(p for p in poly.items() if p[1]))
+
+
+def _expansion(shape: Shape, codes: tuple[int, ...], i: int, m: int) -> tuple:
+    """f_i^(m) on one tabloid as a flat (codes, terms, ...) tuple, each codes the
+    tuple of the shape's tabloid for them and each terms the shape's one tuple
+    for its value."""
+    tables = shape_tables(shape)
+    flat: list = []
+    for out, poly in _expand_divided(_heads(shape, codes, i), m, qi_exponent(shape.kind, i)):
+        if terms := terms_of(poly):
+            tab = tables.tabloids.get(out) or tabloid_of_codes(shape, out)
+            flat += (tab.codes, tables.terms.setdefault(terms, terms))
+    return tuple(flat)
+
+
+def module_f_divided(v: CodedVector | SparseVector, i: int, m: int) -> CodedVector | SparseVector:
+    """Apply the divided power f_i^(m) to a vector on the tabloid basis."""
+    if m == 0 or not v.terms:
+        return v
+    sparse = isinstance(v, SparseVector)
+    if sparse:
+        v = _coded(v)
+    shape = v.shape
+    expansions = v.memo.setdefault((i, m), {})
     acc: dict[tuple[int, ...], dict[int, int]] = {}
-    for tab, coeff in v.terms:
-        terms = coeff.terms()
-        for codes, poly in _expand_divided(_heads(shape, tab.codes, i), m, d):
-            cur = acc.get(codes)
+    for codes, terms in v.terms.items():
+        flat = expansions.get(codes)
+        if flat is None:
+            flat = expansions[codes] = _expansion(shape, codes, i, m)
+        pairs = iter(flat)
+        for out, poly in zip(pairs, pairs):
+            cur = acc.get(out)
             if cur is None:
-                cur = acc[codes] = {}
-            for pe, pc in poly.items():
+                cur = acc[out] = {}
+            for pe, pc in poly:
                 for ce, cc in terms:
                     x = pe + ce
                     cur[x] = cur.get(x, 0) + pc * cc
-    coefficients = shape_tables(shape).coefficients
-    out = {}
-    for codes, poly in acc.items():
-        c = LaurentPoly(poly)
-        if c:
-            out[tabloid_of_codes(shape, codes)] = coefficients.setdefault(c, c)
-    return SparseVector(out)
+    interned = shape_tables(shape).terms
+    coded = {}
+    for out, poly in acc.items():
+        if terms := terms_of(poly):
+            coded[out] = interned.setdefault(terms, terms)
+    w = CodedVector(shape, coded, v.memo)
+    return _decoded(w) if sparse else w
 
 
-def apply_monomial(v0: SparseVector, path: list[tuple[int, int]]) -> SparseVector:
+def apply_monomial(v0: CodedVector | SparseVector, path: list[tuple[int, int]]) -> CodedVector | SparseVector:
     """Apply a monomial of divided powers, rightmost factor first."""
-    v = v0
+    if not path or not v0.terms:
+        return v0
+    sparse = isinstance(v0, SparseVector)
+    v = _coded(v0) if sparse else v0
     for i, r in reversed(path):
         v = module_f_divided(v, i, r)
-    return v
+    return _decoded(v) if sparse else v

@@ -31,7 +31,6 @@ from .crystal import (
     raise_to_highest,
     word_sort_key,
 )
-from .laurent import LaurentPoly
 from .rootdata import (
     AlgebraKind,
     Letter,
@@ -181,9 +180,10 @@ class Tabloid:
         object.__setattr__(self, "codes", self.shape.codes_of(tabloid_factors(self)))
 
     def __str__(self) -> str:
-        parts = [] if self.spin is None else [str(self.spin)]
-        parts.extend(str(c) for c in self.columns)
-        return "/".join(parts)
+        """The spin column, then the columns left to right: the reading order with its columns reversed."""
+        texts = [s.texts[c] for s, c in zip(self.shape.slots, self.codes)]
+        k = self.spin is not None
+        return "/".join(texts[:k] + texts[k:][::-1])
 
 
 # -- dominant weights and shapes ------------------------------------------
@@ -365,6 +365,7 @@ class SlotTable:
     fillings: tuple  # ascending; a filling's code is its position here
     index: dict  # each filling's code
     weights: tuple[Weight2, ...]  # each code's weight
+    texts: tuple[str, ...]  # each code's printed filling
     by_weight: dict[Weight2, tuple[int, ...]]  # each weight's codes, ascending
 
 
@@ -376,7 +377,8 @@ def slot_table(kind: AlgebraKind, slot: int | str) -> SlotTable:
     by_weight: dict[Weight2, list[int]] = {}
     for c, w in enumerate(weights):
         by_weight.setdefault(w, []).append(c)
-    return SlotTable(fillings, {f: c for c, f in enumerate(fillings)}, weights, {w: tuple(cs) for w, cs in by_weight.items()})
+    index = {f: c for c, f in enumerate(fillings)}
+    return SlotTable(fillings, index, weights, tuple(map(str, fillings)), {w: tuple(cs) for w, cs in by_weight.items()})
 
 
 def tabloid_of_codes(shape: Shape, codes: tuple[int, ...]) -> Tabloid:
@@ -430,21 +432,28 @@ def orthogonal_tableaux(shape: Shape) -> dict[Tabloid, Weight2]:
     return shape_tables(shape).component
 
 
+ONE_TERMS = ((0, 1),)  # the terms of the coefficient 1
+
+
 class ShapeTables:
     """What the requests on one shape share, each part built on first use.
 
     ``tabloids`` holds the tabloids built so far by their codes, so every
     route to a filling gets one object (``tabloid_of_codes``).  ``canonical``
-    fills ``vectors`` with the A(T) built so far, each a flat (tabloid,
-    coefficient, ...) tuple, and ``modvec`` fills ``coefficients`` with one
-    LaurentPoly per value.  Do not mutate the other tables.
+    fills ``vectors`` with the A(T) built so far by tableau, each a flat
+    (codes, terms, ...) tuple, terms being a coefficient's ascending
+    ((exponent, coefficient), ...) pairs.  Those tuples share each codes
+    tuple with the tabloid it codes, and each terms tuple with ``terms``,
+    where ``modvec`` keeps one tuple per value.  What a request needs only
+    while it runs, such as its divided-power memo, is not kept here.  Do
+    not mutate the other tables.
     """
 
     def __init__(self, shape: Shape):
         self.shape = shape
         self.tabloids: dict[tuple[int, ...], Tabloid] = {}
         self.vectors: dict[Tabloid, tuple] = {}
-        self.coefficients: dict[LaurentPoly, LaurentPoly] = {LaurentPoly.one(): LaurentPoly.one()}
+        self.terms: dict[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]] = {ONE_TERMS: ONE_TERMS}
 
     @cached_property
     def highest(self) -> Tabloid:

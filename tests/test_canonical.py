@@ -171,13 +171,19 @@ def test_spin_shape_a_vectors():
 ORACLE_MODULES = [(B2, (1, 1)), (B3, (0, 1, 1)), (D4, (1, 0, 1, 1)), (D4, (0, 0, 1, 2))]
 
 
+def _pairs(flat):
+    """A flat (codes, terms, ...) tuple as a {codes: terms} dict."""
+    return dict(zip(flat[::2], flat[1::2]))
+
+
 def _shape_a_vectors(shape):
-    """Each A(T) in the shape's table, read through the builder (which builds nothing new)."""
+    """Each A(T) in the shape's table as {codes: terms}, read through the builder
+    (which builds nothing new)."""
     from qcb.canonical import _MonomialBuilder
 
     built = list(shape_tables(shape).vectors)
     build = _MonomialBuilder(built)
-    return {t: build.vector(t) for t in built}
+    return {t: _pairs(build.vector(t)) for t in built}
 
 
 @pytest.mark.parametrize("kind,lam", ORACLE_MODULES)
@@ -187,7 +193,7 @@ def test_memoised_a_vectors_match_replay(kind, lam):
     whole-module request."""
     shape = shape_for_lambda(lam, kind)
     tabs = enumerate_tableaux(lam, kind)
-    replayed = {t: a_vector(a_path(t)) for t in tabs}
+    replayed = {t: {tau.codes: c.terms() for tau, c in a_vector(a_path(t)).terms} for t in tabs}
     mu = weight2_of_tabloid(tabs[len(tabs) // 2])
 
     _clear_shape_tables()
@@ -202,21 +208,25 @@ def test_memoised_a_vectors_match_replay(kind, lam):
 
 @pytest.mark.parametrize("kind,lam", ORACLE_MODULES)
 def test_builder_builds_each_tabloid_once(kind, lam):
-    """Within one request, equal fillings in the A(T) vectors, the rows and the
-    columns are one Tabloid object."""
+    """Within one request, equal fillings in the A(T) vectors are one codes
+    tuple, and in the rows and the columns one Tabloid object."""
     from qcb.canonical import _MonomialBuilder
 
+    _clear_shape_tables()
     tabs = enumerate_tableaux(lam, kind)
     build = _MonomialBuilder(tabs)
-    vectors = [build.vector(t) for t in tabs]
+    vectors = [_pairs(build.vector(t)) for t in tabs]
     seen = {}
     for v in vectors:
-        for t, _c in v.terms:
-            assert seen.setdefault(t, t) is t, t
+        for codes in v:
+            assert seen.setdefault(codes, codes) is codes, codes
     assert len(seen) > len(tabs)
     M = canonical_matrix(lam, kind)
+    own = {}
     for t in (*M.rows, *M.cols):
-        assert seen.setdefault(t, t) is t, t
+        assert own.setdefault(t, t) is t, t
+    assert seen.keys() <= {t.codes for t in M.rows}
+    _clear_shape_tables()
 
 
 @pytest.mark.parametrize("kind,lam", ORACLE_MODULES)
@@ -238,15 +248,90 @@ def test_highest_tableau_and_raising_steps_are_interned(kind, lam):
 @pytest.mark.parametrize("kind,lam", ORACLE_MODULES)
 def test_a_vector_coefficients_are_interned(kind, lam):
     """After a whole-module request on cold tables, equal coefficients across
-    the shape's A(T) vectors are one LaurentPoly object."""
+    the shape's A(T) vectors are one term tuple."""
     _clear_shape_tables()
     canonical_matrix(lam, kind)
-    coefficients = [c for v in _shape_a_vectors(shape_for_lambda(lam, kind)).values() for _t, c in v.terms]
+    coefficients = [c for v in _shape_a_vectors(shape_for_lambda(lam, kind)).values() for c in v.values()]
     seen = {}
     for c in coefficients:
         assert seen.setdefault(c, c) is c, c
     assert len(seen) < len(coefficients)
     _clear_shape_tables()
+
+
+def test_expansions_are_memoised_per_request(monkeypatch):
+    """A whole-module B3 (3,1,0) request expands each (codes, i, m) once:
+    7,905 single-tabloid expansions, where expanding every term of every
+    divided power makes 11,643.  The memo lives with the request: after a
+    whole-module and a weight request the shape's tables hold only their
+    documented attributes, and the ones built on first use."""
+    from functools import cached_property
+
+    import qcb.modvec as modvec
+    from qcb.shapes import ShapeTables
+
+    calls = []
+    expand = modvec._expand_divided
+    monkeypatch.setattr(modvec, "_expand_divided", lambda *a: calls.append(a[1:]) or expand(*a))
+    lazy = {name for name, attr in vars(ShapeTables).items() if isinstance(attr, cached_property)}
+    documented = {"shape", "tabloids", "vectors", "terms"}
+    lam = (3, 1, 0)
+    shape = shape_for_lambda(lam, B3)
+    _clear_shape_tables()
+    canonical_matrix(lam, B3)
+    assert len(calls) == 7905
+    assert set(vars(shape_tables(shape))) - lazy == documented
+    _clear_shape_tables()
+    tabs = enumerate_tableaux(lam, B3)
+    assert canonical_matrix(lam, B3, weight2_of_tabloid(tabs[len(tabs) // 2])).cols
+    assert set(vars(shape_tables(shape))) - lazy == documented
+    _clear_shape_tables()
+
+
+def _reference_correct_group(vectors, tableaux):
+    """The correction on SparseVector and LaurentPoly objects, kept as the
+    reference for the coded ``_correct_group``."""
+    from qcb.canonical import _gamma_symmetrize
+
+    out, log = [], []
+    for idx, v in enumerate(vectors):
+        for j in range(idx - 1, -1, -1):
+            gamma = _gamma_symmetrize(v.coeff(tableaux[j]))
+            if gamma.is_zero():
+                continue
+            v = v - out[j].scale(gamma)
+            rest = v.coeff(tableaux[j])
+            assert rest.is_zero() or rest.min_exp() >= 1, (tableaux[j], rest)
+            log.append((idx, j, gamma))
+        assert v.coeff(tableaux[idx]) == LaurentPoly.one(), tableaux[idx]
+        out.append(v)
+    return out, log
+
+
+@pytest.mark.parametrize("kind,lam", ORACLE_MODULES + [(B3, (3, 1, 0)), (B2, (0, 0))])
+def test_coded_correction_matches_reference(kind, lam):
+    """On every weight space, the coded correction gives the reference's G(T),
+    term for term, and its gamma log.  The lambda = 0 shape has no slots, so
+    its one tabloid's codes are ()."""
+    from qcb.canonical import _correct_group, _MonomialBuilder
+    from qcb.laurent import SparseVector
+    from qcb.shapes import tabloid_of_codes
+
+    shape = shape_for_lambda(lam, kind)
+    groups = shape_tables(shape).by_weight
+    build = _MonomialBuilder(enumerate_tableaux(lam, kind))
+    gammas = 0
+    for tabs in groups.values():
+        flats = [build.vector(t) for t in tabs]
+        got, log = _correct_group(flats, list(tabs))
+        sparse = [SparseVector({tabloid_of_codes(shape, c): LaurentPoly(t) for c, t in _pairs(f).items()}) for f in flats]
+        want, want_log = _reference_correct_group(sparse, tabs)
+        assert got == [{tau.codes: c.terms() for tau, c in w.terms} for w in want]
+        assert log == want_log
+        gammas += len(log)
+    assert gammas == len(canonical_matrix(lam, kind).gamma)
+    if not any(lam):
+        assert [t.codes for t in groups[weight2_of_tabloid(highest_tabloid(shape))]] == [()]
 
 
 @pytest.mark.parametrize("kind,lam", ORACLE_MODULES)

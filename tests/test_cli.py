@@ -255,7 +255,7 @@ OPTIMIZED_SCRIPT = textwrap.dedent(
     from qcb.laurent import InexactDivision, LaurentPoly
 
     assert False, "python -O keeps asserts"  # stripped under -O
-    if sys.argv[1] == "broken":
+    if sys.argv[1] in ("broken", "broken-module"):
         # skip every correction; this weight space needs one by q^-1 + q
         qcb.canonical._gamma_symmetrize = lambda c: LaurentPoly.zero()
     elif sys.argv[1] == "inexact":
@@ -266,12 +266,15 @@ OPTIMIZED_SCRIPT = textwrap.dedent(
 
         qcb.wedge.divide_exact = inexact
     argv = ["--type", "B", "--rank", "3", "canonical", "--lambda", "1,1,2", "--weight", "0,2,-1"]
+    if sys.argv[1] == "broken-module":
+        # a whole module whose uncorrected G(T) leave Z[q]
+        argv = ["--type", "B", "--rank", "3", "canonical", "--lambda", "0,1,1"]
     sys.exit(main(argv + ["--output", sys.argv[2]]))
     """
 )
 
 
-@pytest.mark.parametrize("mode,code", [("good", 0), ("broken", 2), ("inexact", 2)])
+@pytest.mark.parametrize("mode,code", [("good", 0), ("broken", 2), ("inexact", 2), ("broken-module", 2)])
 def test_invariants_survive_optimize_flag(tmp_path, mode, code):
     env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run(
