@@ -16,10 +16,11 @@ assembled into one matrix per weight space.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain
 from typing import Callable
 
-from .crystal import Word, raise_to_highest, spin_apply, spin_eps_phi, vec_edge, word_apply, word_eps_phi
+from .crystal import Word, raise_to_highest, signature_rule, vec_edge, word_apply, word_eps_phi
 from .laurent import LaurentPoly, SparseVector
 from .modvec import CodedVector, apply_monomial, terms_of
 from .rootdata import AlgebraKind, InvariantViolation, Weight2
@@ -27,6 +28,7 @@ from .shapes import (
     ONE_TERMS,
     Column,
     Tabloid,
+    crystal_row,
     enumerate_tableaux,
     enumerate_tabloids,
     highest_tabloid,
@@ -36,12 +38,10 @@ from .shapes import (
     shape_for_lambda,
     shape_tables,
     tabloid_of_codes,
-    tabloid_of_columns,
-    tabloid_reading,
     tabloid_weight_counts,
     weight2_of_tabloid,
 )
-from .wedge import _alt_word, wedge_f, wedge_f_divided
+from .wedge import _alt_word, wedge_f_divided
 
 
 class NotAdmissible(ValueError):
@@ -76,6 +76,7 @@ class APath:
     intermediates: tuple[Tabloid, ...]
 
 
+@lru_cache(maxsize=None)
 def _marsh_color(col: Column) -> int:
     """The node of the edge that raises the leftmost movable letter of the column.
 
@@ -153,20 +154,17 @@ def global_column(col: Column) -> SparseVector:
     return marsh(col)[1]
 
 
-def _word_is_highest(w: Word) -> bool:
-    return all(word_eps_phi(w, i)[0] == 0 for i in range(1, w.kind.rank + 1))
-
-
 Member = Callable[[Tabloid], bool]
 
 
 def _spin_step(cur: Tabloid, member: Member) -> tuple[int, int, Tabloid]:
     """Raise the spin column alone, by the smallest color that stays in the crystal."""
-    for j in range(1, cur.shape.kind.rank + 1):
-        g2 = spin_apply(cur.spin, j, "e")
-        if g2 is None:
+    shape, codes = cur.shape, cur.codes
+    for j in range(1, shape.kind.rank + 1):
+        g = crystal_row(shape.slots[0], j, codes[0])[2]
+        if g is None:
             continue
-        cand = tabloid_of_columns(cur.shape, g2, cur.columns)
+        cand = tabloid_of_codes(shape, (g, *codes[1:]))
         if member(cand):
             return j, 1, cand
     raise InvariantViolation(f"no spin raise leaves {cur} in the crystal")
@@ -177,45 +175,54 @@ def _raise_once(cur: Tabloid, member: Member) -> tuple[int, int, Tabloid] | None
 
     None means the walk ends at cur: it is the highest tableau, or a spin
     tableau whose weight space holds one tabloid.  ``member`` decides
-    whether a tabloid is an orthogonal tableau.
+    whether a tabloid is an orthogonal tableau.  The step runs on slot
+    codes: each filling's crystal is a row of ``shapes.crystal_row``, and a
+    reading's is the signature rule over its slots' rows.  Slots follow the
+    reading, so the columns come right to left after the spin column.
     """
     shape = cur.shape
-    if cur == highest_tabloid(shape):
+    codes = cur.codes
+    if codes == highest_tabloid(shape).codes:
         return None
-    kind = shape.kind
-    cols = cur.columns
-    if cur.spin is not None and _word_is_highest(Word(kind, tabloid_reading(cur).letters)):
+    slots = shape.slots
+    s = int(cur.spin is not None)  # the first column slot
+    nodes = range(1, shape.kind.rank + 1)
+    columns = tuple(zip(slots, codes))[s:]
+    if s and not any(signature_rule([crystal_row(slot, i, c) for slot, c in columns])[0] for i in nodes):
         if tabloid_weight_counts(shape)[weight2_of_tabloid(cur)] == 1:
             # alone in its weight space: the tabloid vector is already
             # the canonical one and the walk may stop here
             return None
         return _spin_step(cur, member)
-    not_highest = [j for j, c in enumerate(cols) if not _word_is_highest(c.word())]
-    k = max(not_highest)
-    colk = cols[k]
-    i1 = _marsh_color(colk)
-    if cur.spin is not None and spin_apply(cur.spin, i1, "f") is not None:
+    # the rightmost column that is not highest
+    k = next(x for x in range(s, len(codes)) if not crystal_row(slots[x], 1, codes[x])[4])
+    i1 = _marsh_color(slots[k].fillings[codes[k]])
+    if s and crystal_row(slots[0], i1, codes[0])[3] is not None:
         # the spin column blocks this node (its t-eigenvalue spoils the
         # unit coefficient); raise the spin itself instead
         return _spin_step(cur, member)
     # the block: columns left of k join while the one to their right has no
     # f_i1 and they can be raised by i1
-    low = k
-    while low > 0 and wedge_f(cols[low], i1).is_zero() and word_eps_phi(cols[low - 1].word(), i1)[0] > 0:
-        low -= 1
-    new_cols = list(cols)
+    end = k
+    while (
+        end + 1 < len(codes)
+        and wedge_f_divided(slots[end].fillings[codes[end]], i1, 1).is_zero()
+        and crystal_row(slots[end + 1], i1, codes[end + 1])[0] > 0
+    ):
+        end += 1
+    new = list(codes)
     r = 0
-    for j in range(low, k + 1):
-        eps, new_cols[j] = _raise_column(cols[j], i1)
-        r += eps
-    new_spin = cur.spin
-    if cur.spin is not None and spin_eps_phi(cur.spin, i1)[0] == 1:
+    for x in range(k, end + 1):
+        for _ in range(crystal_row(slots[x], i1, codes[x])[0]):
+            new[x] = crystal_row(slots[x], i1, new[x])[2]
+            r += 1
+    if s and crystal_row(slots[0], i1, codes[0])[0] == 1:
         # the spin column sits leftmost in the tensor order; when it can
         # absorb a raising step it must, or the replayed divided power
         # picks up a stray power of q_i on the target tabloid
-        new_spin = spin_apply(cur.spin, i1, "e")
+        new[0] = crystal_row(slots[0], i1, codes[0])[2]
         r += 1
-    nxt = tabloid_of_columns(shape, new_spin, new_cols)
+    nxt = tabloid_of_codes(shape, tuple(new))
     if not member(nxt):
         raise InvariantViolation(f"raising left the crystal at {nxt}")
     return i1, r, nxt
@@ -425,6 +432,8 @@ def canonical_matrix(
                     raise InvariantViolation(f"G({t}) escaped its weight space at {tabloid_of_codes(shape, codes)}")
                 if r > diag:
                     raise InvariantViolation(f"G({t}) has {rows[r]} above the diagonal")
+                if r != diag and terms[0][0] < 1:
+                    raise InvariantViolation(f"entry {LaurentPoly(terms)} at {rows[r]} in G({t}) is off the diagonal but not in qZ[q]")
                 p = polys.get(terms)
                 if p is None:
                     p = polys[terms] = LaurentPoly(terms)

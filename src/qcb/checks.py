@@ -3,7 +3,8 @@
 Each check sweeps small ranks exhaustively (or with a seeded sample where
 the space is unbounded) and returns one pass/fail record.  The suite covers
 the ring axioms and bar involution, crystal edge symmetry and schedule
-independence, the counting identities, closed-form/oracle agreement on the
+independence, the crystal on slot codes against the ``Word`` crystal (its
+oracle), the counting identities, closed-form/oracle agreement on the
 wedge modules, integrality and weight homogeneity of operator outputs, and
 the congruence, triangularity and bar-symmetry of the canonical bases.
 """
@@ -39,13 +40,17 @@ from .rootdata import (
 )
 from .shapes import (
     Column,
+    codes_apply,
+    codes_eps_phi,
     enumerate_columns,
     enumerate_tableaux,
     enumerate_tabloids,
     is_orthogonal_tableau,
     shape_for_lambda,
+    tabloid_reading,
     tabloid_sort_key,
     weight2_of_tabloid,
+    word_to_tabloid,
 )
 from .wedge import straighten, tensor_lift_f, wedge_f, wedge_f_divided
 
@@ -226,6 +231,32 @@ def check_crystal(kinds: list[AlgebraKind], rng: random.Random) -> list[CheckRes
     ]
 
 
+# the tests' canonical oracle modules, then a B and a D minus spin module with two columns
+CODE_CRYSTAL_MODULES = (
+    (AlgebraKind("B", 2), (1, 1)),
+    (AlgebraKind("B", 3), (0, 1, 1)),
+    (AlgebraKind("D", 4), (1, 0, 1, 1)),
+    (AlgebraKind("D", 4), (0, 0, 1, 2)),
+    (AlgebraKind("B", 3), (1, 1, 1)),
+    (AlgebraKind("D", 4), (0, 1, 1, 0)),
+)
+
+
+def check_code_crystal(modules=CODE_CRYSTAL_MODULES) -> list[CheckResult]:
+    """The crystal on slot codes against the Word crystal on the readings of every orthogonal tableau."""
+    ok = True
+    for kind, lam in modules:
+        shape = shape_for_lambda(lam, kind)
+        for t in enumerate_tableaux(lam, kind):
+            w = tabloid_reading(t)
+            for i in range(1, kind.rank + 1):
+                ok = ok and codes_eps_phi(shape, t.codes, i) == word_eps_phi(w, i)
+                for d in "ef":
+                    v = word_apply(w, i, d)
+                    ok = ok and codes_apply(shape, t.codes, i, d) == (None if v is None else word_to_tabloid(v, shape).codes)
+    return [CheckResult("crystal.codes_match_words", ok)]
+
+
 def check_counting(max_rank_b: int) -> list[CheckResult]:
     """Column counts of B2 up to max_rank_b and of D3-D5 against closed forms."""
     ok = True
@@ -395,6 +426,7 @@ def run_all(max_rank_b: int = 3, max_rank_d: int = 3, seed: int = 20240801) -> l
     results += check_laurent(rng)
     results += check_rootdata(kinds)
     results += check_crystal(kinds, rng)
+    results += check_code_crystal()
     results += check_counting(min(max_rank_b + 1, 4))
     results += check_shapes(kinds, default_lambdas)
     results += check_wedge(kinds, rng)

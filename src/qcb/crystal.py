@@ -10,7 +10,11 @@ a word are computed by folding the two-factor rules
     phi(u (x) v) = phi(v) + max(0, phi(u) - eps(v))
 
 and the operators act at the position the same recursion selects (the
-signature rule).
+signature rule).  ``signature_rule`` is that one fold over (eps, phi)
+rows.  It serves the ``Word`` crystal here and the crystal on slot codes
+(``shapes.crystal_row``), where a row is a whole column's or spin
+column's: the component search and the raising walk run on codes, and
+the ``Word`` crystal is their oracle (``checks.check_code_crystal``).
 """
 
 from __future__ import annotations
@@ -132,10 +136,6 @@ def spin_apply(s: SpinColumn, i: int, direction: str) -> SpinColumn | None:
     return _moves(s.kind, i, direction)[0].get(s)
 
 
-def spin_eps_phi(s: SpinColumn, i: int) -> tuple[int, int]:
-    return _node_table(s.kind, i)[2][s]
-
-
 @dataclass(frozen=True)
 class Word:
     """A vertex of the tensor crystal: letters, optionally led by a spin column."""
@@ -172,58 +172,55 @@ class Word:
         return f"{self.spin}/{body}" if body else str(self.spin)
 
 
+def signature_rule(rows, direction: str = "f") -> tuple[int, int, int | None]:
+    """Fold the (eps, phi) rows of tensor factors, left to right, by the two-factor rules.
+
+    Returns the product's (eps, phi) and the position of the factor the
+    operator in ``direction`` acts on, None where it vanishes.  A row may
+    carry more fields after its (eps, phi).
+    """
+    lower = direction == "f"
+    eps = phi = pos = 0
+    for j, row in enumerate(rows):
+        fe = row[0]
+        if fe > phi:
+            eps, phi, pos = eps + fe - phi, row[1], j
+        else:
+            if lower and fe == phi:
+                pos = j
+            phi += row[1] - fe
+    return eps, phi, pos if (phi if lower else eps) else None
+
+
+def tensor_eps_phi(kind: AlgebraKind, factors: tuple, i: int) -> tuple[int, int]:
+    """(eps_i, phi_i) of a tensor product of letters and spin columns, left to right."""
+    return signature_rule(map(_node_table(kind, i)[2].__getitem__, factors))[:2]
+
+
+def tensor_apply(kind: AlgebraKind, factors: tuple, i: int, direction: str) -> tuple | None:
+    """The Kashiwara operator on a tensor product of letters and spin columns:
+    the factors with the one the signature rule selects moved, or None."""
+    moves, table = _moves(kind, i, direction)
+    pos = signature_rule([table[x] for x in factors], direction)[2]
+    if pos is None:
+        return None
+    new = moves.get(factors[pos])
+    if new is None:
+        raise InvariantViolation("signature rule selected a dead factor")
+    return factors[:pos] + (new,) + factors[pos + 1 :]
+
+
 def word_eps_phi(w: Word, i: int) -> tuple[int, int]:
     """(eps_i, phi_i) of a word via the two-factor fold."""
-    table = _node_table(w.kind, i)[2]
-    eps, phi = 0, 0
-    for x in w.factors():
-        fe, fp = table[x]
-        eps = eps + max(0, fe - phi)
-        phi = fp + max(0, phi - fe)
-    return eps, phi
+    return tensor_eps_phi(w.kind, w.factors(), i)
 
 
 def word_apply(w: Word, i: int, direction: str) -> Word | None:
     """Apply the Kashiwara operator to the factor the signature rule selects."""
-    moves, table = _moves(w.kind, i, direction)
-    factors = w.factors()
-    if not factors:
-        return None
-    # prefix folds of (eps, phi) over factors[:j]
-    prefix = [(0, 0)]
-    for x in factors:
-        fe, fp = table[x]
-        eps, phi = prefix[-1]
-        prefix.append((eps + max(0, fe - phi), fp + max(0, phi - fe)))
-    total_eps, total_phi = prefix[-1]
-    if direction == "f" and total_phi == 0:
-        return None
-    if direction == "e" and total_eps == 0:
-        return None
-    pos = 0
-    for j in range(len(factors) - 1, 0, -1):
-        fe = table[factors[j]][0]
-        phi_left = prefix[j][1]
-        if direction == "f":
-            if phi_left <= fe:
-                pos = j
-                break
-        else:
-            if phi_left < fe:
-                pos = j
-                break
-    new = moves.get(factors[pos])
+    new = tensor_apply(w.kind, w.factors(), i, direction)
     if new is None:
-        raise InvariantViolation("signature rule selected a dead factor")
-    if w.spin is None:
-        letters = list(w.letters)
-        letters[pos] = new
-        return Word(w.kind, tuple(letters), None)
-    if pos == 0:
-        return Word(w.kind, w.letters, new)
-    letters = list(w.letters)
-    letters[pos - 1] = new
-    return Word(w.kind, tuple(letters), w.spin)
+        return None
+    return Word(w.kind, new) if w.spin is None else Word(w.kind, new[1:], new[0])
 
 
 def raise_to_highest(w: Word) -> tuple[Word, list[tuple[int, int]]]:
@@ -249,20 +246,22 @@ def raise_to_highest(w: Word) -> tuple[Word, list[tuple[int, int]]]:
             return w, path
 
 
-def component_bfs(w0: Word) -> set[Word]:
-    """All words reachable from w0 by lowering operators (w0 included)."""
-    n = w0.kind.rank
-    seen = {w0}
-    frontier = [w0]
+def word_lowerings(w: Word) -> list[Word]:
+    """Each f_i w that does not vanish, by ascending i."""
+    return [v for i in range(1, w.kind.rank + 1) if (v := word_apply(w, i, "f")) is not None]
+
+
+def component_bfs(seed) -> set:
+    """All vertices that lowering steps reach from a start vertex, the start included.
+
+    ``seed`` is a ``Word``, lowered by ``word_lowerings``, or a (start, lower)
+    pair whose ``lower(v)`` lists the vertices one lowering step below v.
+    """
+    start, lower = (seed, word_lowerings) if isinstance(seed, Word) else seed
+    seen = {start}
+    frontier = [start]
     while frontier:
-        nxt = []
-        for w in frontier:
-            for i in range(1, n + 1):
-                v = word_apply(w, i, "f")
-                if v is not None and v not in seen:
-                    seen.add(v)
-                    nxt.append(v)
-        frontier = nxt
+        frontier = [v for w in frontier for v in lower(w) if v not in seen and not seen.add(v)]
     return seen
 
 

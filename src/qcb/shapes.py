@@ -12,7 +12,12 @@ kind, a column height or a spin class, which has one ``slot_table`` with
 its fillings' weights and each weight's codes.  A tabloid carries its
 codes, each a factor's index in its slot's ascending fillings.  What
 depends only on the shape lives in its ``shape_tables``, which hands out
-one tabloid object per filling.
+one tabloid object per filling.  The crystal runs on those codes: a
+reading is the tensor product of its fillings, so the signature rule over
+the fillings' own (eps_i, phi_i) rows (``crystal_row``, one table per
+(slot table, node)) gives the reading's, and the filling it selects moves
+by its own e_i or f_i code.  The component is searched that way; the
+``Word`` crystal on readings is the oracle.
 """
 
 from __future__ import annotations
@@ -29,6 +34,9 @@ from .crystal import (
     component_bfs,
     enumerate_spin_columns,
     raise_to_highest,
+    signature_rule,
+    tensor_apply,
+    tensor_eps_phi,
     word_sort_key,
 )
 from .rootdata import (
@@ -168,7 +176,8 @@ class Tabloid:
     """A filling of a shape: optional spin column plus one column per slot.
 
     ``codes`` holds each factor's code in its slot, in reading order; finding
-    them checks that every factor fills its slot.
+    them checks that every factor fills its slot.  ``tabloid_of_codes``
+    builds a tabloid from codes it holds, without that check.
     """
 
     shape: Shape
@@ -387,9 +396,61 @@ def tabloid_of_codes(shape: Shape, codes: tuple[int, ...]) -> Tabloid:
     t = tabloids.get(codes)
     if t is None:
         f = [s.fillings[c] for s, c in zip(shape.slots, codes)]
-        t = Tabloid(shape, f[0], tuple(f[:0:-1])) if shape.has_spin() else Tabloid(shape, None, tuple(f[::-1]))
-        tabloids[t.codes] = t  # the tabloid's own tuple: an equal copy as key would cost memory
+        spin, columns = (f[0], tuple(f[:0:-1])) if shape.has_spin() else (None, tuple(f[::-1]))
+        # codes that index the slots fill them: skip the constructor's check
+        t = object.__new__(Tabloid)
+        for name, value in (("shape", shape), ("spin", spin), ("columns", columns), ("codes", codes)):
+            object.__setattr__(t, name, value)
+        tabloids[codes] = t
     return t
+
+
+@lru_cache(maxsize=None)
+def _crystal_table(slot: SlotTable, i: int) -> list:
+    """By filling code: None until ``crystal_row`` first asks for the code."""
+    return [None] * len(slot.fillings)
+
+
+def crystal_row(slot: SlotTable, i: int, c: int) -> tuple:
+    """The node-i crystal of filling c: (eps_i, phi_i, e_i code, f_i code, highest).
+
+    A code is None where the operator vanishes; highest says every eps_j is
+    0.  The first ask for a code fills its row at every node, by the
+    signature rule over the filling's letters (a spin column is one factor).
+    """
+    row = _crystal_table(slot, i)[c]
+    if row is None:
+        f = slot.fillings[c]
+        kind = f.kind
+        spin = isinstance(f, SpinColumn)
+        factors = (f,) if spin else f.letters
+        nodes = range(1, kind.rank + 1)
+        rows = []
+        for j in nodes:
+            moved = [tensor_apply(kind, factors, j, d) for d in "ef"]
+            codes = [None if m is None else slot.index[m[0] if spin else Column(kind, m)] for m in moved]
+            rows.append((*tensor_eps_phi(kind, factors, j), *codes))
+        highest = not any(r[0] for r in rows)
+        for j, r in zip(nodes, rows):
+            _crystal_table(slot, j)[c] = (*r, highest)
+        row = _crystal_table(slot, i)[c]
+    return row
+
+
+def codes_eps_phi(shape: Shape, codes: tuple[int, ...], i: int) -> tuple[int, int]:
+    """(eps_i, phi_i) of the reading of the tabloid with these codes."""
+    return signature_rule([crystal_row(s, i, c) for s, c in zip(shape.slots, codes)])[:2]
+
+
+def codes_apply(shape: Shape, codes: tuple[int, ...], i: int, direction: str) -> tuple[int, ...] | None:
+    """The Kashiwara operator on the reading of the tabloid with these codes, as
+    codes: the signature rule over the slots picks one, which moves by its own
+    operator; None where the operator vanishes."""
+    rows = [_crystal_table(s, i)[c] or crystal_row(s, i, c) for s, c in zip(shape.slots, codes)]
+    pos = signature_rule(rows, direction)[2]
+    if pos is None:
+        return None
+    return codes[:pos] + (rows[pos][3 if direction == "f" else 2],) + codes[pos + 1 :]
 
 
 def tabloid_weight_counts(shape: Shape) -> Counter[Weight2]:
@@ -486,9 +547,17 @@ class ShapeTables:
 
     @cached_property
     def component(self) -> dict[Tabloid, Weight2]:
-        words = sorted(component_bfs(tabloid_reading(self.highest)), key=word_sort_key)
+        """The crystal component of the highest tableau, searched on codes and
+        sorted as code tuples, whose order is the order of readings."""
+        shape = self.shape
+        nodes = range(1, shape.kind.rank + 1)
+
+        def lower(codes: tuple[int, ...]) -> list[tuple[int, ...]]:
+            return [d for i in nodes if (d := codes_apply(shape, codes, i, "f")) is not None]
+
         weights: dict[Weight2, Weight2] = {}  # one tuple per distinct weight
-        return {word_to_tabloid(w, self.shape): weights.setdefault(mu := w.weight2(), mu) for w in words}
+        tabs = (tabloid_of_codes(shape, codes) for codes in sorted(component_bfs((self.highest.codes, lower))))
+        return {t: weights.setdefault(mu := weight2_of_tabloid(t), mu) for t in tabs}
 
     @cached_property
     def by_weight(self) -> dict[Weight2, tuple[Tabloid, ...]]:

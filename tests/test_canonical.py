@@ -388,11 +388,11 @@ def test_weight_request_filters_the_whole_list(kind, lam):
 
 
 def _clear_shape_tables():
-    """Empty the per-shape tables, and the slot tables and coded powers that shapes share."""
+    """Empty the per-shape tables, and the slot tables, crystal rows and coded powers that shapes share."""
     from qcb.modvec import _coded_powers
-    from qcb.shapes import slot_table
+    from qcb.shapes import _crystal_table, slot_table
 
-    for table in (shape_tables, slot_table, _coded_powers):
+    for table in (shape_tables, slot_table, _crystal_table, _coded_powers):
         table.cache_clear()
 
 
@@ -461,6 +461,70 @@ def test_raising_sweep_fails_only_on_known_modules():
     assert digest.hexdigest() == RAISING_STEPS_DIGEST
 
 
+def test_code_crystal_matches_word_crystal():
+    """The crystal on slot codes (eps, phi and both operators at every node)
+    equals the ``Word`` crystal on the reading of every orthogonal tableau of
+    the oracle modules and of a B and a D minus spin module with two columns."""
+    from qcb.checks import CODE_CRYSTAL_MODULES, check_code_crystal
+
+    modules = ORACLE_MODULES + [(B3, (1, 1, 1)), (D4, (0, 1, 1, 0))]
+    assert list(CODE_CRYSTAL_MODULES) == modules
+    assert [r.ok for r in check_code_crystal(modules)] == [True]
+
+
+def test_raising_and_component_build_no_word(monkeypatch):
+    """A cold whole-module D5 (0,1,0,0,1) request builds no ``Word`` in the
+    raising walk or the component search: both read the crystal rows of slot
+    codes, which are filled during the request without Words."""
+    import sys
+
+    import qcb.canonical as canonical
+    import qcb.shapes as shapes
+    from qcb.crystal import Word
+
+    kind, lam = AlgebraKind("D", 5), (0, 1, 0, 0, 1)
+    _clear_shape_tables()
+    canonical._marsh_color.cache_clear()
+    assert shape_for_lambda(lam, kind).slots  # the slot tables read their weights off Words
+    counts = {"hot": 0, "rows": 0}
+    post_init = Word.__post_init__
+
+    def counting_post_init(self):
+        post_init(self)
+        frame, names = sys._getframe(1), set()
+        while frame is not None:
+            names.add(frame.f_code.co_name)
+            frame = frame.f_back
+        if names & {"_raise_once", "component"}:
+            counts["hot"] += 1
+
+    tensor_apply = shapes.tensor_apply
+
+    def counting_tensor_apply(*args):
+        counts["rows"] += 1
+        return tensor_apply(*args)
+
+    monkeypatch.setattr(Word, "__post_init__", counting_post_init)
+    monkeypatch.setattr(shapes, "tensor_apply", counting_tensor_apply)
+    assert canonical_matrix(lam, kind).cols
+    assert counts["hot"] == 0
+    assert counts["rows"] > 0  # the crystal rows were filled during the request
+    _clear_shape_tables()
+
+
+def test_skipped_correction_is_refused(monkeypatch):
+    """With the correction skipped, whole-module B3 (0,1,2) keeps constant terms
+    off the diagonal; the assembly refuses them."""
+    import qcb.canonical as canonical
+    from qcb.rootdata import InvariantViolation
+
+    monkeypatch.setattr(canonical, "_gamma_symmetrize", lambda c: LaurentPoly.zero())
+    _clear_shape_tables()
+    with pytest.raises(InvariantViolation, match=r"off the diagonal but not in qZ\[q\]"):
+        canonical_matrix((0, 1, 2), B3)
+    _clear_shape_tables()
+
+
 def test_repeated_request_raises_nothing(monkeypatch):
     """A second request for a weight space reads every raising step and every
     A(T) from the shape's tables: it raises nothing and applies no divided power."""
@@ -498,9 +562,10 @@ def test_repeated_request_raises_nothing(monkeypatch):
 def test_per_shape_tables_stay_bounded():
     """Weight requests on more shapes than a cache keeps leave every per-shape
     table bounded.  The slot tables and coded powers are shared by the shapes:
-    B2 has three slot kinds (heights 1 and 2, and the spin class) and two nodes."""
+    B2 has three slot kinds (heights 1 and 2, and the spin class) and two nodes,
+    so at most six coded-power tables and six crystal tables."""
     from qcb.modvec import _coded_powers
-    from qcb.shapes import slot_table
+    from qcb.shapes import _crystal_table, slot_table
 
     _clear_shape_tables()
     lams = [(1, 0), (0, 1), (0, 2), (1, 1), (2, 0), (0, 3), (2, 2), (1, 2), (3, 0), (0, 4)]
@@ -511,6 +576,7 @@ def test_per_shape_tables_stay_bounded():
     assert shape_tables.cache_info().currsize <= 8
     assert slot_table.cache_info().currsize <= 3
     assert _coded_powers.cache_info().currsize <= 6
+    assert _crystal_table.cache_info().currsize <= 6
 
 
 def _swap_last_letter(text: str, n: int) -> str:

@@ -11,7 +11,6 @@ from qcb.crystal import (
     enumerate_spin_columns,
     raise_to_highest,
     spin_apply,
-    spin_eps_phi,
     vec_edge,
     word_apply,
     word_eps_phi,
@@ -23,6 +22,11 @@ from qcb.shapes import highest_tabloid, shape_for_lambda, tabloid_reading
 B2 = AlgebraKind("B", 2)
 B3 = AlgebraKind("B", 3)
 D3 = AlgebraKind("D", 3)
+
+
+def spin_eps_phi(s, i):
+    """(eps_i, phi_i) of a spin column: the word of that one factor."""
+    return word_eps_phi(Word(s.kind, (), s), i)
 
 
 def W(kind, *letters):
