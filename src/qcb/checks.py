@@ -242,10 +242,10 @@ CODE_CRYSTAL_MODULES = (
 )
 
 
-def check_code_crystal(modules=CODE_CRYSTAL_MODULES) -> list[CheckResult]:
+def check_code_crystal() -> list[CheckResult]:
     """The crystal on slot codes against the Word crystal on the readings of every orthogonal tableau."""
     ok = True
-    for kind, lam in modules:
+    for kind, lam in CODE_CRYSTAL_MODULES:
         shape = shape_for_lambda(lam, kind)
         for t in enumerate_tableaux(lam, kind):
             w = tabloid_reading(t)

@@ -446,7 +446,7 @@ def codes_apply(shape: Shape, codes: tuple[int, ...], i: int, direction: str) ->
     """The Kashiwara operator on the reading of the tabloid with these codes, as
     codes: the signature rule over the slots picks one, which moves by its own
     operator; None where the operator vanishes."""
-    rows = [_crystal_table(s, i)[c] or crystal_row(s, i, c) for s, c in zip(shape.slots, codes)]
+    rows = [crystal_row(s, i, c) for s, c in zip(shape.slots, codes)]
     pos = signature_rule(rows, direction)[2]
     if pos is None:
         return None

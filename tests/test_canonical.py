@@ -469,7 +469,7 @@ def test_code_crystal_matches_word_crystal():
 
     modules = ORACLE_MODULES + [(B3, (1, 1, 1)), (D4, (0, 1, 1, 0))]
     assert list(CODE_CRYSTAL_MODULES) == modules
-    assert [r.ok for r in check_code_crystal(modules)] == [True]
+    assert [r.ok for r in check_code_crystal()] == [True]
 
 
 def test_raising_and_component_build_no_word(monkeypatch):
