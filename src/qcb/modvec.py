@@ -15,17 +15,20 @@ their outputs coded, in one table per (slot table, node), filled on first use.
 The algebra runs on a ``CodedVector``: each tabloid's small integer factor
 codes (``Tabloid.codes``) with its coefficient's ascending
 ((exponent, coefficient), ...) terms.  ``_expand_divided`` unrolls the
-recursion on one tabloid left to right; a partial term holds the codes
-chosen so far, the part of m still to place and a plain
-{exponent: coefficient} map, and is dropped as soon as the factors still to
-come cannot absorb the rest of m.  ``module_f_divided`` keeps each
-tabloid's expansion in a memo, keyed by (i, m) and then by its codes, so a
-tabloid met again in the same request is not expanded again.  The memo's
-codes, and so every output's, are those of the shape's one tabloid for
-them, and its term tuples the shape's one tuple per value (the ``terms``
-table of ``shapes.shape_tables``); so on coded vectors a tabloid is looked
-up only on a memo miss.  A ``SparseVector`` argument is coded on entry and
-decoded on exit.
+recursion on one tabloid: only the active factors, where f_i does not
+vanish, branch; an inactive factor just shifts the exponents of the
+branches after it by its t_i exponent; and coefficients stay term tuples,
+multiplied by ``_times`` with a fast path for single terms.  No output of
+one tabloid needs merging, so only ``module_f_divided``, which sums the
+outputs of several tabloids, adds term tuples (``_plus``).  It reads the
+coded tables of node i once per call, and keeps each tabloid's expansion
+in a memo, keyed by (i, m) and then by its codes, so a tabloid met again in
+the same request is not expanded again.  The memo's codes, and so every
+output's, are those of the shape's one tabloid for them, and its term
+tuples the shape's one tuple per value (the ``terms`` table of
+``shapes.shape_tables``); so on coded vectors a tabloid is looked up only
+on a memo miss.  A ``SparseVector`` argument is coded on entry and decoded
+on exit.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from functools import lru_cache
 from .crystal import SpinColumn, spin_apply
 from .laurent import LaurentPoly, SparseVector
 from .rootdata import AlgebraKind, cartan_exponent, qi_exponent
-from .shapes import Shape, SlotTable, highest_tabloid, shape_for_lambda, shape_tables, tabloid_of_codes
+from .shapes import ONE_TERMS, Shape, SlotTable, highest_tabloid, shape_for_lambda, shape_tables, tabloid_of_codes
 from .wedge import wedge_f_divided
 
 
@@ -63,11 +66,11 @@ def _coded_powers(slot: SlotTable, i: int) -> list:
     return [None] * len(slot.fillings)
 
 
-def _heads(shape: Shape, codes: tuple[int, ...], i: int) -> list[tuple[int, tuple]]:
-    """Each factor's t_i exponent and non-zero f_i^(k), as (code, exponent-coefficient pairs) terms."""
+def _heads(tables: list[tuple[SlotTable, list]], codes: tuple[int, ...], i: int) -> list[tuple[int, tuple]]:
+    """Each factor's t_i exponent and non-zero f_i^(k), as (code, terms) pairs,
+    read from the (slot, ``_coded_powers(slot, i)``) pairs of its shape's slots."""
     out = []
-    for slot, c in zip(shape.slots, codes):
-        table = _coded_powers(slot, i)
+    for (slot, table), c in zip(tables, codes):
         h = table[c]
         if h is None:
             a, powers = _factor_powers(slot.fillings[c], i)
@@ -76,31 +79,74 @@ def _heads(shape: Shape, codes: tuple[int, ...], i: int) -> list[tuple[int, tupl
     return out
 
 
-def _expand_divided(heads: list[tuple[int, tuple]], m: int, d: int) -> list[tuple[tuple[int, ...], dict[int, int]]]:
-    """f_i^(m) on a pure tensor, from its factors' ``_heads``: (codes, {exponent: coefficient}) pairs.
+def terms_of(poly: dict[int, int]) -> tuple[tuple[int, int], ...]:
+    """The non-zero terms of an {exponent: coefficient} map, ascending."""
+    return tuple(sorted(p for p in poly.items() if p[1]))
 
-    The factors are taken left to right; a partial term that the factors
-    still to come cannot lower by the rest of m is dropped at once.
+
+def _times(a: tuple, b: tuple) -> tuple:
+    """The product of two non-zero term tuples."""
+    if len(a) == 1 == len(b):
+        return ((a[0][0] + b[0][0], a[0][1] * b[0][1]),)
+    poly: dict[int, int] = {}
+    for ea, ca in a:
+        for e, c in b:
+            poly[ea + e] = poly.get(ea + e, 0) + ca * c
+    return terms_of(poly)
+
+
+def _plus(a: tuple, b: tuple) -> tuple:
+    """The sum of two term tuples, possibly ()."""
+    poly = dict(a)
+    for e, c in b:
+        poly[e] = poly.get(e, 0) + c
+    return terms_of(poly)
+
+
+def _expand_divided(codes: tuple[int, ...], heads: list[tuple[int, tuple]], m: int, d: int) -> list[tuple[tuple, tuple]]:
+    """f_i^(m) on the pure tensor with these codes, from its factors' ``_heads``:
+    (codes, terms) pairs, each terms a non-zero ascending term tuple.
+
+    Unrolled, the recursion gives the term that takes k_l from each factor l
+    the exponent d * sum_l k_l (a_1 + ... + a_(l-1) - k_1 - ... - k_(l-1)).
+    So only the active factors, those with f_i^(1) non-zero, branch; an
+    inactive one just adds its a_l to the exponents of the factors after it.
+    The active factors are taken left to right, and a partial term that the
+    ones still to come cannot lower by the rest of m is dropped at once.
+    Distinct choices give distinct codes, and products of non-zero
+    coefficients are non-zero, so no output is merged or filtered.
     """
-    room = [0] * (len(heads) + 1)  # room[j]: the most factors j, j+1, ... absorb
-    for j in range(len(heads) - 1, -1, -1):
-        room[j] = room[j + 1] + len(heads[j][1]) - 1
-    states: list[tuple[tuple[int, ...], int, dict[int, int]]] = [((), m, {0: 1})]
+    active = []  # (position, sum of the a_l before it, non-zero powers)
+    before = 0
     for j, (a, powers) in enumerate(heads):
-        after = room[j + 1]
+        if len(powers) > 1:
+            active.append((j, before, powers))
+        before += a
+    if m == 1:  # one output per active factor's f_i, in the order of the loop below
+        return [
+            (codes[:j] + (g,) + codes[j + 1 :], _times(cg, ((d * before, 1),)) if before else cg)
+            for j, before, powers in reversed(active)
+            for g, cg in powers[1]
+        ]
+    room = sum(len(powers) - 1 for _j, _b, powers in active)  # the most the active factors to come absorb
+    if m > room:
+        return []
+    states = [(0, 0, codes, ONE_TERMS)]  # (placed, exponent / d, codes, terms)
+    for j, before, powers in active:
+        room -= len(powers) - 1
         nxt = []
-        for prefix, left, poly in states:
-            for k in range(max(0, left - after), min(left, len(powers) - 1) + 1):
-                e = d * (left - k) * (a - k)
+        for state in states:
+            placed, e, out, terms = state
+            left = m - placed
+            for k in range(max(0, left - room), min(left, len(powers) - 1) + 1):
+                if k == 0:
+                    nxt.append(state)
+                    continue
+                ek = e + k * (before - placed)
                 for g, cg in powers[k]:
-                    new: dict[int, int] = {}
-                    for pe, pc in poly.items():
-                        for ce, cc in cg:
-                            x = pe + ce + e
-                            new[x] = new.get(x, 0) + pc * cc
-                    nxt.append((prefix + (g,), left - k, new))
+                    nxt.append((placed + k, ek, out[:j] + (g,) + out[j + 1 :], _times(terms, cg)))
         states = nxt
-    return [(codes, poly) for codes, _left, poly in states]
+    return [(out, _times(terms, ((d * e, 1),)) if e else terms) for _p, e, out, terms in states]
 
 
 class CodedVector:
@@ -127,61 +173,49 @@ def _decoded(v: CodedVector) -> SparseVector:
     return SparseVector({tabloid_of_codes(v.shape, codes): LaurentPoly(terms) for codes, terms in v.terms.items()})
 
 
-def terms_of(poly: dict[int, int]) -> tuple[tuple[int, int], ...]:
-    """The non-zero terms of an {exponent: coefficient} map, ascending."""
-    return tuple(sorted(p for p in poly.items() if p[1]))
-
-
-def _expansion(shape: Shape, codes: tuple[int, ...], i: int, m: int) -> tuple:
-    """f_i^(m) on one tabloid as a flat (codes, terms, ...) tuple, each codes the
-    tuple of the shape's tabloid for them and each terms the shape's one tuple
-    for its value."""
-    tables = shape_tables(shape)
-    flat: list = []
-    for out, poly in _expand_divided(_heads(shape, codes, i), m, qi_exponent(shape.kind, i)):
-        if terms := terms_of(poly):
-            tab = tables.tabloids.get(out) or tabloid_of_codes(shape, out)
-            flat += (tab.codes, tables.terms.setdefault(terms, terms))
-    return tuple(flat)
-
-
 def module_f_divided(v: CodedVector | SparseVector, i: int, m: int) -> CodedVector | SparseVector:
-    """Apply the divided power f_i^(m) to a vector on the tabloid basis."""
-    if m == 0 or not v.terms:
-        return v
+    """Apply the divided power f_i^(m) to a vector on the tabloid basis.
+
+    A negative m, or a node outside 1..n, raises ValueError.  The zero
+    SparseVector names no module, so there only m is checked.
+    """
+    if m < 0:
+        raise ValueError(f"divided power f_{i}^({m}) needs m >= 0")
     sparse = isinstance(v, SparseVector)
-    if sparse:
-        v = _coded(v)
-    shape = v.shape
-    expansions = v.memo.setdefault((i, m), {})
-    acc: dict[tuple[int, ...], dict[int, int]] = {}
-    for codes, terms in v.terms.items():
+    if sparse and not v.terms:
+        return v
+    u = _coded(v) if sparse else v
+    shape = u.shape
+    d = qi_exponent(shape.kind, i)
+    if m == 0:
+        return v
+    expansions = u.memo.setdefault((i, m), {})
+    tables = shape_tables(shape)
+    tabloids, interned = tables.tabloids, tables.terms
+    powers = [(slot, _coded_powers(slot, i)) for slot in shape.slots]
+    acc: dict[tuple[int, ...], tuple] = {}
+    for codes, terms in u.terms.items():
         flat = expansions.get(codes)
         if flat is None:
-            flat = expansions[codes] = _expansion(shape, codes, i, m)
+            flat = []
+            for out, poly in _expand_divided(codes, _heads(powers, codes, i), m, d):
+                tab = tabloids.get(out) or tabloid_of_codes(shape, out)
+                flat += (tab.codes, interned.setdefault(poly, poly))
+            flat = expansions[codes] = tuple(flat)
         pairs = iter(flat)
         for out, poly in zip(pairs, pairs):
+            if terms is not ONE_TERMS:
+                poly = _times(poly, terms)
             cur = acc.get(out)
-            if cur is None:
-                cur = acc[out] = {}
-            for pe, pc in poly:
-                for ce, cc in terms:
-                    x = pe + ce
-                    cur[x] = cur.get(x, 0) + pc * cc
-    interned = shape_tables(shape).terms
-    coded = {}
-    for out, poly in acc.items():
-        if terms := terms_of(poly):
-            coded[out] = interned.setdefault(terms, terms)
-    w = CodedVector(shape, coded, v.memo)
+            acc[out] = poly if cur is None else _plus(cur, poly)
+    summed = {out: interned.setdefault(poly, poly) for out, poly in acc.items() if poly}
+    w = CodedVector(shape, summed, u.memo)
     return _decoded(w) if sparse else w
 
 
 def apply_monomial(v0: CodedVector | SparseVector, path: list[tuple[int, int]]) -> CodedVector | SparseVector:
     """Apply a monomial of divided powers, rightmost factor first."""
-    if not path or not v0.terms:
-        return v0
-    sparse = isinstance(v0, SparseVector)
+    sparse = isinstance(v0, SparseVector) and bool(v0.terms)
     v = _coded(v0) if sparse else v0
     for i, r in reversed(path):
         v = module_f_divided(v, i, r)

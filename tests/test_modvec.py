@@ -5,6 +5,7 @@ pins the recursion's q-powers."""
 
 import random
 
+import pytest
 from test_canonical import ORACLE_MODULES, _clear_shape_tables
 
 from qcb.canonical import canonical_matrix
@@ -14,6 +15,7 @@ from qcb.modvec import apply_monomial, highest_vector, module_f_divided
 from qcb.rootdata import AlgebraKind, cartan_exponent, qi_exponent
 from qcb.shapes import (
     enumerate_columns,
+    enumerate_tabloids,
     shape_for_lambda,
     shape_tables,
     tabloid_factors,
@@ -166,7 +168,7 @@ def test_factor_powers_table():
 
 def test_recursion_split_associativity():
     """Splitting the factor chain at any point gives the same coefficients."""
-    from qcb.modvec import _expand_divided, _heads
+    from qcb.modvec import _coded_powers, _expand_divided, _heads
     from qcb.rootdata import weight2_add, weight2_zero
 
     def polys(pairs):
@@ -185,9 +187,10 @@ def test_recursion_split_associativity():
         factors = tabloid_factors(tab)
         for i in range(1, kind.rank + 1):
             d = d_by_i[i]
-            heads = _heads(tab.shape, tab.codes, i)
+            codes = tab.codes
+            heads = _heads([(s, _coded_powers(s, i)) for s in tab.shape.slots], codes, i)
             for m in (1, 2, 3):
-                whole = polys(_expand_divided(heads, m, d))
+                whole = polys(_expand_divided(codes, heads, m, d))
                 for cut in range(1, len(factors)):
                     left, right = heads[:cut], heads[cut:]
                     wl = weight2_zero(kind.rank)
@@ -196,8 +199,8 @@ def test_recursion_split_associativity():
                     a = cartan_exponent(wl, i, kind)
                     combined = {}
                     for k in range(m + 1):
-                        lt = polys(_expand_divided(left, k, d))
-                        rt = polys(_expand_divided(right, m - k, d))
+                        lt = polys(_expand_divided(codes[:cut], left, k, d))
+                        rt = polys(_expand_divided(codes[cut:], right, m - k, d))
                         scale = LaurentPoly.q(d * (m - k) * (a - k))
                         for lf, lc in lt.items():
                             for rf, rc in rt.items():
@@ -206,6 +209,88 @@ def test_recursion_split_associativity():
                                 combined[key] = combined.get(key, LaurentPoly.zero()) + add
                     combined = {k: c for k, c in combined.items() if not c.is_zero()}
                     assert combined == whole, (kind, lam, i, m, cut)
+
+
+def _reference_expand_divided(heads, m, d):
+    """The kernel on {exponent: coefficient} maps that walks every factor,
+    kept as the reference for the coded ``_expand_divided``: (codes, map) pairs."""
+    room = [0] * (len(heads) + 1)  # room[j]: the most factors j, j+1, ... absorb
+    for j in range(len(heads) - 1, -1, -1):
+        room[j] = room[j + 1] + len(heads[j][1]) - 1
+    states = [((), m, {0: 1})]
+    for j, (a, powers) in enumerate(heads):
+        after = room[j + 1]
+        nxt = []
+        for prefix, left, poly in states:
+            for k in range(max(0, left - after), min(left, len(powers) - 1) + 1):
+                e = d * (left - k) * (a - k)
+                for g, cg in powers[k]:
+                    new = {}
+                    for pe, pc in poly.items():
+                        for ce, cc in cg:
+                            x = pe + ce + e
+                            new[x] = new.get(x, 0) + pc * cc
+                    nxt.append((prefix + (g,), left - k, new))
+        states = nxt
+    return [(codes, poly) for codes, _left, poly in states]
+
+
+def test_kernel_matches_reference():
+    """On every tabloid, not only every tableau, of the oracle modules and
+    B3 (3,1,0), at every node and for m = 1, 2, 3, the kernel gives the
+    reference's non-zero outputs, term for term and in the same order."""
+    from qcb.modvec import _coded_powers, _expand_divided, _heads, terms_of
+
+    cases = 0
+    for kind, lam in ORACLE_MODULES + [(B3, (3, 1, 0))]:
+        shape = shape_for_lambda(lam, kind)
+        tabs = enumerate_tabloids(shape)
+        for i in range(1, kind.rank + 1):
+            d = qi_exponent(kind, i)
+            tables = [(s, _coded_powers(s, i)) for s in shape.slots]
+            for tab in tabs:
+                heads = _heads(tables, tab.codes, i)
+                for m in (1, 2, 3):
+                    ref = _reference_expand_divided(heads, m, d)
+                    want = [(c, terms) for c, poly in ref if (terms := terms_of(poly))]
+                    assert _expand_divided(tab.codes, heads, m, d) == want, (kind, lam, str(tab), i, m)
+                    cases += 1
+    assert cases == 81906
+
+
+def test_term_tuple_arithmetic():
+    """Products and sums of term tuples cancel like terms: (1 + q)(1 - q) = 1 - q^2."""
+    from qcb.modvec import _plus, _times
+
+    assert _times(((0, 1), (1, 1)), ((0, 1), (1, -1))) == ((0, 1), (2, -1))
+    assert _times(((2, 3),), ((-1, 1), (1, 2))) == _times(((-1, 1), (1, 2)), ((2, 3),)) == ((1, 3), (3, 6))
+    assert _plus(((0, 1), (1, 2)), ((1, -2), (4, 1))) == ((0, 1), (4, 1))
+    assert _plus(((1, 1),), ((1, -1),)) == ()
+
+
+def test_bad_arguments_are_refused():
+    """A negative m, or a node outside 1..n, raises ValueError for every m and
+    on an empty vector too, before the request's memo is touched."""
+    from qcb.modvec import CodedVector, _coded
+
+    v = highest_vector((1, 1), B2)
+    for i, m in [(1, -1), (3, 0), (3, 1), (0, 0), (0, 2)]:
+        with pytest.raises(ValueError):
+            module_f_divided(v, i, m)
+        with pytest.raises(ValueError):
+            apply_monomial(v, [(i, m)])
+        coded = _coded(v)
+        with pytest.raises(ValueError):
+            module_f_divided(coded, i, m)
+        assert coded.memo == {}
+        with pytest.raises(ValueError):
+            module_f_divided(CodedVector(coded.shape, {}, coded.memo), i, m)
+        assert coded.memo == {}
+    with pytest.raises(ValueError):
+        module_f_divided(SparseVector.zero(), 1, -1)
+    with pytest.raises(ValueError):
+        apply_monomial(v, [(1, 1), (2, -2)])
+    assert module_f_divided(v, 2, 0) is v
 
 
 def test_each_factor_power_is_computed_once(monkeypatch):
