@@ -185,7 +185,7 @@ def _raise_once(cur: Tabloid, member: Member) -> tuple[int, int, Tabloid] | None
     if codes == highest_tabloid(shape).codes:
         return None
     slots = shape.slots
-    s = int(cur.spin is not None)  # the first column slot
+    s = int(shape.has_spin())  # the first column slot
     nodes = range(1, shape.kind.rank + 1)
     columns = tuple(zip(slots, codes))[s:]
     if s and not any(signature_rule([crystal_row(slot, i, c) for slot, c in columns])[0] for i in nodes):
@@ -410,10 +410,30 @@ def canonical_matrix(
         rows = tuple(enumerate_tabloids(shape, weight2))
         row_weights = [weight2] * len(rows)
     else:
-        # one sorted pass over all tabloids
-        kept = [(t, mu) for t in enumerate_tabloids(shape) if (mu := weight2_of_tabloid(t)) in groups]
-        rows = tuple(t for t, _mu in kept)
-        row_weights = [mu for _t, mu in kept]
+        # One sorted pass over all tabloids, with no weight tuple per row.
+        # A weight packs into the int sum of w_j * base^j, which adds like
+        # the weights, and packing is exact: every coordinate of a tabloid's
+        # weight (doubled epsilon coordinates, ±2 a box and ±1 the spin
+        # column) has |w_j| <= 2 boxes + 1 < base / 2, so two weights that
+        # differ first at j differ in their packed sums mod base^(j+1).
+        base = 4 * shape.boxes + 4
+
+        def packed(w: Weight2) -> int:
+            return sum(x * base**j for j, x in enumerate(w))
+
+        sums = [0]  # each tabloid's packed weight, in enumerate_tabloids' product order
+        for s in shape.slots:
+            slot = [packed(w) for w in s.weights]
+            sums = [a + b for a in sums for b in slot]
+        weight_of = {packed(mu): mu for mu in groups}  # the module's own tuples
+        kept: list[Tabloid] = []
+        row_weights = []
+        for t, p in zip(enumerate_tabloids(shape), sums):
+            mu = weight_of.get(p)
+            if mu is not None:
+                kept.append(t)
+                row_weights.append(mu)
+        rows = tuple(kept)
     # the rows ascend in the total order, so row indices compare readings
     row_index = {t.codes: i for i, t in enumerate(rows)}
     col_index = {t: i for i, t in enumerate(tableaux)}

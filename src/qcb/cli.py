@@ -4,7 +4,8 @@ Subcommands: ``columns`` (list columns or spin columns), ``crystal`` (edge
 list of a module's crystal graph), ``marsh`` (global basis vector of one
 admissible column), ``apath`` (raising walk and monomial vector of one
 tableau), ``canonical`` (canonical basis matrix, optionally one weight
-space), ``check`` (invariant suite).  Output is JSON, CSV or LaTeX and is
+space), ``check`` (invariant suite, over its own ranks: the one command
+that needs no ``--type``/``--rank``).  Output is JSON, CSV or LaTeX and is
 byte-deterministic for a fixed invocation.
 
 Exit codes: 0 success, 1 domain error (bad input data), 2 internal
@@ -49,8 +50,9 @@ class _Parser(argparse.ArgumentParser):
 @lru_cache(maxsize=None)
 def _build_parser() -> _Parser:
     p = _Parser(prog="qcb", description="Canonical bases of quantum orthogonal modules, exactly.")
-    p.add_argument("--type", choices=("B", "D"), required=True, help="algebra family")
-    p.add_argument("--rank", type=int, required=True, help="rank n")
+    # required by every command but check, whose ranks come from its own flags (see main)
+    p.add_argument("--type", choices=("B", "D"), help="algebra family (not read by check)")
+    p.add_argument("--rank", type=int, help="rank n (not read by check)")
     p.add_argument("--experimental-d2", action="store_true", help="allow type D at rank 2 (no correctness promise)")
     tail = argparse.ArgumentParser(add_help=False)
     tail.add_argument("--format", choices=("json", "csv", "tex"), default="json")
@@ -299,7 +301,7 @@ def _cmd_canonical(kind: AlgebraKind, args) -> CanonicalMatrix:
     return canonical_matrix(lam, kind, weight2=weight2)
 
 
-def _cmd_check(kind: AlgebraKind, args) -> dict:
+def _cmd_check(kind: AlgebraKind | None, args) -> dict:
     # imported here: no other command needs the invariant suite, so their
     # start-up does not load it
     from .checks import run_all
@@ -327,9 +329,13 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    missing = [flag for flag, value in (("--type", args.type), ("--rank", args.rank)) if value is None]
+    if missing and args.command != "check":
+        parser.error(f"the following arguments are required: {', '.join(missing)}")
     try:
-        kind = AlgebraKind(args.type, args.rank, experimental=args.experimental_d2)
+        kind = None if missing else AlgebraKind(args.type, args.rank, experimental=args.experimental_d2)
     except ValueError as exc:
         print(f"qcb: {exc}", file=sys.stderr)
         return DOMAIN_EXIT

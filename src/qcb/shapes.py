@@ -9,8 +9,8 @@ reading lies in the crystal of the irreducible module: the component of the
 highest tableau's reading, or equivalently the readings that raise to it.
 A tabloid's factors fill tensor slots; a slot's fillings depend only on its
 kind, a column height or a spin class, which has one ``slot_table`` with
-its fillings' weights and each weight's codes.  A tabloid carries its
-codes, each a factor's index in its slot's ascending fillings.  What
+its fillings' weights and each weight's codes.  A tabloid is its shape
+and its codes, each a factor's index in its slot's ascending fillings.  What
 depends only on the shape lives in its ``shape_tables``, which hands out
 one tabloid object per filling.  The crystal runs on those codes: a
 reading is the tensor product of its fillings, so the signature rule over
@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .crystal import (
@@ -170,28 +170,65 @@ class Shape:
             raise ValueError(f"factors {'/'.join(map(str, factors))} do not fill the slots of {self.heights}") from None
 
 
-@cache_hash
-@dataclass(frozen=True)
 class Tabloid:
     """A filling of a shape: optional spin column plus one column per slot.
 
-    ``codes`` holds each factor's code in its slot, in reading order; finding
-    them checks that every factor fills its slot.  ``tabloid_of_codes``
-    builds a tabloid from codes it holds, without that check.
+    A tabloid is its shape and its ``codes``, each factor's code in its
+    slot, in reading order; equality and hash are on those two, and the
+    spin column and the columns are read back from the slot tables.
+    ``Tabloid(shape, spin, columns)`` finds the codes, which checks that
+    every factor fills its slot; ``tabloid_of_codes`` builds a tabloid from
+    codes it holds, without that check.
     """
 
-    shape: Shape
-    spin: SpinColumn | None
-    columns: tuple[Column, ...]
-    codes: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("shape", "codes", "_hash")
 
-    def __post_init__(self):
-        object.__setattr__(self, "codes", self.shape.codes_of(tabloid_factors(self)))
+    def __init__(self, shape: Shape, spin: SpinColumn | None, columns: Sequence[Column]):
+        cols = tuple(columns)[::-1]
+        object.__setattr__(self, "codes", shape.codes_of(cols if spin is None else (spin, *cols)))
+        object.__setattr__(self, "shape", shape)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Tabloid is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("Tabloid is immutable")
+
+    def __reduce__(self):
+        # rebuilt from (shape, codes): the cached hash, salted per process
+        # through the shape's strings, stays behind
+        return tabloid_of_codes, (self.shape, self.codes)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Tabloid:
+            return NotImplemented
+        return self.codes == other.codes and self.shape == other.shape
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.shape, self.codes))
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    @property
+    def spin(self) -> SpinColumn | None:
+        return self.shape.slots[0].fillings[self.codes[0]] if self.shape.has_spin() else None
+
+    @property
+    def columns(self) -> tuple[Column, ...]:
+        """The columns left to right."""
+        factors = tabloid_factors(self)
+        return factors[:0:-1] if self.shape.has_spin() else factors[::-1]
+
+    def __repr__(self) -> str:
+        return f"Tabloid({self.shape!r}, {self.spin!r}, {self.columns!r})"
 
     def __str__(self) -> str:
         """The spin column, then the columns left to right: the reading order with its columns reversed."""
         texts = [s.texts[c] for s, c in zip(self.shape.slots, self.codes)]
-        k = self.spin is not None
+        k = self.shape.has_spin()
         return "/".join(texts[:k] + texts[k:][::-1])
 
 
@@ -264,8 +301,7 @@ def highest_tabloid(shape: Shape) -> Tabloid:
 
 def tabloid_factors(t: Tabloid) -> tuple:
     """The tensor factors in reading order: the spin column, then the columns right to left."""
-    cols = t.columns[::-1]
-    return cols if t.spin is None else (t.spin, *cols)
+    return tuple(s.fillings[c] for s, c in zip(t.shape.slots, t.codes))
 
 
 def tabloid_of_factors(shape: Shape, factors: Sequence) -> Tabloid:
@@ -280,10 +316,12 @@ def tabloid_of_columns(shape: Shape, spin: SpinColumn | None, columns: Sequence[
 
 def tabloid_reading(t: Tabloid) -> Word:
     """The letters of the column factors in order, led by the spin column."""
+    factors = tabloid_factors(t)
+    k = t.shape.has_spin()
     letters: list[Letter] = []
-    for c in tabloid_factors(t)[t.spin is not None :]:  # the column factors
+    for c in factors[k:]:  # the column factors
         letters.extend(c.letters)
-    return Word(t.shape.kind, tuple(letters), t.spin)
+    return Word(t.shape.kind, tuple(letters), factors[0] if k else None)
 
 
 def word_to_tabloid(w: Word, shape: Shape) -> Tabloid:
@@ -395,12 +433,10 @@ def tabloid_of_codes(shape: Shape, codes: tuple[int, ...]) -> Tabloid:
     tabloids = shape_tables(shape).tabloids
     t = tabloids.get(codes)
     if t is None:
-        f = [s.fillings[c] for s, c in zip(shape.slots, codes)]
-        spin, columns = (f[0], tuple(f[:0:-1])) if shape.has_spin() else (None, tuple(f[::-1]))
         # codes that index the slots fill them: skip the constructor's check
         t = object.__new__(Tabloid)
-        for name, value in (("shape", shape), ("spin", spin), ("columns", columns), ("codes", codes)):
-            object.__setattr__(t, name, value)
+        object.__setattr__(t, "shape", shape)
+        object.__setattr__(t, "codes", codes)
         tabloids[codes] = t
     return t
 

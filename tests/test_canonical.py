@@ -171,6 +171,22 @@ def test_spin_shape_a_vectors():
 ORACLE_MODULES = [(B2, (1, 1)), (B3, (0, 1, 1)), (D4, (1, 0, 1, 1)), (D4, (0, 0, 1, 2))]
 
 
+# D4 (1,0,2,0) has 32 tabloids whose weight is not one of the module's; the other modules have none
+@pytest.mark.parametrize("kind,lam", ORACLE_MODULES + [(B3, (3, 1, 0)), (D4, (1, 0, 2, 0))])
+def test_whole_module_rows_are_the_tabloids_of_its_weights(kind, lam):
+    """The rows pass keeps, in order, exactly the tabloids whose weight is one
+    of the module's, and every entry joins a row and a column of one weight."""
+    shape = shape_for_lambda(lam, kind)
+    M = canonical_matrix(lam, kind)
+    weights = set(orthogonal_tableaux(shape).values())
+    tabloids = enumerate_tabloids(shape)
+    assert list(M.rows) == [t for t in tabloids if weight2_of_tabloid(t) in weights]
+    if lam == (1, 0, 2, 0):
+        assert len(tabloids) - len(M.rows) == 32
+    for r, c in M.entries:
+        assert weight2_of_tabloid(M.rows[r]) == weight2_of_tabloid(M.cols[c]), (r, c)
+
+
 def _pairs(flat):
     """A flat (codes, terms, ...) tuple as a {codes: terms} dict."""
     return dict(zip(flat[::2], flat[1::2]))

@@ -176,6 +176,23 @@ def test_check_refuses_an_empty_rank_range(capsys, flags, err):
     assert run_cli(capsys, "--type", "B", "--rank", "2", "check", *flags) == (1, "", err)
 
 
+def test_check_needs_no_type_or_rank(capsys):
+    """The suite picks its algebras from its own rank bounds."""
+    code, out, _ = run_cli(capsys, "check", "--max-rank-b", "2", "--max-rank-d", "3")
+    assert code == 0 and json.loads(out)["ok"]
+
+
+@pytest.mark.parametrize(
+    "flags,missing",
+    [([], "--type, --rank"), (["--type", "B"], "--rank"), (["--rank", "2"], "--type")],
+)
+def test_other_commands_need_type_and_rank(capsys, flags, missing):
+    with pytest.raises(SystemExit) as exc:
+        main([*flags, "canonical", "--lambda", "1,1"])
+    assert exc.value.code == 64
+    assert capsys.readouterr().err.endswith(f"qcb: error: the following arguments are required: {missing}\n")
+
+
 def test_marsh_raises_the_column_once(capsys, monkeypatch):
     import qcb.canonical
 

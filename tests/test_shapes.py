@@ -6,6 +6,7 @@ from collections import Counter
 from math import comb
 
 import pytest
+from test_canonical import ORACLE_MODULES
 
 from qcb.crystal import SpinColumn, Word, component_bfs, enumerate_spin_columns, word_sort_key
 from qcb.rootdata import AlgebraKind, alphabet
@@ -350,6 +351,25 @@ def test_one_filling_is_one_object(kind, lam):
                         nxt.append(w)
         frontier = nxt[:6]
     assert seen > 0
+
+
+@pytest.mark.parametrize("kind,lam", ORACLE_MODULES)
+def test_tabloid_is_a_value_of_its_shape_and_codes(kind, lam):
+    """Rebuilt from its spin column and columns a tabloid is equal, with an
+    equal hash; its factors lead back to the shape's one object; its text is
+    that of its parts; and none of its attributes can be set or deleted."""
+    shape = shape_for_lambda(lam, kind)
+    for t in enumerate_tabloids(shape):
+        u = Tabloid(shape, t.spin, t.columns)
+        assert u == t and hash(u) == hash(t) and u is not t
+        assert tabloid_of_factors(shape, tabloid_factors(t)) is t
+        parts = [str(c) for c in t.columns]
+        assert str(t) == "/".join(parts if t.spin is None else [str(t.spin), *parts])
+        for name in ("shape", "codes", "spin", "columns", "other"):
+            with pytest.raises(AttributeError):
+                setattr(t, name, None)
+            with pytest.raises(AttributeError):
+                delattr(t, name)
 
 
 PICKLE_SCRIPT = """
