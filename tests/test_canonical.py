@@ -2,6 +2,7 @@ import itertools
 import json
 import random
 import re
+import tracemalloc
 
 import pytest
 
@@ -354,7 +355,7 @@ def test_coded_correction_matches_reference(kind, lam):
 def test_canonical_json_writer_matches_json_dumps(kind, lam):
     """The canonical JSON writer prints what json.dumps prints for the matrix's
     json() dict: the whole module, one weight space, and a weight outside it."""
-    from qcb.cli import _canonical_json
+    from qcb.cli import _canonical_json_chunks
 
     tabs = enumerate_tableaux(lam, kind)
     mu = weight2_of_tabloid(tabs[len(tabs) // 2])
@@ -363,7 +364,77 @@ def test_canonical_json_writer_matches_json_dumps(kind, lam):
     for weight2 in (None, mu, outside):
         M = canonical_matrix(lam, kind, weight2)
         assert bool(M.cols) == (weight2 != outside)
-        assert _canonical_json(M) == json.dumps({**M.json(), "command": "canonical"}, indent=2) + "\n"
+        assert "".join(_canonical_json_chunks(M)) == json.dumps({**M.json(), "command": "canonical"}, indent=2) + "\n"
+
+
+def _dense_cells(M, render, blank):
+    """Each row label with all its cells, read one by one off M.entry."""
+    for r, row in enumerate(M.rows):
+        yield row, [render(e) if e else blank for e in (M.entry(r, c) for c in range(len(M.cols)))]
+
+
+def _dense_csv(M):
+    lines = [",".join([""] + [f'"{c}"' for c in M.cols])]
+    for row, cells in _dense_cells(M, lambda e: f'"{e}"', '"."'):
+        lines.append(",".join([f'"{row}"'] + cells))
+    return "\n".join(lines) + "\n"
+
+
+def _dense_tex(M):
+    lines = [r"\begin{array}{l|" + "c" * len(M.cols) + "}"]
+    lines.append(" & " + " & ".join(r"\text{" + str(c) + "}" for c in M.cols) + r" \\ \hline")
+    for row, cells in _dense_cells(M, LaurentPoly.latex, "."):
+        lines.append(r"\text{" + str(row) + "} & " + " & ".join(cells) + r" \\")
+    lines.append(r"\end{array}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("kind,lam", ORACLE_MODULES)
+def test_canonical_csv_and_tex_writers_match_a_dense_renderer(kind, lam):
+    """The row-by-row CSV and TeX writers print what a plain nested loop over
+    M.entry(r, c) prints: the whole module and one weight space."""
+    from qcb.cli import _canonical_csv_rows, _canonical_tex_rows
+
+    tabs = enumerate_tableaux(lam, kind)
+    for weight2 in (None, weight2_of_tabloid(tabs[len(tabs) // 2])):
+        M = canonical_matrix(lam, kind, weight2)
+        assert M.entries
+        for chunks, want in ((_canonical_csv_rows(M), _dense_csv(M)), (_canonical_tex_rows(M), _dense_tex(M))):
+            got = "".join(chunks)
+            same = got == want  # a bare flag: pytest's own diff of two dense matrices takes minutes
+            assert same, _first_difference(got, want)
+
+
+def _first_difference(got, want):
+    for k, (a, b) in enumerate(zip(got.split("\n"), want.split("\n"))):
+        if a != b:
+            return f"line {k}: {a[:200]!r} != {b[:200]!r}"
+    return f"lengths {len(got)} != {len(want)}"
+
+
+def _write_peak(M, fmt, path):
+    """(peak bytes traced while the CLI writes M to path, bytes written)."""
+    from argparse import Namespace
+
+    from qcb.cli import _emit, _write
+
+    tracemalloc.start()
+    try:
+        _write(_emit(M, Namespace(format=fmt)), str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, path.stat().st_size
+
+
+@pytest.mark.parametrize("fmt,kind,lam", [("json", B3, (3, 1, 0)), ("csv", D4, (1, 0, 1, 1))])
+def test_writer_holds_no_whole_document(fmt, kind, lam, tmp_path):
+    """Writing a built matrix out takes less memory than a quarter of the
+    bytes it writes: the writer streams, it never holds the document."""
+    M = canonical_matrix(lam, kind)
+    peak, size = _write_peak(M, fmt, tmp_path / f"out.{fmt}")
+    assert size > 100_000
+    assert peak < size / 4, (peak, size)
 
 
 @pytest.mark.parametrize("kind,lam", ORACLE_MODULES)

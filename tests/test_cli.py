@@ -214,6 +214,55 @@ def test_unwritable_output_is_a_domain_error(capsys, tmp_path):
     assert f"cannot write {path}" in err and "Traceback" not in err
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+def test_full_device_is_a_write_error(capsys):
+    """A write that fails in mid-stream exits 1 with one line and no traceback."""
+    code, out, err = run_cli(capsys, "--type", "B", "--rank", "3", "canonical", "--lambda", "1,1,2", "--output", "/dev/full")
+    assert code == 1 and out == ""
+    assert err.splitlines() == ["qcb: cannot write /dev/full: No space left on device"]
+
+
+def _buffered_env():
+    """The environment of a child qcb whose standard output is block-buffered, as in a shell."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+def test_reader_that_closes_early_is_a_write_error():
+    """``qcb ... canonical | head -c 100``: the writer meets a closed pipe in
+    mid-stream, says so on one line and exits 1, with no traceback."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qcb", "--type", "B", "--rank", "3", "canonical", "--lambda", "3,1,0"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=_buffered_env(),
+    )
+    head = proc.stdout.read(100)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == 1
+    assert head.startswith(b'{\n  "kind": "B",')
+    assert err.splitlines() == ["qcb: cannot write standard output: Broken pipe"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+def test_full_standard_output_is_a_write_error():
+    """``qcb ... > /dev/full``: one line, exit 1, and no second failure when
+    the interpreter flushes standard output at exit."""
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "qcb", "--type", "B", "--rank", "2", "canonical", "--lambda", "1,1"],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=_buffered_env(),
+        )
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == ["qcb: cannot write standard output: No space left on device"]
+
+
 def test_usage_error_exit():
     proc = subprocess.run(
         [sys.executable, "-m", "qcb.cli", "--type", "E", "--rank", "3", "check"],

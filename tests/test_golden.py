@@ -1,7 +1,8 @@
 """Byte-exact golden outputs of the CLI.
 
 Each case runs ``qcb`` in-process and compares the bytes it writes with the
-file of the same name under ``tests/golden/``.  The ``marsh`` and ``apath``
+file of the same name under ``tests/golden/``; each ``canonical`` case is
+compared twice, written with ``--output`` and printed on standard output.  The ``marsh`` and ``apath``
 cases pin the order in which vector terms are printed, and how each format
 writes their coefficients; the ``canonical``
 cases pin whole-module and single-weight matrices (JSON, CSV and TeX),
@@ -67,6 +68,14 @@ def test_golden_output(name, tmp_path):
     assert main(CASES[name] + ["--output", str(out)]) == 0
     with open(os.path.join(GOLDEN_DIR, name), "rb") as fh:
         assert out.read_bytes() == fh.read()
+
+
+@pytest.mark.parametrize("name", sorted(n for n in CASES if n.startswith("canonical_")))
+def test_golden_output_on_stdout(name, capsys):
+    """Without ``--output`` the same bytes go to standard output."""
+    assert main(CASES[name]) == 0
+    with open(os.path.join(GOLDEN_DIR, name), "rb") as fh:
+        assert capsys.readouterr().out.encode() == fh.read()
 
 
 if __name__ == "__main__":
