@@ -27,8 +27,8 @@ from .rootdata import AlgebraKind, InvariantViolation, Weight2
 from .shapes import (
     ONE_TERMS,
     Column,
+    ShapeTables,
     Tabloid,
-    crystal_row,
     enumerate_tableaux,
     enumerate_tabloids,
     highest_tabloid,
@@ -38,8 +38,6 @@ from .shapes import (
     shape_for_lambda,
     shape_tables,
     tabloid_of_codes,
-    tabloid_weight_counts,
-    weight2_of_tabloid,
 )
 from .wedge import _alt_word, wedge_f_divided
 
@@ -157,15 +155,12 @@ def global_column(col: Column) -> SparseVector:
 Member = Callable[[Tabloid], bool]
 
 
-def _spin_step(cur: Tabloid, member: Member) -> tuple[int, int, Tabloid]:
+def _spin_step(cur: Tabloid, tables: ShapeTables, member: Member) -> tuple[int, int, Tabloid]:
     """Raise the spin column alone, by the smallest color that stays in the crystal."""
-    shape, codes = cur.shape, cur.codes
-    for j in range(1, shape.kind.rank + 1):
-        g = crystal_row(shape.slots[0], j, codes[0])[2]
-        if g is None:
-            continue
-        cand = tabloid_of_codes(shape, (g, *codes[1:]))
-        if member(cand):
+    codes = cur.codes
+    for j in tables.crystal:
+        g = tables.row(0, j, codes[0])[2]
+        if g is not None and member(cand := tables.tabloid((g, *codes[1:]))):
             return j, 1, cand
     raise InvariantViolation(f"no spin raise leaves {cur} in the crystal")
 
@@ -176,53 +171,53 @@ def _raise_once(cur: Tabloid, member: Member) -> tuple[int, int, Tabloid] | None
     None means the walk ends at cur: it is the highest tableau, or a spin
     tableau whose weight space holds one tabloid.  ``member`` decides
     whether a tabloid is an orthogonal tableau.  The step runs on slot
-    codes: each filling's crystal is a row of ``shapes.crystal_row``, and a
+    codes: each filling's crystal is a row (``ShapeTables.row``), and a
     reading's is the signature rule over its slots' rows.  Slots follow the
     reading, so the columns come right to left after the spin column.
     """
-    shape = cur.shape
+    tables = shape_tables(cur.shape)
     codes = cur.codes
-    if codes == highest_tabloid(shape).codes:
+    if codes == tables.highest.codes:
         return None
-    slots = shape.slots
-    s = int(shape.has_spin())  # the first column slot
-    nodes = range(1, shape.kind.rank + 1)
-    columns = tuple(zip(slots, codes))[s:]
-    if s and not any(signature_rule([crystal_row(slot, i, c) for slot, c in columns])[0] for i in nodes):
-        if tabloid_weight_counts(shape)[weight2_of_tabloid(cur)] == 1:
+    row = tables.row
+    slots = cur.shape.slots
+    s = int(cur.shape.has_spin())  # the first column slot
+    n = len(codes)
+    if s and not any(signature_rule([row(x, i, codes[x]) for x in range(s, n)])[0] for i in tables.crystal):
+        if tables.suffix_counts[0][tables.packed_weight(codes)] == 1:
             # alone in its weight space: the tabloid vector is already
             # the canonical one and the walk may stop here
             return None
-        return _spin_step(cur, member)
+        return _spin_step(cur, tables, member)
     # the rightmost column that is not highest
-    k = next(x for x in range(s, len(codes)) if not crystal_row(slots[x], 1, codes[x])[4])
+    k = next(x for x in range(s, n) if not row(x, 1, codes[x])[4])
     i1 = _marsh_color(slots[k].fillings[codes[k]])
-    if s and crystal_row(slots[0], i1, codes[0])[3] is not None:
+    if s and row(0, i1, codes[0])[3] is not None:
         # the spin column blocks this node (its t-eigenvalue spoils the
         # unit coefficient); raise the spin itself instead
-        return _spin_step(cur, member)
+        return _spin_step(cur, tables, member)
     # the block: columns left of k join while the one to their right has no
     # f_i1 and they can be raised by i1
     end = k
     while (
-        end + 1 < len(codes)
+        end + 1 < n
         and wedge_f_divided(slots[end].fillings[codes[end]], i1, 1).is_zero()
-        and crystal_row(slots[end + 1], i1, codes[end + 1])[0] > 0
+        and row(end + 1, i1, codes[end + 1])[0] > 0
     ):
         end += 1
     new = list(codes)
     r = 0
     for x in range(k, end + 1):
-        for _ in range(crystal_row(slots[x], i1, codes[x])[0]):
-            new[x] = crystal_row(slots[x], i1, new[x])[2]
+        for _ in range(row(x, i1, codes[x])[0]):
+            new[x] = row(x, i1, new[x])[2]
             r += 1
-    if s and crystal_row(slots[0], i1, codes[0])[0] == 1:
+    if s and row(0, i1, codes[0])[0] == 1:
         # the spin column sits leftmost in the tensor order; when it can
         # absorb a raising step it must, or the replayed divided power
         # picks up a stray power of q_i on the target tabloid
-        new[0] = crystal_row(slots[0], i1, codes[0])[2]
+        new[0] = row(0, i1, codes[0])[2]
         r += 1
-    nxt = tabloid_of_codes(shape, tuple(new))
+    nxt = tables.tabloid(tuple(new))
     if not member(nxt):
         raise InvariantViolation(f"raising left the crystal at {nxt}")
     return i1, r, nxt
@@ -401,7 +396,8 @@ def canonical_matrix(
     tableaux = enumerate_tableaux(lam, kind, weight2=weight2)
     if not tableaux:
         return CanonicalMatrix(kind, tuple(lam), weight2, (), (), {}, ())
-    groups = shape_tables(shape).by_weight if weight2 is None else {weight2: tableaux}
+    tables = shape_tables(shape)
+    groups = tables.by_weight if weight2 is None else {weight2: tableaux}
     build = _MonomialBuilder(tableaux)
     results = [_correct_group([build.vector(t) for t in tabs], tabs) for tabs in groups.values()]
     del build  # and with it the request's memo, before the rows pass
@@ -410,22 +406,12 @@ def canonical_matrix(
         rows = tuple(enumerate_tabloids(shape, weight2))
         row_weights = [weight2] * len(rows)
     else:
-        # One sorted pass over all tabloids, with no weight tuple per row.
-        # A weight packs into the int sum of w_j * base^j, which adds like
-        # the weights, and packing is exact: every coordinate of a tabloid's
-        # weight (doubled epsilon coordinates, ±2 a box and ±1 the spin
-        # column) has |w_j| <= 2 boxes + 1 < base / 2, so two weights that
-        # differ first at j differ in their packed sums mod base^(j+1).
-        base = 4 * shape.boxes + 4
-
-        def packed(w: Weight2) -> int:
-            return sum(x * base**j for j, x in enumerate(w))
-
-        sums = [0]  # each tabloid's packed weight, in enumerate_tabloids' product order
-        for s in shape.slots:
-            slot = [packed(w) for w in s.weights]
+        # One sorted pass over all tabloids, with no weight tuple per row: their
+        # packed weights are summed slot by slot in enumerate_tabloids' order.
+        sums = [0]
+        for slot in tables.packs:
             sums = [a + b for a in sums for b in slot]
-        weight_of = {packed(mu): mu for mu in groups}  # the module's own tuples
+        weight_of = {tables.pack(mu): mu for mu in groups}  # the module's own tuples
         kept: list[Tabloid] = []
         row_weights = []
         for t, p in zip(enumerate_tabloids(shape), sums):

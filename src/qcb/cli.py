@@ -8,10 +8,10 @@ space), ``check`` (invariant suite, over its own ranks: the one command
 that needs no ``--type``/``--rank``).  Output is JSON, CSV or LaTeX and is
 byte-deterministic for a fixed invocation.
 
-Output is written in chunks, to the ``--output`` file (opened only once the
-computation is done) or to standard output, and the writer never holds the
-whole document: ``canonical`` is written straight from the
-``CanonicalMatrix``, a few hundred JSON items or one CSV/TeX row a chunk.
+Output is written in chunks, to the ``--output`` file (opened only after the
+computation, but a missing directory fails before it) or to standard output,
+and the writer never holds the whole document: ``canonical`` is written from
+the ``CanonicalMatrix``, a few hundred JSON items or one CSV/TeX row a chunk.
 That keeps writing out of the peak memory: whole-module B3 (2,2,0) JSON
 (11.6 MB) runs in about 51 MB max RSS, B3 (3,1,0) CSV in about 22 MB.  The
 CSV and TeX matrices are dense, one cell per (row, column): 25 MB for
@@ -389,6 +389,12 @@ def main(argv: list[str] | None = None) -> int:
         kind = None if missing else AlgebraKind(args.type, args.rank, experimental=args.experimental_d2)
     except ValueError as exc:
         print(f"qcb: {exc}", file=sys.stderr)
+        return DOMAIN_EXIT
+    try:
+        if args.output:  # opened only after the work, but a missing directory fails before it
+            os.stat(os.path.join(os.path.dirname(args.output) or ".", ""))
+    except OSError as exc:
+        print(f"qcb: cannot write {args.output}: {exc.strerror or exc}", file=sys.stderr)
         return DOMAIN_EXIT
     try:
         doc = _COMMANDS[args.command](kind, args)

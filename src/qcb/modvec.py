@@ -20,8 +20,8 @@ vanish, branch; an inactive factor just shifts the exponents of the
 branches after it by its t_i exponent; and coefficients stay term tuples,
 multiplied by ``_times`` with a fast path for single terms.  No output of
 one tabloid needs merging, so only ``module_f_divided``, which sums the
-outputs of several tabloids, adds term tuples (``_plus``).  It reads the
-coded tables of node i once per call, and keeps each tabloid's expansion
+outputs of several tabloids, adds term tuples (``_plus``).  It reads node
+i's tables from ``ShapeTables.powers``, and keeps each tabloid's expansion
 in a memo, keyed by (i, m) and then by its codes, so a tabloid met again in
 the same request is not expanded again.  The memo's codes, and so every
 output's, are those of the shape's one tabloid for them, and its term
@@ -191,16 +191,16 @@ def module_f_divided(v: CodedVector | SparseVector, i: int, m: int) -> CodedVect
         return v
     expansions = u.memo.setdefault((i, m), {})
     tables = shape_tables(shape)
-    tabloids, interned = tables.tabloids, tables.terms
-    powers = [(slot, _coded_powers(slot, i)) for slot in shape.slots]
+    interned, powers = tables.terms, tables.powers.get(i)
+    if powers is None:
+        powers = tables.powers[i] = tuple((slot, _coded_powers(slot, i)) for slot in shape.slots)
     acc: dict[tuple[int, ...], tuple] = {}
     for codes, terms in u.terms.items():
         flat = expansions.get(codes)
         if flat is None:
             flat = []
             for out, poly in _expand_divided(codes, _heads(powers, codes, i), m, d):
-                tab = tabloids.get(out) or tabloid_of_codes(shape, out)
-                flat += (tab.codes, interned.setdefault(poly, poly))
+                flat += (tables.tabloid(out).codes, interned.setdefault(poly, poly))
             flat = expansions[codes] = tuple(flat)
         pairs = iter(flat)
         for out, poly in zip(pairs, pairs):

@@ -8,16 +8,16 @@ optional spin column in front); orthogonal tableaux are the tabloids whose
 reading lies in the crystal of the irreducible module: the component of the
 highest tableau's reading, or equivalently the readings that raise to it.
 A tabloid's factors fill tensor slots; a slot's fillings depend only on its
-kind, a column height or a spin class, which has one ``slot_table`` with
-its fillings' weights and each weight's codes.  A tabloid is its shape
-and its codes, each a factor's index in its slot's ascending fillings.  What
-depends only on the shape lives in its ``shape_tables``, which hands out
-one tabloid object per filling.  The crystal runs on those codes: a
-reading is the tensor product of its fillings, so the signature rule over
-the fillings' own (eps_i, phi_i) rows (``crystal_row``, one table per
-(slot table, node)) gives the reading's, and the filling it selects moves
-by its own e_i or f_i code.  The component is searched that way; the
-``Word`` crystal on readings is the oracle.
+kind, a column height or a spin class, which has one ``slot_table`` with its
+fillings' weights.  A tabloid is its shape and its codes, each a factor's
+index in its slot's ascending fillings.  What depends only on the shape
+lives in its ``shape_tables``, which hands out one tabloid object per
+filling, its slots' tables per node and its packed weights.  The crystal
+runs on those codes: a reading is the tensor product of its fillings, so the
+signature rule over the fillings' own (eps_i, phi_i) rows (``crystal_row``,
+one table per (slot table, node)) gives the reading's, and the filling it
+selects moves by its own e_i or f_i code.  The component is searched that
+way; the ``Word`` crystal on readings is the oracle.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ from .rootdata import (
     letter_key,
     letters_hash_key,
     parse_int,
-    weight2_add,
     weight2_zero,
 )
 
@@ -413,32 +412,19 @@ class SlotTable:
     index: dict  # each filling's code
     weights: tuple[Weight2, ...]  # each code's weight
     texts: tuple[str, ...]  # each code's printed filling
-    by_weight: dict[Weight2, tuple[int, ...]]  # each weight's codes, ascending
 
 
 @lru_cache(maxsize=None)
 def slot_table(kind: AlgebraKind, slot: int | str) -> SlotTable:
     """The table of a column height, or of a spin class ("B", "D+" or "D-")."""
     fillings = tuple(enumerate_spin_columns(kind, slot[-1]) if isinstance(slot, str) else enumerate_columns(kind, slot))
-    weights = tuple(f.weight2() for f in fillings)
-    by_weight: dict[Weight2, list[int]] = {}
-    for c, w in enumerate(weights):
-        by_weight.setdefault(w, []).append(c)
     index = {f: c for c, f in enumerate(fillings)}
-    return SlotTable(fillings, index, weights, tuple(map(str, fillings)), {w: tuple(cs) for w, cs in by_weight.items()})
+    return SlotTable(fillings, index, tuple(f.weight2() for f in fillings), tuple(map(str, fillings)))
 
 
 def tabloid_of_codes(shape: Shape, codes: tuple[int, ...]) -> Tabloid:
     """The tabloid with these codes: one object per filling while the shape's tables are kept."""
-    tabloids = shape_tables(shape).tabloids
-    t = tabloids.get(codes)
-    if t is None:
-        # codes that index the slots fill them: skip the constructor's check
-        t = object.__new__(Tabloid)
-        object.__setattr__(t, "shape", shape)
-        object.__setattr__(t, "codes", codes)
-        tabloids[codes] = t
-    return t
+    return shape_tables(shape).tabloid(codes)
 
 
 @lru_cache(maxsize=None)
@@ -479,19 +465,14 @@ def codes_eps_phi(shape: Shape, codes: tuple[int, ...], i: int) -> tuple[int, in
 
 
 def codes_apply(shape: Shape, codes: tuple[int, ...], i: int, direction: str) -> tuple[int, ...] | None:
-    """The Kashiwara operator on the reading of the tabloid with these codes, as
-    codes: the signature rule over the slots picks one, which moves by its own
-    operator; None where the operator vanishes."""
-    rows = [crystal_row(s, i, c) for s, c in zip(shape.slots, codes)]
-    pos = signature_rule(rows, direction)[2]
-    if pos is None:
-        return None
-    return codes[:pos] + (rows[pos][3 if direction == "f" else 2],) + codes[pos + 1 :]
+    """The Kashiwara operator on the reading of the tabloid with these codes (``ShapeTables.apply``)."""
+    return shape_tables(shape).apply(codes, i, direction)
 
 
 def tabloid_weight_counts(shape: Shape) -> Counter[Weight2]:
-    """The number of tabloids of the shape of each weight (cached: do not mutate)."""
-    return shape_tables(shape).suffix_counts[0]
+    """The number of tabloids of the shape of each weight."""
+    tables = shape_tables(shape)
+    return Counter({tables.unpack(p): k for p, k in tables.suffix_counts[0].items()})
 
 
 def enumerate_tabloids(shape: Shape, weight2: Weight2 | None = None) -> list[Tabloid]:
@@ -499,29 +480,20 @@ def enumerate_tabloids(shape: Shape, weight2: Weight2 | None = None) -> list[Tab
 
     Each factor's code is picked in reading order from its slot's ascending
     fillings, so the order of code tuples is the order of readings; each
-    tabloid is the shape's one object for its filling (``tabloid_of_codes``).
-    A weight is filled exactly: a slot's weight enters only when the weight
-    it leaves missing is one the remaining factors can make, and the last
-    slot's codes are those of the weight still missing.
+    tabloid is the shape's one object for its filling (``ShapeTables.tabloid``).
+    A weight is filled exactly, on packed weights (``ShapeTables.pack``): a
+    code enters only when the weight it leaves missing is one the remaining
+    slots can make, which after the last slot is none.
     """
-    slots = shape.slots
+    tables = shape_tables(shape)
     if weight2 is None:
-        return [tabloid_of_codes(shape, codes) for codes in itertools.product(*(range(len(s.fillings)) for s in slots))]
-    suffix = shape_tables(shape).suffix_counts
-    if weight2 not in suffix[0]:
+        return [tables.tabloid(codes) for codes in itertools.product(*(range(len(s.fillings)) for s in shape.slots))]
+    if (need := tables.pack(weight2)) not in tables.suffix_counts[0]:  # None: no tabloid's weight
         return []
-    if not slots:
-        return [tabloid_of_codes(shape, ())]
-    partial = [((), weight2)]  # (codes so far, the weight still missing), ascending
-    for j, slot in enumerate(slots[:-1]):
-        nxt = []
-        for prefix, need in partial:
-            # each weight of the slot once: the weight it leaves missing, where the later slots make it
-            rests = {w: rest for w in slot.by_weight if (rest := tuple(a - b for a, b in zip(need, w))) in suffix[j + 1]}
-            nxt.extend((prefix + (c,), rests[w]) for c, w in enumerate(slot.weights) if w in rests)
-        partial = nxt
-    last = slots[-1].by_weight
-    return [tabloid_of_codes(shape, prefix + (c,)) for prefix, need in partial for c in last.get(need, ())]
+    partial = [((), need)]  # (codes so far, the packed weight still missing), ascending
+    for packs, rest in zip(tables.packs, tables.suffix_counts[1:]):
+        partial = [(codes + (c,), left) for codes, missing in partial for c, w in enumerate(packs) if (left := missing - w) in rest]
+    return [tables.tabloid(codes) for codes, _ in partial]
 
 
 def orthogonal_tableaux(shape: Shape) -> dict[Tabloid, Weight2]:
@@ -536,14 +508,17 @@ class ShapeTables:
     """What the requests on one shape share, each part built on first use.
 
     ``tabloids`` holds the tabloids built so far by their codes, so every
-    route to a filling gets one object (``tabloid_of_codes``).  ``canonical``
-    fills ``vectors`` with the A(T) built so far by tableau, each a flat
-    (codes, terms, ...) tuple, terms being a coefficient's ascending
-    ((exponent, coefficient), ...) pairs.  Those tuples share each codes
-    tuple with the tabloid it codes, and each terms tuple with ``terms``,
-    where ``modvec`` keeps one tuple per value.  What a request needs only
-    while it runs, such as its divided-power memo, is not kept here.  Do
-    not mutate the other tables.
+    route to a filling gets one object (``tabloid``).  ``canonical`` fills
+    ``vectors`` with the A(T) built so far by tableau, each a flat (codes,
+    terms, ...) tuple, terms being a coefficient's ascending ((exponent,
+    coefficient), ...) pairs.  Those tuples share each codes tuple with the
+    tabloid it codes, and each terms tuple with ``terms``, where ``modvec``
+    keeps one tuple per value.  A hot path looks the shape up once a step,
+    then indexes: ``crystal`` and ``powers`` hold, per node, each slot's
+    crystal rows and coded divided powers (shared by the shapes, filled on
+    first use), and weights add as ints in one packing (``pack``, ``packs``,
+    ``suffix_counts``).  What a request needs only while it runs, such as
+    its divided-power memo, is not kept here.  Do not mutate the others.
     """
 
     def __init__(self, shape: Shape):
@@ -551,6 +526,65 @@ class ShapeTables:
         self.tabloids: dict[tuple[int, ...], Tabloid] = {}
         self.vectors: dict[Tabloid, tuple] = {}
         self.terms: dict[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]] = {ONE_TERMS: ONE_TERMS}
+
+    def tabloid(self, codes: tuple[int, ...]) -> Tabloid:
+        """The shape's one tabloid with these codes."""
+        t = self.tabloids.get(codes)
+        if t is None:
+            # codes that index the slots fill them: skip the constructor's check
+            t = self.tabloids[codes] = object.__new__(Tabloid)
+            object.__setattr__(t, "shape", self.shape)
+            object.__setattr__(t, "codes", codes)
+        return t
+
+    @cached_property
+    def crystal(self) -> dict[int, tuple[tuple[SlotTable, list], ...]]:
+        """Per node i, each slot with its ``_crystal_table(slot, i)``, in reading order."""
+        return {i: tuple((s, _crystal_table(s, i)) for s in self.shape.slots) for i in range(1, self.shape.kind.rank + 1)}
+
+    def row(self, x: int, i: int, c: int) -> tuple:
+        """``crystal_row`` of slot x's filling c at node i, read from ``crystal``."""
+        slot, rows = self.crystal[i][x]
+        return rows[c] or crystal_row(slot, i, c)
+
+    def apply(self, codes: tuple[int, ...], i: int, direction: str) -> tuple[int, ...] | None:
+        """The Kashiwara operator on the reading of the tabloid with these codes: the
+        slot the signature rule picks moves by its own operator; None where it vanishes."""
+        rows = [t[c] or crystal_row(s, i, c) for (s, t), c in zip(self.crystal[i], codes)]
+        pos = signature_rule(rows, direction)[2]
+        if pos is None:
+            return None
+        return codes[:pos] + (rows[pos][3 if direction == "f" else 2],) + codes[pos + 1 :]
+
+    @cached_property
+    def powers(self) -> dict[int, tuple[tuple[SlotTable, list], ...]]:
+        """Per node i, each slot with its ``modvec._coded_powers(slot, i)``, in
+        reading order, as ``modvec.module_f_divided`` first asks for node i."""
+        return {}
+
+    def pack(self, w: Weight2) -> int | None:
+        """The weight as the int sum of w_j * base^j, base = 4 boxes + 4, or None
+        unless each |w_j| < base/2, where packing is exact (so (base, -1, 0, ...)
+        does not alias zero); a tabloid weight's |w_j| is at most 2 boxes + 1."""
+        base = 4 * self.shape.boxes + 4
+        if len(w) != self.shape.kind.rank or any(2 * abs(x) >= base for x in w):
+            return None
+        return sum(x * base**j for j, x in enumerate(w))
+
+    @cached_property
+    def packs(self) -> tuple[tuple[int, ...], ...]:
+        """Each slot's packed weights by code, in reading order."""
+        return tuple(tuple(map(self.pack, s.weights)) for s in self.shape.slots)
+
+    def unpack(self, p: int) -> Weight2:
+        """The weight that packs to p: shifted by base/2, its coordinates are p's digits."""
+        base, n = 4 * self.shape.boxes + 4, self.shape.kind.rank
+        p += sum(base // 2 * base**j for j in range(n))
+        return tuple(p // base**j % base - base // 2 for j in range(n))
+
+    def packed_weight(self, codes: tuple[int, ...]) -> int:
+        """The packed weight of the tabloid with these codes."""
+        return sum(p[c] for p, c in zip(self.packs, codes))
 
     @cached_property
     def highest(self) -> Tabloid:
@@ -567,16 +601,16 @@ class ShapeTables:
         return tabloid_of_columns(shape, spin, cols)
 
     @cached_property
-    def suffix_counts(self) -> tuple[Counter[Weight2], ...]:
-        """Entry j counts the fillings of factors j, j+1, ... by weight."""
-        counts = Counter({weight2_zero(self.shape.kind.rank): 1})
+    def suffix_counts(self) -> tuple[Counter[int], ...]:
+        """Entry j counts the fillings of factors j, j+1, ... by packed weight."""
+        counts = Counter({0: 1})
         table = [counts]
-        for s in reversed(self.shape.slots):
-            slot = Counter(s.weights)
-            nxt: Counter[Weight2] = Counter()
+        for packs in reversed(self.packs):
+            slot = Counter(packs)
+            nxt: Counter[int] = Counter()
             for w, c in counts.items():
                 for sw, k in slot.items():
-                    nxt[weight2_add(w, sw)] += c * k
+                    nxt[w + sw] += c * k
             counts = nxt
             table.append(counts)
         return tuple(reversed(table))
@@ -584,16 +618,15 @@ class ShapeTables:
     @cached_property
     def component(self) -> dict[Tabloid, Weight2]:
         """The crystal component of the highest tableau, searched on codes and
-        sorted as code tuples, whose order is the order of readings."""
-        shape = self.shape
-        nodes = range(1, shape.kind.rank + 1)
+        sorted as code tuples, whose order is the order of readings; a weight
+        is found by its packed sum, one tuple per distinct weight."""
 
         def lower(codes: tuple[int, ...]) -> list[tuple[int, ...]]:
-            return [d for i in nodes if (d := codes_apply(shape, codes, i, "f")) is not None]
+            return [d for i in self.crystal if (d := self.apply(codes, i, "f")) is not None]
 
-        weights: dict[Weight2, Weight2] = {}  # one tuple per distinct weight
-        tabs = (tabloid_of_codes(shape, codes) for codes in sorted(component_bfs((self.highest.codes, lower))))
-        return {t: weights.setdefault(mu := weight2_of_tabloid(t), mu) for t in tabs}
+        weights: dict[int, Weight2] = {}  # one tuple per distinct packed weight
+        tabs = (self.tabloid(codes) for codes in sorted(component_bfs((self.highest.codes, lower))))
+        return {t: weights.get(p := self.packed_weight(t.codes)) or weights.setdefault(p, weight2_of_tabloid(t)) for t in tabs}
 
     @cached_property
     def by_weight(self) -> dict[Weight2, tuple[Tabloid, ...]]:

@@ -646,6 +646,27 @@ def test_repeated_request_raises_nothing(monkeypatch):
     _clear_shape_tables()
 
 
+@pytest.mark.parametrize("kind,lam", [(B3, (3, 1, 0)), (AlgebraKind("B", 5), (0, 1, 0, 0, 1))])
+def test_hot_paths_look_the_shape_up_once_a_step(kind, lam):
+    """A whole-module request on cleared shape tables (the crystal rows and
+    coded powers, shared by the shapes, already filled) looks the shape's
+    tables up at most 4 times a tableau: once a raising step, once a divided
+    power and once a membership test, then it indexes their per-node lists.
+    It asks ``_crystal_table`` and ``_coded_powers`` only to build those lists."""
+    from qcb.modvec import _coded_powers
+    from qcb.shapes import _crystal_table
+
+    caches = (shape_tables, _crystal_table, _coded_powers)
+    canonical_matrix(lam, kind)
+    shape_tables.cache_clear()
+    before = [c.cache_info().hits for c in caches]
+    M = canonical_matrix(lam, kind)
+    tables, rows, powers = (c.cache_info().hits - b for c, b in zip(caches, before))
+    assert tables <= 4 * len(M.cols), tables / len(M.cols)
+    assert rows < 50 and powers < 50, (rows, powers)
+    _clear_shape_tables()
+
+
 def test_per_shape_tables_stay_bounded():
     """Weight requests on more shapes than a cache keeps leave every per-shape
     table bounded.  The slot tables and coded powers are shared by the shapes:

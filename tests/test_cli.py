@@ -214,6 +214,27 @@ def test_unwritable_output_is_a_domain_error(capsys, tmp_path):
     assert f"cannot write {path}" in err and "Traceback" not in err
 
 
+def test_missing_output_directory_fails_before_any_work(capsys, tmp_path, monkeypatch):
+    """The output file is opened only after the work, but its directory is
+    checked before it: no canonical matrix is computed for a path that cannot
+    be written, and the message is the one a failed open gives."""
+    import qcb.cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("canonical_matrix ran before the output path was checked")
+
+    monkeypatch.setattr(qcb.cli, "canonical_matrix", refuse)
+    path = tmp_path / "missing" / "x.json"
+    argv = ("--type", "B", "--rank", "3", "canonical", "--lambda", "3,1,0", "--output", str(path))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [f"qcb: cannot write {path}: No such file or directory"]
+    (tmp_path / "file").write_text("")
+    code, out, err = run_cli(capsys, *argv[:-1], str(tmp_path / "file" / "x.json"))
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [f"qcb: cannot write {tmp_path / 'file' / 'x.json'}: Not a directory"]
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
 def test_full_device_is_a_write_error(capsys):
     """A write that fails in mid-stream exits 1 with one line and no traceback."""

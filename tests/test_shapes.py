@@ -28,6 +28,7 @@ from qcb.shapes import (
     parse_tabloid,
     shape_for_lambda,
     shape_of,
+    shape_tables,
     tabloid_factors,
     tabloid_leq,
     tabloid_of_codes,
@@ -286,6 +287,34 @@ def test_membership_splits_weight_space():
     assert sum(flags) == 11
     members = {str(t) for t, ok in zip(rows, flags) if ok}
     assert {str(t) for t in enumerate_tableaux((1, 1, 2), B3, weight2=(0, 4, -2))} == members
+
+
+def test_weight_outside_the_packing_range_has_no_tabloids():
+    """A requested weight is packed only when every coordinate lies in
+    (-base/2, base/2): (base, -1) packs to 0 like the zero weight, and one of
+    another rank would pack like its first coordinates; both have no tabloid."""
+    shape = shape_for_lambda((2, 0), B2)
+    tables = shape_tables(shape)
+    base = 4 * shape.boxes + 4
+    zero = enumerate_tabloids(shape, (0, 0))
+    assert zero and all(weight2_of_tabloid(t) == (0, 0) for t in zero)
+    assert sum(x * base**j for j, x in enumerate((base, -1))) == 0
+    for w in ((base, -1), (-base, 1), (base // 2, 0), (0, -(base // 2)), (0,), (0, 0, 0)):
+        assert tables.pack(w) is None, w
+        assert enumerate_tabloids(shape, w) == [], w
+    for w in tabloid_weight_counts(shape):
+        assert tables.unpack(tables.pack(w)) == w
+
+
+@pytest.mark.parametrize(
+    "kind,lam", ORACLE_MODULES + [(AlgebraKind("B", 5), (0, 1, 0, 0, 1)), (AlgebraKind("D", 5), (0, 1, 0, 0, 1))]
+)
+def test_component_weights_are_the_tableaux_weights(kind, lam):
+    """The component finds each tableau's weight by its packed sum; it is the
+    weight of the reading, and each distinct weight is one tuple."""
+    table = orthogonal_tableaux(shape_for_lambda(lam, kind))
+    assert all(mu == weight2_of_tabloid(t) for t, mu in table.items())
+    assert len({id(mu) for mu in table.values()}) == len(set(table.values()))
 
 
 @pytest.mark.parametrize(
