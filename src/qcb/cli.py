@@ -8,9 +8,12 @@ space), ``check`` (invariant suite, over its own ranks: the one command
 that needs no ``--type``/``--rank``).  Output is JSON, CSV or LaTeX and is
 byte-deterministic for a fixed invocation.
 
-Output is written in chunks, to the ``--output`` file (opened only after the
-computation, but a missing directory fails before it) or to standard output,
-and the writer never holds the whole document: ``canonical`` is written from
+Output is written in chunks, to standard output or in place to the
+``--output`` file: opened only after the computation (an empty path or a
+missing directory fails before it) and without truncation, then, if it is a
+regular file, cut to the bytes written.  So a failed run leaves an existing
+file untouched, and a write that fails part-way leaves no old byte after what
+it wrote.  The writer never holds the whole document: ``canonical`` is written from
 the ``CanonicalMatrix``, a few hundred JSON items or one CSV/TeX row a chunk.
 That keeps writing out of the peak memory: whole-module B3 (2,2,0) JSON
 (11.6 MB) runs in about 51 MB max RSS, B3 (3,1,0) CSV in about 22 MB.  The
@@ -27,6 +30,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import stat
 import sys
 from collections.abc import Iterator
 from functools import lru_cache
@@ -43,6 +47,7 @@ from .shapes import (
     parse_column,
     parse_tabloid,
     shape_for_lambda,
+    tabloid_labels,
     tabloid_reading,
     tabloid_sort_key,
 )
@@ -170,15 +175,22 @@ def _json_list(items) -> Iterator[str]:
     yield "\n  ]"
 
 
+def _terms_block(terms: tuple[tuple[int, int], ...]) -> str:
+    """``json.dumps([[e, c], ...], indent=2)`` of the terms, indented as a triple's last item."""
+    pairs = ",\n".join([f"        [\n          {e},\n          {c}\n        ]" for e, c in terms])
+    return f"[\n{pairs}\n      ]" if terms else "[]"
+
+
 def _canonical_json_chunks(M: CanonicalMatrix) -> Iterator[str]:
     """``json.dumps({**M.json(), "command": "canonical"}, indent=2) + "\\n"``, written from
-    the matrix directly: each distinct coefficient's indented block is rendered once."""
+    the matrix directly: each distinct coefficient's block is rendered once from its
+    terms, and the labels from the slot texts, which JSON prints unescaped."""
     blocks: dict[LaurentPoly, str] = {}
 
     def triple(a: int, b: int, c: LaurentPoly) -> str:
         block = blocks.get(c)
         if block is None:
-            block = blocks[c] = json.dumps(c.json_terms(), indent=2).replace("\n", "\n      ")
+            block = blocks[c] = _terms_block(c.terms())
         return f"[\n      {a},\n      {b},\n      {block}\n    ]"
 
     fields = {
@@ -186,8 +198,8 @@ def _canonical_json_chunks(M: CanonicalMatrix) -> Iterator[str]:
         "rank": [str(M.kind.rank)],
         "lambda": _json_list(map(str, M.lam)),
         "weight2": ["null"] if M.weight2 is None else _json_list(map(str, M.weight2)),
-        "rows": _json_list(json.dumps(str(t)) for t in M.rows),
-        "cols": _json_list(json.dumps(str(t)) for t in M.cols),
+        "rows": _json_list(f'"{label}"' for label in tabloid_labels(M.rows)),
+        "cols": _json_list(f'"{label}"' for label in tabloid_labels(M.cols)),
         "entries": _json_list(triple(r, c, M.entries[r, c]) for r, c in sorted(M.entries)),
         "gamma": _json_list(triple(*g) for g in M.gamma),
         "command": ['"canonical"'],
@@ -205,7 +217,7 @@ def _matrix_rows(M: CanonicalMatrix, render, blank: str) -> Iterator[tuple]:
     text: dict[LaurentPoly, str] = {}
     keys = iter(sorted(M.entries))
     key = next(keys, None)
-    for r, row in enumerate(M.rows):
+    for r, row in enumerate(tabloid_labels(M.rows)):
         cells = [blank] * len(M.cols)
         while key is not None and key[0] == r:
             coeff = M.entries[key]
@@ -218,14 +230,14 @@ def _matrix_rows(M: CanonicalMatrix, render, blank: str) -> Iterator[tuple]:
 
 
 def _canonical_csv_rows(M: CanonicalMatrix) -> Iterator[str]:
-    yield ",".join([""] + [f'"{c}"' for c in M.cols]) + "\n"
+    yield ",".join([""] + [f'"{c}"' for c in tabloid_labels(M.cols)]) + "\n"
     for row, cells in _matrix_rows(M, lambda c: f'"{c}"', '"."'):
         yield ",".join([f'"{row}"', *cells]) + "\n"
 
 
 def _canonical_tex_rows(M: CanonicalMatrix) -> Iterator[str]:
     yield r"\begin{array}{l|" + "c" * len(M.cols) + "}\n"
-    yield " & " + " & ".join(rf"\text{{{c}}}" for c in M.cols) + r" \\ \hline" + "\n"
+    yield " & " + " & ".join(rf"\text{{{c}}}" for c in tabloid_labels(M.cols)) + r" \\ \hline" + "\n"
     for row, cells in _matrix_rows(M, LaurentPoly.latex, "."):
         yield rf"\text{{{row}}} & " + " & ".join(cells) + r" \\" + "\n"
     yield r"\end{array}" + "\n"
@@ -355,11 +367,18 @@ _COMMANDS = {
 
 
 def _write(chunks: Iterator[str], path: str | None) -> None:
-    """Write the chunks to the file at path (opened only now, after the
-    computation) or to standard output."""
-    if path:
-        with open(path, "w") as fh:
-            fh.writelines(chunks)
+    """Write the chunks in place to the file at path (opened only now, after
+    the computation) or to standard output."""
+    if path is not None:
+        # no O_TRUNC: truncating a file to zero can make the file system flush it at close
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        with open(fd, "w") as fh:
+            try:
+                fh.writelines(chunks)
+                fh.flush()
+            finally:  # cut a regular file where the writes stopped, so no old byte is left after them
+                if stat.S_ISREG(os.fstat(fd).st_mode):
+                    os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
         return
     try:
         sys.stdout.writelines(chunks)
@@ -391,8 +410,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"qcb: {exc}", file=sys.stderr)
         return DOMAIN_EXIT
     try:
-        if args.output:  # opened only after the work, but a missing directory fails before it
-            os.stat(os.path.join(os.path.dirname(args.output) or ".", ""))
+        if args.output is not None:  # opened after the work, but an empty path or missing directory fails before it
+            os.stat(os.path.join(os.path.dirname(args.output) or ("." if args.output else ""), ""))
     except OSError as exc:
         print(f"qcb: cannot write {args.output}: {exc.strerror or exc}", file=sys.stderr)
         return DOMAIN_EXIT

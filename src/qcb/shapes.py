@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -225,10 +225,7 @@ class Tabloid:
         return f"Tabloid({self.shape!r}, {self.spin!r}, {self.columns!r})"
 
     def __str__(self) -> str:
-        """The spin column, then the columns left to right: the reading order with its columns reversed."""
-        texts = [s.texts[c] for s, c in zip(self.shape.slots, self.codes)]
-        k = self.shape.has_spin()
-        return "/".join(texts[:k] + texts[k:][::-1])
+        return next(tabloid_labels((self,)))
 
 
 # -- dominant weights and shapes ------------------------------------------
@@ -301,6 +298,20 @@ def highest_tabloid(shape: Shape) -> Tabloid:
 def tabloid_factors(t: Tabloid) -> tuple:
     """The tensor factors in reading order: the spin column, then the columns right to left."""
     return tuple(s.fillings[c] for s, c in zip(t.shape.slots, t.codes))
+
+
+def tabloid_labels(tabloids: Sequence[Tabloid]) -> Iterator[str]:
+    """Each tabloid's printed form, lazily: the spin column, then the columns
+    left to right (the reading order with its columns reversed), joined by "/".
+    The tabloids share one shape, so its slot order is found once."""
+    if not tabloids:
+        return
+    shape = tabloids[0].shape
+    slots, k = shape.slots, shape.has_spin()
+    order = [(i, slots[i].texts) for i in (*range(k), *range(len(slots) - 1, k - 1, -1))]
+    for t in tabloids:
+        codes = t.codes
+        yield "/".join([texts[codes[i]] for i, texts in order])
 
 
 def tabloid_of_factors(shape: Shape, factors: Sequence) -> Tabloid:

@@ -367,6 +367,25 @@ def test_canonical_json_writer_matches_json_dumps(kind, lam):
         assert "".join(_canonical_json_chunks(M)) == json.dumps({**M.json(), "command": "canonical"}, indent=2) + "\n"
 
 
+@pytest.mark.parametrize(
+    "terms",
+    [
+        ((0, 1),),
+        ((-3, -2),),
+        ((-5, 1), (2, -1)),
+        ((-1, 10**39 + 7), (0, -(10**39)), (4, 3)),
+        ((-7, -1), (-2, 2), (0, -(10**40 - 1)), (3, 1)),
+    ],
+)
+def test_terms_block_matches_json_dumps(terms):
+    """A coefficient's block, rendered from its term tuple, is json.dumps of
+    its [[exponent, coefficient], ...] list, indented as a triple's last item."""
+    from qcb.cli import _terms_block
+
+    want = json.dumps([list(t) for t in terms], indent=2).replace("\n", "\n      ")
+    assert _terms_block(terms) == want
+
+
 def _dense_cells(M, render, blank):
     """Each row label with all its cells, read one by one off M.entry."""
     for r, row in enumerate(M.rows):

@@ -235,6 +235,99 @@ def test_missing_output_directory_fails_before_any_work(capsys, tmp_path, monkey
     assert err.splitlines() == [f"qcb: cannot write {tmp_path / 'file' / 'x.json'}: Not a directory"]
 
 
+def test_empty_output_path_fails_before_any_work(capsys, monkeypatch):
+    """``--output ""`` names no file: it fails before any work, with exit 1,
+    and writes nothing to standard output."""
+    import qcb.cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("canonical_matrix ran before the output path was checked")
+
+    monkeypatch.setattr(qcb.cli, "canonical_matrix", refuse)
+    code, out, err = run_cli(capsys, "--type", "B", "--rank", "2", "canonical", "--lambda", "1,1", "--output", "")
+    assert (code, out) == (1, "")
+    assert err.splitlines() == ["qcb: cannot write : No such file or directory"]
+
+
+def _golden(name):
+    with open(os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", name), "rb") as fh:
+        return fh.read()
+
+
+def test_failed_run_leaves_an_existing_output_untouched(capsys, tmp_path, monkeypatch):
+    """The output file is opened only after the computation: an internal check
+    failure (exit 2) and a domain error (exit 1) leave an old file as it was."""
+    import qcb.canonical
+    from qcb.laurent import LaurentPoly
+
+    path = tmp_path / "out.json"
+    old = b"an earlier run's output\n" * 1000
+    path.write_bytes(old)
+    argv = ["--type", "B", "--rank", "3", "canonical", "--output", str(path)]
+    with monkeypatch.context() as m:
+        # skip every correction; this weight space needs one
+        m.setattr(qcb.canonical, "_gamma_symmetrize", lambda c: LaurentPoly.zero())
+        code, _, err = run_cli(capsys, *argv, "--lambda", "1,1,2", "--weight", "0,2,-1")
+    assert code == 2 and "internal check failed" in err
+    assert path.read_bytes() == old
+    code, _, err = run_cli(capsys, *argv, "--lambda", "1,1")
+    assert code == 1 and "expected 3 coefficients" in err
+    assert path.read_bytes() == old
+
+
+@pytest.mark.parametrize(
+    "name,argv,old_size",
+    [
+        ("canonical_B2.json", ["--type", "B", "--rank", "2", "canonical", "--lambda", "1,1"], 3_000_000),
+        ("canonical_D4_minus.json", ["--type", "D", "--rank", "4", "canonical", "--lambda", "0,0,3,0"], 100),
+    ],
+)
+def test_output_is_written_in_place(tmp_path, name, argv, old_size):
+    """An existing file is overwritten in place and cut to the new document:
+    a small output over a large file, and a large one over a small file."""
+    path = tmp_path / "out.json"
+    path.write_bytes(b"x" * old_size)
+    assert main(argv + ["--output", str(path)]) == 0
+    assert path.read_bytes() == _golden(name)
+
+
+def test_new_output_file_gets_the_usual_permissions(tmp_path):
+    """A new output file gets the mode that ``open(path, "w")`` gives under the same umask."""
+    argv = ["--type", "B", "--rank", "2", "columns", "--height", "1", "--output", str(tmp_path / "out.json")]
+    old = os.umask(0o027)
+    try:
+        assert main(argv) == 0
+        with open(tmp_path / "plain", "w"):
+            pass
+    finally:
+        os.umask(old)
+    assert os.stat(tmp_path / "out.json").st_mode == os.stat(tmp_path / "plain").st_mode
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null on this system")
+def test_null_device_output_succeeds(capsys):
+    """A device is written, never cut: ``--output /dev/null`` exits 0."""
+    code, out, err = run_cli(capsys, "--type", "B", "--rank", "2", "canonical", "--lambda", "1,1", "--output", "/dev/null")
+    assert (code, out, err) == (0, "", "")
+
+
+def test_failed_write_leaves_no_old_byte_after_what_was_written(tmp_path):
+    """A write that fails part-way cuts the file where the writing stopped:
+    nothing of the old file outlives the new bytes."""
+    from qcb.cli import _write
+
+    path = tmp_path / "out.json"
+    path.write_bytes(b"old " * 100_000)
+
+    def chunks():
+        yield "first chunk\n"
+        raise OSError(28, "No space left on device")
+
+    with pytest.raises(OSError):
+        _write(chunks(), str(path))
+    assert path.read_bytes() == b"first chunk\n"
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
 def test_full_device_is_a_write_error(capsys):
     """A write that fails in mid-stream exits 1 with one line and no traceback."""

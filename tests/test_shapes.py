@@ -1,4 +1,5 @@
 import itertools
+import json
 import os
 import subprocess
 import sys
@@ -29,7 +30,9 @@ from qcb.shapes import (
     shape_for_lambda,
     shape_of,
     shape_tables,
+    slot_table,
     tabloid_factors,
+    tabloid_labels,
     tabloid_leq,
     tabloid_of_codes,
     tabloid_of_factors,
@@ -429,3 +432,28 @@ def test_cached_hash_does_not_travel_through_pickle():
         ).stdout
 
     run("2", "load", run("1", "dump"))
+
+
+def test_slot_texts_need_no_json_escaping():
+    """The writers print labels from the slot texts between bare quotes: every
+    text of every slot of B2-B6 and D3-D6 is its own JSON string body."""
+    for family, ranks in (("B", range(2, 7)), ("D", range(3, 7))):
+        for n in ranks:
+            kind = AlgebraKind(family, n)
+            spins = ("B",) if family == "B" else ("D+", "D-")
+            for slot in (*range(1, n + 1), *spins):
+                for text in slot_table(kind, slot).texts:
+                    assert json.dumps(text) == f'"{text}"', (family, n, slot, text)
+
+
+@pytest.mark.parametrize("kind,lam", ORACLE_MODULES)
+def test_tabloid_labels_print_each_tabloid(kind, lam):
+    """The shared label rule prints every tabloid of the shape as str() does,
+    and as its spin column and columns, left to right, print."""
+    tabs = enumerate_tabloids(shape_for_lambda(lam, kind))
+    labels = list(tabloid_labels(tabs))
+    assert labels == [str(t) for t in tabs]
+    for t, label in zip(tabs, labels):
+        parts = [str(c) for c in t.columns]
+        assert label == "/".join(parts if t.spin is None else [str(t.spin), *parts])
+    assert list(tabloid_labels(())) == []
