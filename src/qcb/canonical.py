@@ -21,11 +21,10 @@ from itertools import chain
 from typing import Callable
 
 from .crystal import Word, raise_to_highest, signature_rule, vec_edge, word_apply, word_eps_phi
-from .laurent import LaurentPoly, SparseVector
-from .modvec import CodedVector, apply_monomial, terms_of
+from .laurent import ONE_TERMS, LaurentPoly, SparseVector, plus, times
+from .modvec import CodedVector, apply_monomial
 from .rootdata import AlgebraKind, InvariantViolation, Weight2
 from .shapes import (
-    ONE_TERMS,
     Column,
     ShapeTables,
     Tabloid,
@@ -347,8 +346,10 @@ def _correct_group(
     """Unitriangular correction of one weight space, in increasing order.
 
     Each A(T) comes as a flat (codes, terms, ...) tuple and each G(T) leaves
-    as a {codes: terms} dict.  A vector is copied into plain
-    {codes: {exponent: coefficient}} maps only when it gets a non-zero gamma.
+    as a {codes: terms} dict.  The correction runs on the term tuples too: a
+    non-zero gamma adds minus gamma times an earlier G(T) with
+    ``laurent.times`` and ``laurent.plus``, and a coefficient that cancels
+    leaves the dict.
     """
     codes = [t.codes for t in tableaux]
     out: list[dict] = []
@@ -356,30 +357,23 @@ def _correct_group(
     for idx, flat in enumerate(vectors):
         pairs = iter(flat)
         v = dict(zip(pairs, pairs))
-        copied = False  # v's values are plain {exponent: coefficient} maps
         for j in range(idx - 1, -1, -1):
             c = v.get(codes[j])
             if c is None:
                 continue
-            gamma = _gamma_symmetrize(c.items() if copied else c)
+            gamma = _gamma_symmetrize(c)
             if not gamma:
                 continue
-            if not copied:
-                v, copied = {k: dict(terms) for k, terms in v.items()}, True
-            g = gamma.terms()
+            minus_gamma = (-gamma).terms()
             for k, terms in out[j].items():
-                cur = v.get(k)
-                if cur is None:
-                    cur = v[k] = {}
-                for e, a in terms:
-                    for ge, gc in g:
-                        cur[e + ge] = cur.get(e + ge, 0) - a * gc
-            rest = {e: a for e, a in v[codes[j]].items() if a}
-            if rest and min(rest) < 1:
+                if s := plus(v.get(k, ()), times(terms, minus_gamma)):
+                    v[k] = s
+                else:
+                    del v[k]
+            rest = v.get(codes[j], ())
+            if rest and rest[0][0] < 1:
                 raise InvariantViolation(f"correction left {LaurentPoly(rest)} at {tableaux[j]}")
             log.append((idx, j, gamma))
-        if copied:
-            v = {k: terms for k, poly in v.items() if (terms := terms_of(poly))}
         if v.get(codes[idx]) != ONE_TERMS:
             raise InvariantViolation(f"diagonal of {tableaux[idx]} is not 1")
         out.append(v)

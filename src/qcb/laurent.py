@@ -1,9 +1,14 @@
 """Exact arithmetic in the ring Z[q, q^-1] of integer Laurent polynomials.
 
-Polynomials are stored sparsely as exponent -> coefficient maps with no zero
-coefficients.  Coefficients are Python ints (arbitrary precision), so overflow
-is never a correctness concern.  Values are immutable after construction and
-safe to share.
+A polynomial is stored as its term tuple: ((exponent, coefficient), ...),
+strictly ascending in exponent and with no zero coefficient.  The ring
+operations are written once on such tuples (``times``, with a fast path for
+single terms, and ``plus``; ``terms_of`` turns an exponent -> coefficient map
+into one), and ``LaurentPoly`` wraps a tuple and calls them, so the A(T)
+kernel and the correction, which run on bare tuples, share them with it.
+Coefficients are Python ints (arbitrary precision), so overflow is never a
+correctness concern.  Values are immutable after construction and safe to
+share.
 
 The canonical textual form lists terms in ascending exponent order, e.g.
 ``q^-1+2+q^3``; the JSON form is a list of ``[exponent, coefficient]`` pairs,
@@ -27,32 +32,52 @@ class NegativePower(ArithmeticError):
     """Evaluation at q=0 of a polynomial with a negative exponent."""
 
 
+ONE_TERMS = ((0, 1),)  # the terms of the coefficient 1
+
+
+def terms_of(poly: dict[int, int]) -> tuple[tuple[int, int], ...]:
+    """The non-zero terms of an {exponent: coefficient} map, ascending."""
+    return tuple(sorted(p for p in poly.items() if p[1]))
+
+
+def times(a: tuple, b: tuple) -> tuple:
+    """The product of two term tuples."""
+    if len(a) == 1 == len(b):
+        return ((a[0][0] + b[0][0], a[0][1] * b[0][1]),)
+    poly: dict[int, int] = {}
+    for ea, ca in a:
+        for e, c in b:
+            poly[ea + e] = poly.get(ea + e, 0) + ca * c
+    return terms_of(poly)
+
+
+def plus(a: tuple, b: tuple) -> tuple:
+    """The sum of two term tuples."""
+    poly = dict(a)
+    for e, c in b:
+        poly[e] = poly.get(e, 0) + c
+    return terms_of(poly)
+
+
 class LaurentPoly:
     """An integer Laurent polynomial in the single variable q."""
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_terms",)
 
-    _terms: dict[int, int]
+    _terms: tuple[tuple[int, int], ...]
 
     def __init__(self, terms: dict[int, int] | Iterable[tuple[int, int]] | None = None):
         d: dict[int, int] = {}
         if terms:
-            items = terms.items() if isinstance(terms, dict) else terms
-            for e, c in items:
-                if c:
-                    nc = d.get(e, 0) + c
-                    if nc:
-                        d[e] = nc
-                    elif e in d:
-                        del d[e]
-        object.__setattr__(self, "_terms", d)
-        object.__setattr__(self, "_hash", None)
+            for e, c in terms.items() if isinstance(terms, dict) else terms:
+                d[e] = d.get(e, 0) + c
+        object.__setattr__(self, "_terms", terms_of(d))
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
 
     def __reduce__(self):
-        return (LaurentPoly, (dict(self._terms),))
+        return (LaurentPoly, (self._terms,))
 
     # -- constructors -------------------------------------------------
 
@@ -73,10 +98,10 @@ class LaurentPoly:
 
     def terms(self) -> tuple[tuple[int, int], ...]:
         """Terms as (exponent, coefficient) pairs, ascending by exponent."""
-        return tuple(sorted(self._terms.items()))
+        return self._terms
 
     def coeff(self, exp: int) -> int:
-        return self._terms.get(exp, 0)
+        return next((c for e, c in self._terms if e == exp), 0)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -87,15 +112,15 @@ class LaurentPoly:
     def min_exp(self) -> int:
         if not self._terms:
             raise ValueError("zero polynomial has no valuation")
-        return min(self._terms)
+        return self._terms[0][0]
 
     def max_exp(self) -> int:
         if not self._terms:
             raise ValueError("zero polynomial has no degree")
-        return max(self._terms)
+        return self._terms[-1][0]
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
-        return iter(self.terms())
+        return iter(self._terms)
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -103,72 +128,34 @@ class LaurentPoly:
     def __eq__(self, other) -> bool:
         if isinstance(other, LaurentPoly):
             return self._terms == other._terms
-        if isinstance(other, int):
-            return self._terms == ({0: other} if other else {})
         return NotImplemented
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash(self.terms())
-            object.__setattr__(self, "_hash", h)
-        return h
+        return hash(self._terms)
 
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        if not self._terms:
-            return other
-        if not other._terms:
-            return self
-        d = dict(self._terms)
-        for e, c in other._terms.items():
-            nc = d.get(e, 0) + c
-            if nc:
-                d[e] = nc
-            elif e in d:
-                del d[e]
-        return _wrap(d)
+        return _wrap(plus(self._terms, other._terms))
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        d = dict(self._terms)
-        for e, c in other._terms.items():
-            nc = d.get(e, 0) - c
-            if nc:
-                d[e] = nc
-            elif e in d:
-                del d[e]
-        return _wrap(d)
+        return _wrap(plus(self._terms, (-other)._terms))
 
     def __neg__(self) -> "LaurentPoly":
-        return _wrap({e: -c for e, c in self._terms.items()})
+        return _wrap(tuple((e, -c) for e, c in self._terms))
 
     def __mul__(self, other):
         if isinstance(other, int):
             if other == 0:
                 return _ZERO
-            return _wrap({e: c * other for e, c in self._terms.items()})
+            return _wrap(tuple((e, c * other) for e, c in self._terms))
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        if not self._terms or not other._terms:
-            return _ZERO
-        a, b = self._terms, other._terms
-        if len(a) > len(b):
-            a, b = b, a
-        d: dict[int, int] = {}
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                e = ea + eb
-                nc = d.get(e, 0) + ca * cb
-                if nc:
-                    d[e] = nc
-                elif e in d:
-                    del d[e]
-        return _wrap(d)
+        return _wrap(times(self._terms, other._terms))
 
     __rmul__ = __mul__
 
@@ -176,29 +163,29 @@ class LaurentPoly:
 
     def bar(self) -> "LaurentPoly":
         """The bar involution q -> q^-1."""
-        return _wrap({-e: c for e, c in self._terms.items()})
+        return _wrap(tuple((-e, c) for e, c in reversed(self._terms)))
 
     def eval_at_zero(self) -> int:
         """Constant coefficient; error if any exponent is negative."""
-        if self._terms and min(self._terms) < 0:
+        if self._terms and self._terms[0][0] < 0:
             raise NegativePower(f"not regular at q=0: {self}")
-        return self._terms.get(0, 0)
+        return self.coeff(0)
 
     def eval_at_one(self) -> int:
-        return sum(self._terms.values())
+        return sum(c for _e, c in self._terms)
 
     # -- rendering -------------------------------------------------------
 
-    def _render(self, power: str, times: str) -> str:
+    def _render(self, power: str, mul: str) -> str:
         if not self._terms:
             return "0"
         parts = []
-        for e, c in self.terms():
+        for e, c in self._terms:
             if e == 0:
                 body = str(abs(c))
             else:
                 var = "q" if e == 1 else power.format(e)
-                body = var if abs(c) == 1 else f"{abs(c)}{times}{var}"
+                body = var if abs(c) == 1 else f"{abs(c)}{mul}{var}"
             sign = "-" if c < 0 else ("+" if parts else "")
             parts.append(sign + body)
         return "".join(parts)
@@ -210,22 +197,22 @@ class LaurentPoly:
         return f"LaurentPoly('{self}')"
 
     def json_terms(self) -> list[list[int]]:
-        return [[e, c] for e, c in self.terms()]
+        return [[e, c] for e, c in self._terms]
 
     def latex(self) -> str:
         return self._render("q^{{{}}}", "")
 
 
-def _wrap(d: dict[int, int]) -> LaurentPoly:
+def _wrap(terms: tuple[tuple[int, int], ...]) -> LaurentPoly:
+    """Wrap a term tuple already ascending and free of zero coefficients."""
     p = LaurentPoly.__new__(LaurentPoly)
-    object.__setattr__(p, "_terms", d)
-    object.__setattr__(p, "_hash", None)
+    object.__setattr__(p, "_terms", terms)
     return p
 
 
 _ZERO = LaurentPoly()
-_ONE = LaurentPoly({0: 1})
-_MINUS_ONE = LaurentPoly({0: -1})
+_ONE = _wrap(ONE_TERMS)
+_MINUS_ONE = _wrap(((0, -1),))
 
 
 class SparseVector:
@@ -311,7 +298,7 @@ def quantum_int(m: int, d: int) -> LaurentPoly:
         raise ValueError("quantum_int needs m >= 0")
     if d not in (1, 2):
         raise ValueError("length exponent d must be 1 or 2")
-    return _wrap({d * (m - 1 - 2 * j): 1 for j in range(m)})
+    return _wrap(tuple((e, 1) for e in range(d * (1 - m), d * m, 2 * d)))
 
 
 def quantum_factorial(m: int, d: int) -> LaurentPoly:
@@ -339,7 +326,7 @@ def divide_exact(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
     den_terms = den.terms()
     dlo, dlo_c = den_terms[0]
     max_qexp = num.max_exp() - den.max_exp()
-    out: dict[int, int] = {}
+    out = []  # the lowest remaining exponent rises, so the quotient's terms come ascending
     while rem:
         nlo = min(rem)
         e = nlo - dlo
@@ -348,7 +335,7 @@ def divide_exact(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
         c, r = divmod(rem[nlo], dlo_c)
         if r:
             raise InexactDivision(f"({num}) / ({den}) has a non-integer quotient")
-        out[e] = c
+        out.append((e, c))
         for de, dc in den_terms:
             k = de + e
             nc = rem.get(k, 0) - dc * c
@@ -356,4 +343,4 @@ def divide_exact(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
                 rem[k] = nc
             elif k in rem:
                 del rem[k]
-    return _wrap(out)
+    return _wrap(tuple(out))

@@ -18,17 +18,17 @@ codes (``Tabloid.codes``) with its coefficient's ascending
 recursion on one tabloid: only the active factors, where f_i does not
 vanish, branch; an inactive factor just shifts the exponents of the
 branches after it by its t_i exponent; and coefficients stay term tuples,
-multiplied by ``_times`` with a fast path for single terms.  No output of
-one tabloid needs merging, so only ``module_f_divided``, which sums the
-outputs of several tabloids, adds term tuples (``_plus``).  It reads node
-i's tables from ``ShapeTables.powers``, and keeps each tabloid's expansion
-in a memo, keyed by (i, m) and then by its codes, so a tabloid met again in
-the same request is not expanded again.  The memo's codes, and so every
-output's, are those of the shape's one tabloid for them, and its term
-tuples the shape's one tuple per value (the ``terms`` table of
-``shapes.shape_tables``); so on coded vectors a tabloid is looked up only
-on a memo miss.  A ``SparseVector`` argument is coded on entry and decoded
-on exit.
+multiplied by ``laurent.times`` with its fast path for single terms.  No
+output of one tabloid needs merging, so only ``module_f_divided``, which
+sums the outputs of several tabloids, adds term tuples (``laurent.plus``).
+It reads node i's tables from ``ShapeTables.powers``, and keeps each
+tabloid's expansion in a memo, keyed by (i, m) and then by its codes, so a
+tabloid met again in the same request is not expanded again.  The memo's
+codes, and so every output's, are those of the shape's one tabloid for
+them, and its term tuples the shape's one tuple per value (the ``terms``
+table of ``shapes.shape_tables``); so on coded vectors a tabloid is looked
+up only on a memo miss.  A ``SparseVector`` argument is coded on entry and
+decoded on exit.
 """
 
 from __future__ import annotations
@@ -36,9 +36,9 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .crystal import SpinColumn, spin_apply
-from .laurent import LaurentPoly, SparseVector
+from .laurent import ONE_TERMS, LaurentPoly, SparseVector, plus, times
 from .rootdata import AlgebraKind, cartan_exponent, qi_exponent
-from .shapes import ONE_TERMS, Shape, SlotTable, highest_tabloid, shape_for_lambda, shape_tables, tabloid_of_codes
+from .shapes import Shape, SlotTable, highest_tabloid, shape_for_lambda, shape_tables, tabloid_of_codes
 from .wedge import wedge_f_divided
 
 
@@ -79,30 +79,6 @@ def _heads(tables: list[tuple[SlotTable, list]], codes: tuple[int, ...], i: int)
     return out
 
 
-def terms_of(poly: dict[int, int]) -> tuple[tuple[int, int], ...]:
-    """The non-zero terms of an {exponent: coefficient} map, ascending."""
-    return tuple(sorted(p for p in poly.items() if p[1]))
-
-
-def _times(a: tuple, b: tuple) -> tuple:
-    """The product of two non-zero term tuples."""
-    if len(a) == 1 == len(b):
-        return ((a[0][0] + b[0][0], a[0][1] * b[0][1]),)
-    poly: dict[int, int] = {}
-    for ea, ca in a:
-        for e, c in b:
-            poly[ea + e] = poly.get(ea + e, 0) + ca * c
-    return terms_of(poly)
-
-
-def _plus(a: tuple, b: tuple) -> tuple:
-    """The sum of two term tuples, possibly ()."""
-    poly = dict(a)
-    for e, c in b:
-        poly[e] = poly.get(e, 0) + c
-    return terms_of(poly)
-
-
 def _expand_divided(codes: tuple[int, ...], heads: list[tuple[int, tuple]], m: int, d: int) -> list[tuple[tuple, tuple]]:
     """f_i^(m) on the pure tensor with these codes, from its factors' ``_heads``:
     (codes, terms) pairs, each terms a non-zero ascending term tuple.
@@ -124,7 +100,7 @@ def _expand_divided(codes: tuple[int, ...], heads: list[tuple[int, tuple]], m: i
         before += a
     if m == 1:  # one output per active factor's f_i, in the order of the loop below
         return [
-            (codes[:j] + (g,) + codes[j + 1 :], _times(cg, ((d * before, 1),)) if before else cg)
+            (codes[:j] + (g,) + codes[j + 1 :], times(cg, ((d * before, 1),)) if before else cg)
             for j, before, powers in reversed(active)
             for g, cg in powers[1]
         ]
@@ -144,9 +120,9 @@ def _expand_divided(codes: tuple[int, ...], heads: list[tuple[int, tuple]], m: i
                     continue
                 ek = e + k * (before - placed)
                 for g, cg in powers[k]:
-                    nxt.append((placed + k, ek, out[:j] + (g,) + out[j + 1 :], _times(terms, cg)))
+                    nxt.append((placed + k, ek, out[:j] + (g,) + out[j + 1 :], times(terms, cg)))
         states = nxt
-    return [(out, _times(terms, ((d * e, 1),)) if e else terms) for _p, e, out, terms in states]
+    return [(out, times(terms, ((d * e, 1),)) if e else terms) for _p, e, out, terms in states]
 
 
 class CodedVector:
@@ -205,9 +181,9 @@ def module_f_divided(v: CodedVector | SparseVector, i: int, m: int) -> CodedVect
         pairs = iter(flat)
         for out, poly in zip(pairs, pairs):
             if terms is not ONE_TERMS:
-                poly = _times(poly, terms)
+                poly = times(poly, terms)
             cur = acc.get(out)
-            acc[out] = poly if cur is None else _plus(cur, poly)
+            acc[out] = poly if cur is None else plus(cur, poly)
     summed = {out: interned.setdefault(poly, poly) for out, poly in acc.items() if poly}
     w = CodedVector(shape, summed, u.memo)
     return _decoded(w) if sparse else w

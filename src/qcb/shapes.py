@@ -39,6 +39,7 @@ from .crystal import (
     tensor_eps_phi,
     word_sort_key,
 )
+from .laurent import ONE_TERMS
 from .rootdata import (
     AlgebraKind,
     Letter,
@@ -510,9 +511,6 @@ def enumerate_tabloids(shape: Shape, weight2: Weight2 | None = None) -> list[Tab
 def orthogonal_tableaux(shape: Shape) -> dict[Tabloid, Weight2]:
     """Each orthogonal tableau with its weight, ascending: the crystal component of the highest tableau."""
     return shape_tables(shape).component
-
-
-ONE_TERMS = ((0, 1),)  # the terms of the coefficient 1
 
 
 class ShapeTables:

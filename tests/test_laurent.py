@@ -1,7 +1,7 @@
 import pickle
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from qcb.laurent import (
     InexactDivision,
@@ -18,7 +18,8 @@ def P(*terms):
     return LaurentPoly(list(terms))
 
 
-polys = st.dictionaries(st.integers(-8, 8), st.integers(-9, 9), max_size=6).map(LaurentPoly)
+maps = st.dictionaries(st.integers(-8, 8), st.integers(-9, 9), max_size=6)
+polys = maps.map(LaurentPoly)
 
 
 def test_arith_examples():
@@ -103,6 +104,79 @@ def test_text_form():
     assert P((0, -3), (2, 2)).latex() == "-3+2q^{2}"
     assert P((1, -1), (3, 4)).latex() == "-q+4q^{3}"
     assert LaurentPoly.zero().latex() == "0"
+
+
+def _reference(*maps):
+    """The sum of {exponent: coefficient} maps, with its zero coefficients dropped."""
+    out = {}
+    for m in maps:
+        for e, c in m.items():
+            out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def _reference_product(a, b):
+    return _reference(*({ea + eb: ca * cb} for ea, ca in a.items() for eb, cb in b.items()))
+
+
+def assert_represents(p, ref):
+    """p's terms are strictly ascending and zero-free, and p is the map ref."""
+    ref = _reference(ref)
+    t = p.terms()
+    assert all(c for _e, c in t) and all(x[0] < y[0] for x, y in zip(t, t[1:])), t
+    assert dict(t) == ref and len(p) == len(ref) and bool(p) == bool(ref)
+    assert p == LaurentPoly(ref) and hash(p) == hash(LaurentPoly(ref))
+    if ref:
+        assert (p.min_exp(), p.max_exp()) == (min(ref), max(ref))
+    else:
+        with pytest.raises(ValueError):
+            p.min_exp()
+        with pytest.raises(ValueError):
+            p.max_exp()
+    for e in range(-40, 41):
+        assert p.coeff(e) == ref.get(e, 0)
+
+
+@given(maps, maps, st.integers(-3, 3))
+def test_representation_invariant(a, b, n):
+    """Every way of making a LaurentPoly yields an ascending, zero-free term
+    tuple equal to a plain {exponent: coefficient} reference."""
+    pa, pb = LaurentPoly(a), LaurentPoly(b)
+    assert_represents(pa, a)
+    assert_represents(LaurentPoly(list(a.items()) + list(b.items())), _reference(a, b))
+    assert_represents(pa + pb, _reference(a, b))
+    assert_represents(pa - pb, _reference(a, {e: -c for e, c in b.items()}))
+    assert_represents(pa * pb, _reference_product(a, b))
+    assert_represents(pa * n, {e: c * n for e, c in a.items()})
+    assert_represents(n * pa, {e: c * n for e, c in a.items()})
+    assert_represents(-pa, {e: -c for e, c in a.items()})
+    assert_represents(pa.bar(), {-e: c for e, c in a.items()})
+    assert_represents(pickle.loads(pickle.dumps(pa)), a)
+    if pb:
+        assert_represents(divide_exact(pa * pb, pb), a)
+
+
+@given(st.integers(0, 6), st.sampled_from([1, 2]))
+def test_quantum_numbers_representation(m, d):
+    assert_represents(quantum_int(m, d), {d * (m - 1 - 2 * j): 1 for j in range(m)})
+    want = {0: 1}
+    for k in range(2, m + 1):
+        want = _reference_product(want, {d * (k - 1 - 2 * j): 1 for j in range(k)})
+    assert_represents(quantum_factorial(m, d), want)
+
+
+values = st.one_of(polys, st.integers(-3, 3), st.integers(-3, 3).map(lambda n: LaurentPoly({0: n})))
+
+
+@given(values, values)
+@example(LaurentPoly.one(), 1)
+@example(LaurentPoly.zero(), 0)
+def test_equal_values_hash_equal(a, b):
+    """Equality keeps the hash contract, ints included: a dict keyed by one
+    finds the other."""
+    if a == b:
+        assert hash(a) == hash(b)
+        assert {a: "found"}.get(b) == "found"
 
 
 def test_immutability_and_hash():
