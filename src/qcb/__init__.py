@@ -9,9 +9,7 @@ from .canonical import (
     a_path,
     a_vector,
     canonical_matrix,
-    global_column,
     marsh,
-    marsh_path,
 )
 from .crystal import SpinColumn, Word, component_bfs, raise_to_highest, spin_apply, vec_edge, word_apply, word_eps_phi
 from .laurent import InexactDivision, LaurentPoly, NegativePower, SparseVector, divide_exact, quantum_factorial, quantum_int

@@ -6,19 +6,19 @@ product rebuilds the column's global basis vector (Marsh's algorithm).
 Stage two extends the walk to a whole orthogonal tableau, producing the
 bar-invariant monomial vector A(T); each step lands on a tableau whose own
 walk is the rest, so A(T) = f_i^(r) A(next(T)) costs one divided power,
-and each shape keeps the A(T) built so far for every later request.
-Stage three corrects A(T) down the total order with bar-symmetric
-coefficients until the expansion is regular at q=0, which pins the
-canonical basis G(T); the corrections are logged and the expansions
-assembled into one matrix per weight space.
+and each shape keeps every step and every A(T) made so far for every
+later walk and request.  Stage three corrects A(T) down the total order
+with bar-symmetric coefficients until the expansion is regular at q=0,
+which pins the canonical basis G(T); the corrections are logged and the
+expansions assembled into one matrix per weight space.
 """
 
 from __future__ import annotations
 
+from collections.abc import Container, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
-from typing import Callable
 
 from .crystal import Word, raise_to_highest, signature_rule, vec_edge, word_apply, word_eps_phi
 from .laurent import ONE_TERMS, LaurentPoly, SparseVector, plus, times
@@ -30,10 +30,8 @@ from .shapes import (
     Tabloid,
     enumerate_tableaux,
     enumerate_tabloids,
-    highest_tabloid,
     is_admissible,
     is_orthogonal_tableau,
-    orthogonal_tableaux,
     shape_for_lambda,
     shape_tables,
     tabloid_of_codes,
@@ -141,40 +139,28 @@ def marsh(col: Column) -> tuple[list[tuple[int, int]], SparseVector]:
     return steps, v
 
 
-def marsh_path(col: Column) -> list[tuple[int, int]]:
-    """The raising steps of ``marsh``."""
-    return marsh(col)[0]
-
-
-def global_column(col: Column) -> SparseVector:
-    """The canonical basis vector of an admissible column, on the column basis."""
-    return marsh(col)[1]
-
-
-Member = Callable[[Tabloid], bool]
-
-
-def _spin_step(cur: Tabloid, tables: ShapeTables, member: Member) -> tuple[int, int, Tabloid]:
+def _spin_step(cur: Tabloid, tables: ShapeTables) -> tuple[int, int, Tabloid]:
     """Raise the spin column alone, by the smallest color that stays in the crystal."""
     codes = cur.codes
+    component = tables.component
     for j in tables.crystal:
         g = tables.row(0, j, codes[0])[2]
-        if g is not None and member(cand := tables.tabloid((g, *codes[1:]))):
+        if g is not None and (cand := tables.tabloid((g, *codes[1:]))) in component:
             return j, 1, cand
     raise InvariantViolation(f"no spin raise leaves {cur} in the crystal")
 
 
-def _raise_once(cur: Tabloid, member: Member) -> tuple[int, int, Tabloid] | None:
+def _raise_once(cur: Tabloid, tables: ShapeTables) -> tuple[int, int, Tabloid] | None:
     """One step (i, r, next) of the raising walk, with next = e_i^r cur.
 
     None means the walk ends at cur: it is the highest tableau, or a spin
-    tableau whose weight space holds one tabloid.  ``member`` decides
-    whether a tabloid is an orthogonal tableau.  The step runs on slot
-    codes: each filling's crystal is a row (``ShapeTables.row``), and a
-    reading's is the signature rule over its slots' rows.  Slots follow the
-    reading, so the columns come right to left after the spin column.
+    tableau whose weight space holds one tabloid.  ``tables`` are cur's
+    shape's, and a tabloid is an orthogonal tableau when it lies in their
+    ``component``.  The step runs on slot codes: each filling's crystal is
+    a row (``ShapeTables.row``), and a reading's is the signature rule over
+    its slots' rows.  Slots follow the reading, so the columns come right
+    to left after the spin column.
     """
-    tables = shape_tables(cur.shape)
     codes = cur.codes
     if codes == tables.highest.codes:
         return None
@@ -187,14 +173,14 @@ def _raise_once(cur: Tabloid, member: Member) -> tuple[int, int, Tabloid] | None
             # alone in its weight space: the tabloid vector is already
             # the canonical one and the walk may stop here
             return None
-        return _spin_step(cur, tables, member)
+        return _spin_step(cur, tables)
     # the rightmost column that is not highest
     k = next(x for x in range(s, n) if not row(x, 1, codes[x])[4])
     i1 = _marsh_color(slots[k].fillings[codes[k]])
     if s and row(0, i1, codes[0])[3] is not None:
         # the spin column blocks this node (its t-eigenvalue spoils the
         # unit coefficient); raise the spin itself instead
-        return _spin_step(cur, tables, member)
+        return _spin_step(cur, tables)
     # the block: columns left of k join while the one to their right has no
     # f_i1 and they can be raised by i1
     end = k
@@ -217,25 +203,39 @@ def _raise_once(cur: Tabloid, member: Member) -> tuple[int, int, Tabloid] | None
         new[0] = row(0, i1, codes[0])[2]
         r += 1
     nxt = tables.tabloid(tuple(new))
-    if not member(nxt):
+    if nxt not in tables.component:
         raise InvariantViolation(f"raising left the crystal at {nxt}")
     return i1, r, nxt
+
+
+def _walk(tab: Tabloid, tables: ShapeTables, known: Container[Tabloid] = ()) -> Iterator[Tabloid]:
+    """The tableaux of the raising walk from tab, tab first, up to the first in
+    ``known`` or the last (whose step is None).  Each step is read from the
+    shape's ``steps``; the first walk to reach a tableau makes its step."""
+    steps = tables.steps
+    t = tab
+    for _ in range(MAX_RAISING_STEPS):
+        yield t
+        if t in known:
+            return
+        try:
+            step = steps[t]
+        except KeyError:
+            step = steps[t] = _raise_once(t, tables)
+        if step is None:
+            return
+        t = step[2]
+    raise IterationLimit(f"raising walk from {tab} did not terminate")
 
 
 def a_path(tab: Tabloid) -> APath:
     """The raising walk from an orthogonal tableau to the highest tableau."""
     if not is_orthogonal_tableau(tab):
         raise NotOrthogonalTableau(f"{tab} is not an orthogonal tableau of its shape")
-    steps: list[tuple[int, int]] = []
-    inters: list[Tabloid] = []
-    cur = tab
-    while (step := _raise_once(cur, is_orthogonal_tableau)) is not None:
-        if len(steps) >= MAX_RAISING_STEPS:
-            raise IterationLimit(f"raising walk from {tab} did not terminate")
-        i, r, cur = step
-        steps.append((i, r))
-        inters.append(cur)
-    return APath(tuple(steps), cur != highest_tabloid(tab.shape), cur, tuple(inters))
+    tables = shape_tables(tab.shape)
+    walk = list(_walk(tab, tables))
+    base = walk[-1]
+    return APath(tuple(tables.steps[t][:2] for t in walk[:-1]), base != tables.highest, base, tuple(walk[1:]))
 
 
 def a_vector(path: APath) -> SparseVector:
@@ -243,55 +243,39 @@ def a_vector(path: APath) -> SparseVector:
     return apply_monomial(SparseVector.unit(path.base), list(path.steps))
 
 
-def _in_component(t: Tabloid) -> bool:
-    """Membership by lookup in the shape's cached orthogonal tableaux."""
-    return t in orthogonal_tableaux(t.shape)
-
-
 class _MonomialBuilder:
     """A(T) for a set of tableaux of one shape, each as f_i^(r) A(next(T)).
 
-    ``vectors`` is the shape's A(T) table, shared by every request on the
-    shape.  The builder first raises each tableau until its walk meets one
-    already in the table, or ends; ``steps`` maps each tableau so walked to
-    its step (i, r, next(T)), or to None where the walk ends.  ``vector``
-    then builds down those steps and stores every A(T) it makes, so each
-    A(T) is built once while the shape stays cached.  (All raising before
-    any algebra: on whole-module runs that order is faster than raising and
-    building tableau by tableau.)  ``memo`` keeps each tabloid's divided
+    The shape's tables hold each tableau's raising step (``steps``) and
+    A(T) (``vectors``), shared by every request on the shape and by
+    ``a_path``.  The builder first walks each tableau until it meets one
+    whose step is already stored, or ends, so every step its request needs
+    is made before any algebra.  (On whole-module runs that order is faster
+    than raising and building tableau by tableau.)  ``vector`` then walks
+    the stored steps to the first tableau whose A(T) is stored and builds
+    down them, storing every A(T) it makes, so each A(T) is built once
+    while the shape stays cached.  ``memo`` keeps each tabloid's divided
     powers (``modvec.module_f_divided``) for this builder's request alone.
     """
 
     def __init__(self, tabs: list[Tabloid]):
         self.tables = shape_tables(tabs[0].shape)
-        vectors = self.tables.vectors
-        steps: dict[Tabloid, tuple[int, int, Tabloid] | None] = {}
         for t in tabs:
-            while t not in vectors and t not in steps:
-                step = steps[t] = _raise_once(t, _in_component)
-                if step is None:
-                    break
-                t = step[2]
-        self.steps = steps
+            for _ in _walk(t, self.tables, self.tables.steps):
+                pass
         self.memo: dict = {}
 
     def vector(self, tab: Tabloid) -> tuple:
         """A(tab) as the table holds it: a flat (codes, terms, ...) tuple."""
-        tables, steps = self.tables, self.steps
+        tables = self.tables
         vectors = tables.vectors
-        walked = []  # the tableaux walked whose A(T) is still to build
-        t = tab
-        while t not in vectors:
-            if steps[t] is None:
-                vectors[t] = (t.codes, ONE_TERMS)
-                break
-            if len(walked) >= MAX_RAISING_STEPS:
-                raise IterationLimit(f"raising walk from {tab} did not terminate")
-            walked.append(t)
-            t = steps[t][2]
-        flat = vectors[t]
+        walked = list(_walk(tab, tables, vectors))  # ends in the table, or at the end of the walk
+        t = walked.pop()
+        flat = vectors.get(t)
+        if flat is None:
+            flat = vectors[t] = (t.codes, ONE_TERMS)
         for c in reversed(walked):
-            i, r, _next = steps[c]
+            i, r, _next = tables.steps[c]
             pairs = iter(flat)
             v = apply_monomial(CodedVector(tables.shape, dict(zip(pairs, pairs)), self.memo), [(i, r)])
             flat = vectors[c] = tuple(chain.from_iterable(v.terms.items()))

@@ -518,21 +518,26 @@ class ShapeTables:
 
     ``tabloids`` holds the tabloids built so far by their codes, so every
     route to a filling gets one object (``tabloid``).  ``canonical`` fills
-    ``vectors`` with the A(T) built so far by tableau, each a flat (codes,
-    terms, ...) tuple, terms being a coefficient's ascending ((exponent,
-    coefficient), ...) pairs.  Those tuples share each codes tuple with the
-    tabloid it codes, and each terms tuple with ``terms``, where ``modvec``
-    keeps one tuple per value.  A hot path looks the shape up once a step,
-    then indexes: ``crystal`` and ``powers`` hold, per node, each slot's
-    crystal rows and coded divided powers (shared by the shapes, filled on
-    first use), and weights add as ints in one packing (``pack``, ``packs``,
-    ``suffix_counts``).  What a request needs only while it runs, such as
-    its divided-power memo, is not kept here.  Do not mutate the others.
+    ``steps`` with each tableau's raising step (i, r, next), next = e_i^r of
+    the tableau, or None where the walk ends, made by the first walk to
+    reach the tableau and read by every later one, the builder's and
+    ``a_path``'s alike.  It fills ``vectors`` with the A(T) built so far by
+    tableau, each a flat (codes, terms, ...) tuple, terms being a
+    coefficient's ascending ((exponent, coefficient), ...) pairs.  Those
+    tuples share each codes tuple with the tabloid it codes, and each terms
+    tuple with ``terms``, where ``modvec`` keeps one tuple per value.  A
+    hot path looks the shape up once a step, then indexes: ``crystal`` and
+    ``powers`` hold, per node, each slot's crystal rows and coded divided
+    powers (shared by the shapes, filled on first use), and weights add as
+    ints in one packing (``pack``, ``packs``, ``suffix_counts``).  What a
+    request needs only while it runs, such as its divided-power memo, is
+    not kept here.  Do not mutate the others.
     """
 
     def __init__(self, shape: Shape):
         self.shape = shape
         self.tabloids: dict[tuple[int, ...], Tabloid] = {}
+        self.steps: dict[Tabloid, tuple[int, int, Tabloid] | None] = {}
         self.vectors: dict[Tabloid, tuple] = {}
         self.terms: dict[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]] = {ONE_TERMS: ONE_TERMS}
 

@@ -12,8 +12,7 @@ from qcb.canonical import (
     a_path,
     a_vector,
     canonical_matrix,
-    global_column,
-    marsh_path,
+    marsh,
 )
 from qcb.laurent import LaurentPoly
 from qcb.rootdata import AlgebraKind
@@ -44,23 +43,23 @@ def terms_of(vec):
 
 
 def test_marsh_path_examples():
-    assert marsh_path(Column(B3, (1, 2, 3))) == []
-    assert marsh_path(Column(B2, (0, 0))) == [(2, 1), (1, 1), (2, 1)]
-    ten = marsh_path(Column(B4, (0, 0, 0, 0)))
+    assert marsh(Column(B3, (1, 2, 3)))[0] == []
+    assert marsh(Column(B2, (0, 0)))[0] == [(2, 1), (1, 1), (2, 1)]
+    ten = marsh(Column(B4, (0, 0, 0, 0)))[0]
     assert ten == [(4, 1), (3, 1), (2, 1), (1, 1), (4, 1), (3, 1), (2, 1), (4, 1), (3, 1), (4, 1)]
     with pytest.raises(NotAdmissible):
-        marsh_path(Column(B2, (1, -1)))
+        marsh(Column(B2, (1, -1)))
 
 
 def test_global_column_small():
-    g = global_column(Column(B2, (0, 0)))
+    g = marsh(Column(B2, (0, 0)))[1]
     assert terms_of(g) == {"0,0": "1", "2,-2": "q+q^3"}
     top = Column(B3, (1, 2))
-    assert terms_of(global_column(top)) == {"1,2": "1"}
+    assert terms_of(marsh(top)[1]) == {"1,2": "1"}
 
 
 def test_global_column_printed_expansion():
-    g = global_column(Column(B4, (0, 0, 0, 0)))
+    g = marsh(Column(B4, (0, 0, 0, 0)))[1]
     assert terms_of(g) == {
         "0,0,0,0": "1",
         "4,0,0,-4": "q+q^7",
@@ -75,7 +74,7 @@ def test_global_column_congruence():
     for kind in (B2, B3, D3):
         for p in range(1, kind.rank + 1):
             for col in enumerate_columns(kind, p, admissible_only=True):
-                g = global_column(col)
+                g = marsh(col)[1]
                 assert g.coeff(col).coeff(0) == 1
                 for c, v in g.terms:
                     assert v.min_exp() >= (0 if c == col else 1)
@@ -83,8 +82,7 @@ def test_global_column_congruence():
 
 def test_marsh_path_of_D_minus_column():
     col = Column(D3, (2, 3, -3))
-    path = marsh_path(col)
-    v = global_column(col)
+    path, v = marsh(col)
     assert v.coeff(col).coeff(0) == 1
     assert all(p in (1, 2) for _i, p in path)
 
@@ -137,13 +135,13 @@ def test_a_path_matches_marsh_on_columns():
                     lam[p - 1] = 1
             for t in enumerate_tableaux(tuple(lam), kind):
                 col = t.columns[0]
-                mp = marsh_path(col)
+                mp = marsh(col)[0]
                 ap = a_path(t)
                 assert list(ap.steps) == mp
                 # the two stage-one/stage-two vectors coincide on fundamentals
                 assert terms_of(a_vector(ap)) == {
                     str(parse_tabloid(str(c), kind, d_sign=t.shape.d_sign)): str(v)
-                    for c, v in global_column(col).terms
+                    for c, v in marsh(col)[1].terms
                 }
 
 
@@ -250,13 +248,13 @@ def test_builder_builds_each_tabloid_once(kind, lam):
 def test_highest_tableau_and_raising_steps_are_interned(kind, lam):
     """The highest tableau is the component's own object, and each raising step
     lands on the shape's one object for next(T)."""
-    from qcb.canonical import _in_component, _raise_once
+    from qcb.canonical import _raise_once
 
     shape = shape_for_lambda(lam, kind)
     own = {t: t for t in orthogonal_tableaux(shape)}
     top = highest_tabloid(shape)
     assert own[top] is top
-    steps = [step for t in own if (step := _raise_once(t, _in_component)) is not None]
+    steps = [step for t in own if (step := _raise_once(t, shape_tables(shape))) is not None]
     assert steps
     for _i, _r, nxt in steps:
         assert own[nxt] is nxt, nxt
@@ -291,7 +289,7 @@ def test_expansions_are_memoised_per_request(monkeypatch):
     expand = modvec._expand_divided
     monkeypatch.setattr(modvec, "_expand_divided", lambda *a: calls.append(a[1:]) or expand(*a))
     lazy = {name for name, attr in vars(ShapeTables).items() if isinstance(attr, cached_property)}
-    documented = {"shape", "tabloids", "vectors", "terms"}
+    documented = {"shape", "tabloids", "steps", "vectors", "terms"}
     lam = (3, 1, 0)
     shape = shape_for_lambda(lam, B3)
     _clear_shape_tables()
@@ -542,7 +540,7 @@ def test_raising_sweep_fails_only_on_known_modules():
 
     from test_dimensions import weyl_dim
 
-    from qcb.canonical import _in_component, _raise_once
+    from qcb.canonical import _raise_once
     from qcb.rootdata import InvariantViolation
 
     modules = [
@@ -557,7 +555,7 @@ def test_raising_sweep_fails_only_on_known_modules():
     for kind, lam in modules:
         try:
             for t in enumerate_tableaux(lam, kind):
-                step = _raise_once(t, _in_component)
+                step = _raise_once(t, shape_tables(t.shape))
                 if step is not None:
                     i, r, nxt = step
                     digest.update(f"{kind} {lam} {t} {i} {r} {nxt}\n".encode())
@@ -640,9 +638,9 @@ def test_repeated_request_raises_nothing(monkeypatch):
     calls = []
     raise_once = canonical._raise_once
 
-    def counting_raise_once(cur, member):
+    def counting_raise_once(cur, tables):
         calls.append(cur)
-        return raise_once(cur, member)
+        return raise_once(cur, tables)
 
     divided = []
     f_divided = modvec.module_f_divided
@@ -665,13 +663,49 @@ def test_repeated_request_raises_nothing(monkeypatch):
     _clear_shape_tables()
 
 
+@pytest.mark.parametrize("kind,lam", ORACLE_MODULES)
+def test_builder_and_a_path_share_the_walk(kind, lam, monkeypatch):
+    """The shape's stored raising steps serve both walks.  After a whole-module
+    request, ``a_path`` on every tableau raises nothing, and its first step is
+    the stored one.  After ``a_path`` on cold tables, a weight request raises
+    none of the tableaux that walk visited."""
+    import qcb.canonical as canonical
+
+    calls = []
+    raise_once = canonical._raise_once
+    monkeypatch.setattr(canonical, "_raise_once", lambda cur, tables: calls.append(cur) or raise_once(cur, tables))
+    shape = shape_for_lambda(lam, kind)
+    _clear_shape_tables()
+    tabs = canonical_matrix(lam, kind).cols
+    calls.clear()
+    steps = shape_tables(shape).steps
+    for t in tabs:
+        ap = a_path(t)
+        step = steps[t]
+        if step is None:
+            assert ap.steps == () and ap.base == t, t
+        else:
+            assert (ap.steps[0], ap.intermediates[0]) == (step[:2], step[2]), t
+    assert calls == []
+
+    _clear_shape_tables()
+    ap = a_path(tabs[0])
+    visited = {tabs[0], *ap.intermediates}
+    assert set(calls) == visited
+    calls.clear()
+    assert canonical_matrix(lam, kind, weight2_of_tabloid(tabs[0])).cols
+    assert visited.isdisjoint(calls)
+    _clear_shape_tables()
+
+
 @pytest.mark.parametrize("kind,lam", [(B3, (3, 1, 0)), (AlgebraKind("B", 5), (0, 1, 0, 0, 1))])
 def test_hot_paths_look_the_shape_up_once_a_step(kind, lam):
     """A whole-module request on cleared shape tables (the crystal rows and
     coded powers, shared by the shapes, already filled) looks the shape's
-    tables up at most 4 times a tableau: once a raising step, once a divided
-    power and once a membership test, then it indexes their per-node lists.
-    It asks ``_crystal_table`` and ``_coded_powers`` only to build those lists."""
+    tables up at most 2 times a tableau: about once a divided power, while
+    the raising walk and its membership tests read the tables the builder
+    holds; then it indexes their per-node lists.  It asks ``_crystal_table``
+    and ``_coded_powers`` only to build those lists."""
     from qcb.modvec import _coded_powers
     from qcb.shapes import _crystal_table
 
@@ -681,7 +715,7 @@ def test_hot_paths_look_the_shape_up_once_a_step(kind, lam):
     before = [c.cache_info().hits for c in caches]
     M = canonical_matrix(lam, kind)
     tables, rows, powers = (c.cache_info().hits - b for c, b in zip(caches, before))
-    assert tables <= 4 * len(M.cols), tables / len(M.cols)
+    assert tables <= 2 * len(M.cols), tables / len(M.cols)
     assert rows < 50 and powers < 50, (rows, powers)
     _clear_shape_tables()
 
@@ -781,7 +815,7 @@ def test_canonical_matrix_fundamental_matches_global():
     M = canonical_matrix((0, 2), B2)
     assert not M.gamma
     for ci, t in enumerate(M.cols):
-        g = global_column(t.columns[0])
+        g = marsh(t.columns[0])[1]
         got = {str(M.rows[r].columns[0]): str(v) for (r, c), v in M.entries.items() if c == ci}
         assert got == {str(c): str(v) for c, v in g.terms}
 

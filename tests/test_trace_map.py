@@ -33,10 +33,11 @@ SCRIPT = textwrap.dedent(
         cli.main(argv + extra + ["--output", os.path.join(sys.argv[1], "out.json")])
         for extra in (["--jobs", "2"], ["--weight=1/2,1/2"])
     ]
+    canon = dict(tracer.calls)  # the spans of the three canonical calls
     apath = ["--type", "B", "--rank", "4", "apath", "--tabloid", "s:-1,-2,3,-4/4,-2"]
     rcs.append(cli.main(apath + ["--output", os.path.join(sys.argv[1], "apath.json")]))
     doc = {
-        "rcs": rcs, "whole": whole, "calls": tracer.calls, "maxima": tracer.maxima,
+        "rcs": rcs, "whole": whole, "canon": canon, "calls": tracer.calls, "maxima": tracer.maxima,
         "caches": tracing.cache_counters(),
     }
     print(json.dumps(doc))
@@ -56,8 +57,10 @@ def test_tracer_installs_on_canonical(tmp_path):
     doc = json.loads(proc.stdout)
     assert doc["rcs"] == [0, 0, 0, 0]
     # three requests on one module share one cached crystal component
-    assert doc["calls"]["canonical.canonical_matrix"] == 3
-    assert doc["calls"]["crystal.component_bfs"] == 1
+    assert doc["canon"]["canonical.canonical_matrix"] == 3
+    assert doc["canon"]["crystal.component_bfs"] == 1
+    # the apath walk tests membership in its own shape's component
+    assert doc["calls"]["crystal.component_bfs"] == doc["canon"]["crystal.component_bfs"] + 1
     # the whole-module call feeds the per-layer algebra and rows-pass metrics
     for name in ("modvec.apply_monomial", "modvec.module_f_divided", "shapes.enumerate_tabloids_rows"):
         assert doc["whole"].get(name, 0) > 0, name
