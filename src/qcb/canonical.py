@@ -143,8 +143,8 @@ def _spin_step(cur: Tabloid, tables: ShapeTables) -> tuple[int, int, Tabloid]:
     """Raise the spin column alone, by the smallest color that stays in the crystal."""
     codes = cur.codes
     component = tables.component
-    for j in tables.crystal:
-        g = tables.row(0, j, codes[0])[2]
+    for j, rows in tables.crystal.items():
+        g = rows[0][codes[0]][2]
         if g is not None and (cand := tables.tabloid((g, *codes[1:]))) in component:
             return j, 1, cand
     raise InvariantViolation(f"no spin raise leaves {cur} in the crystal")
@@ -157,27 +157,28 @@ def _raise_once(cur: Tabloid, tables: ShapeTables) -> tuple[int, int, Tabloid] |
     tableau whose weight space holds one tabloid.  ``tables`` are cur's
     shape's, and a tabloid is an orthogonal tableau when it lies in their
     ``component``.  The step runs on slot codes: each filling's crystal is
-    a row (``ShapeTables.row``), and a reading's is the signature rule over
-    its slots' rows.  Slots follow the reading, so the columns come right
-    to left after the spin column.
+    a row (``tables.crystal[i][x][code]`` for slot x at node i), and a
+    reading's is the signature rule over its slots' rows.  Slots follow the
+    reading, so the columns come right to left after the spin column.
     """
     codes = cur.codes
     if codes == tables.highest.codes:
         return None
-    row = tables.row
+    crystal = tables.crystal
     slots = cur.shape.slots
     s = int(cur.shape.has_spin())  # the first column slot
     n = len(codes)
-    if s and not any(signature_rule([row(x, i, codes[x]) for x in range(s, n)])[0] for i in tables.crystal):
+    if s and not any(signature_rule([rows[x][codes[x]] for x in range(s, n)])[0] for rows in crystal.values()):
         if tables.suffix_counts[0][tables.packed_weight(codes)] == 1:
             # alone in its weight space: the tabloid vector is already
             # the canonical one and the walk may stop here
             return None
         return _spin_step(cur, tables)
     # the rightmost column that is not highest
-    k = next(x for x in range(s, n) if not row(x, 1, codes[x])[4])
+    k = next(x for x in range(s, n) if not crystal[1][x][codes[x]][4])
     i1 = _marsh_color(slots[k].fillings[codes[k]])
-    if s and row(0, i1, codes[0])[3] is not None:
+    rows = crystal[i1]
+    if s and rows[0][codes[0]][3] is not None:
         # the spin column blocks this node (its t-eigenvalue spoils the
         # unit coefficient); raise the spin itself instead
         return _spin_step(cur, tables)
@@ -187,20 +188,20 @@ def _raise_once(cur: Tabloid, tables: ShapeTables) -> tuple[int, int, Tabloid] |
     while (
         end + 1 < n
         and wedge_f_divided(slots[end].fillings[codes[end]], i1, 1).is_zero()
-        and row(end + 1, i1, codes[end + 1])[0] > 0
+        and rows[end + 1][codes[end + 1]][0] > 0
     ):
         end += 1
     new = list(codes)
     r = 0
     for x in range(k, end + 1):
-        for _ in range(row(x, i1, codes[x])[0]):
-            new[x] = row(x, i1, new[x])[2]
+        for _ in range(rows[x][codes[x]][0]):
+            new[x] = rows[x][new[x]][2]
             r += 1
-    if s and row(0, i1, codes[0])[0] == 1:
+    if s and rows[0][codes[0]][0] == 1:
         # the spin column sits leftmost in the tensor order; when it can
         # absorb a raising step it must, or the replayed divided power
         # picks up a stray power of q_i on the target tabloid
-        new[0] = row(0, i1, codes[0])[2]
+        new[0] = rows[0][codes[0]][2]
         r += 1
     nxt = tables.tabloid(tuple(new))
     if nxt not in tables.component:
@@ -243,43 +244,38 @@ def a_vector(path: APath) -> SparseVector:
     return apply_monomial(SparseVector.unit(path.base), list(path.steps))
 
 
-class _MonomialBuilder:
-    """A(T) for a set of tableaux of one shape, each as f_i^(r) A(next(T)).
+def _build(tabs: list[Tabloid]) -> None:
+    """Store A(T) for a set of tableaux of one shape, each as f_i^(r) A(next(T)).
 
     The shape's tables hold each tableau's raising step (``steps``) and
-    A(T) (``vectors``), shared by every request on the shape and by
-    ``a_path``.  The builder first walks each tableau until it meets one
-    whose step is already stored, or ends, so every step its request needs
-    is made before any algebra.  (On whole-module runs that order is faster
-    than raising and building tableau by tableau.)  ``vector`` then walks
-    the stored steps to the first tableau whose A(T) is stored and builds
-    down them, storing every A(T) it makes, so each A(T) is built once
-    while the shape stays cached.  ``memo`` keeps each tabloid's divided
-    powers (``modvec.module_f_divided``) for this builder's request alone.
+    A(T) (``vectors``, a flat (codes, terms, ...) tuple), shared by every
+    request on the shape and by ``a_path``.  First each tableau is walked
+    until it meets one whose step is already stored, or ends, so every step
+    the request needs is made before any algebra.  (On whole-module runs
+    that order is faster than raising and building tableau by tableau.)
+    Then each walk follows the stored steps to the first tableau whose A(T)
+    is stored and builds down them, storing every A(T) it makes, so each
+    A(T) is built once while the shape stays cached.  ``memo`` keeps each
+    tabloid's divided powers (``modvec.module_f_divided``) for this request
+    alone, and goes when it returns.
     """
-
-    def __init__(self, tabs: list[Tabloid]):
-        self.tables = shape_tables(tabs[0].shape)
-        for t in tabs:
-            for _ in _walk(t, self.tables, self.tables.steps):
-                pass
-        self.memo: dict = {}
-
-    def vector(self, tab: Tabloid) -> tuple:
-        """A(tab) as the table holds it: a flat (codes, terms, ...) tuple."""
-        tables = self.tables
-        vectors = tables.vectors
+    tables = shape_tables(tabs[0].shape)
+    steps, vectors = tables.steps, tables.vectors
+    for t in tabs:
+        for _ in _walk(t, tables, steps):
+            pass
+    memo: dict = {}
+    for tab in tabs:
         walked = list(_walk(tab, tables, vectors))  # ends in the table, or at the end of the walk
         t = walked.pop()
         flat = vectors.get(t)
         if flat is None:
             flat = vectors[t] = (t.codes, ONE_TERMS)
         for c in reversed(walked):
-            i, r, _next = tables.steps[c]
+            i, r, _next = steps[c]
             pairs = iter(flat)
-            v = apply_monomial(CodedVector(tables.shape, dict(zip(pairs, pairs)), self.memo), [(i, r)])
+            v = apply_monomial(CodedVector(tables.shape, dict(zip(pairs, pairs)), memo), [(i, r)])
             flat = vectors[c] = tuple(chain.from_iterable(v.terms.items()))
-        return flat
 
 
 def _gamma_symmetrize(c) -> LaurentPoly:
@@ -376,9 +372,9 @@ def canonical_matrix(
         return CanonicalMatrix(kind, tuple(lam), weight2, (), (), {}, ())
     tables = shape_tables(shape)
     groups = tables.by_weight if weight2 is None else {weight2: tableaux}
-    build = _MonomialBuilder(tableaux)
-    results = [_correct_group([build.vector(t) for t in tabs], tabs) for tabs in groups.values()]
-    del build  # and with it the request's memo, before the rows pass
+    _build(tableaux)
+    vectors = tables.vectors
+    results = [_correct_group([vectors[t] for t in tabs], tabs) for tabs in groups.values()]
 
     if weight2 is not None:
         rows = tuple(enumerate_tabloids(shape, weight2))

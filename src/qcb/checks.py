@@ -40,13 +40,12 @@ from .rootdata import (
 )
 from .shapes import (
     Column,
-    codes_apply,
-    codes_eps_phi,
     enumerate_columns,
     enumerate_tableaux,
     enumerate_tabloids,
     is_orthogonal_tableau,
     shape_for_lambda,
+    shape_tables,
     tabloid_reading,
     tabloid_sort_key,
     weight2_of_tabloid,
@@ -247,13 +246,14 @@ def check_code_crystal() -> list[CheckResult]:
     ok = True
     for kind, lam in CODE_CRYSTAL_MODULES:
         shape = shape_for_lambda(lam, kind)
+        tables = shape_tables(shape)
         for t in enumerate_tableaux(lam, kind):
             w = tabloid_reading(t)
             for i in range(1, kind.rank + 1):
-                ok = ok and codes_eps_phi(shape, t.codes, i) == word_eps_phi(w, i)
+                ok = ok and tables.eps_phi(t.codes, i) == word_eps_phi(w, i)
                 for d in "ef":
                     v = word_apply(w, i, d)
-                    ok = ok and codes_apply(shape, t.codes, i, d) == (None if v is None else word_to_tabloid(v, shape).codes)
+                    ok = ok and tables.apply(t.codes, i, d) == (None if v is None else word_to_tabloid(v, shape).codes)
     return [CheckResult("crystal.codes_match_words", ok)]
 
 

@@ -9,9 +9,9 @@ that needs no ``--type``/``--rank``).  Output is JSON, CSV or LaTeX and is
 byte-deterministic for a fixed invocation.
 
 Output is written in chunks, to standard output or in place to the
-``--output`` file: opened only after the computation (an empty path or a
-missing directory fails before it) and without truncation, then, if it is a
-regular file, cut to the bytes written.  So a failed run leaves an existing
+``--output`` file: opened only after the computation (an empty path, a
+missing directory or a directory fails before it) and without truncation,
+then, if it is a regular file, cut to the bytes written.  So a failed run leaves an existing
 file untouched, and a write that fails part-way leaves no old byte after what
 it wrote.  The writer never holds the whole document: ``canonical`` is written from
 the ``CanonicalMatrix``, a few hundred JSON items or one CSV/TeX row a chunk.
@@ -28,6 +28,7 @@ invariant violation or arithmetic failure, 64 flag errors.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import stat
@@ -410,8 +411,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"qcb: {exc}", file=sys.stderr)
         return DOMAIN_EXIT
     try:
-        if args.output is not None:  # opened after the work, but an empty path or missing directory fails before it
+        if args.output is not None:  # opened after the work, but an empty path, a missing directory or a directory fails before it
             os.stat(os.path.join(os.path.dirname(args.output) or ("." if args.output else ""), ""))
+            if os.path.isdir(args.output):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
     except OSError as exc:
         print(f"qcb: cannot write {args.output}: {exc.strerror or exc}", file=sys.stderr)
         return DOMAIN_EXIT

@@ -12,7 +12,7 @@ a word are computed by folding the two-factor rules
 and the operators act at the position the same recursion selects (the
 signature rule).  ``signature_rule`` is that one fold over (eps, phi)
 rows.  It serves the ``Word`` crystal here and the crystal on slot codes
-(``shapes.crystal_row``), where a row is a whole column's or spin
+(``shapes.SlotTable.crystal``), where a row is a whole column's or spin
 column's: the component search and the raising walk run on codes, and
 the ``Word`` crystal is their oracle (``checks.check_code_crystal``).
 """

@@ -9,8 +9,8 @@ that product with the quantum binomial recursion
 where q_i^a is the t_i-eigenvalue of the head factor u.  ``_factor_powers``
 computes that exponent and the factor's non-zero divided powers: the
 closed-form wedge action on a column, the coefficient-free crystal edge on a
-spin column (f^(k) = 0 there for k >= 2).  ``_coded_powers`` keeps them, with
-their outputs coded, in one table per (slot table, node), filled on first use.
+spin column (f^(k) = 0 there for k >= 2).  ``SlotTable.powers`` keeps them,
+with their outputs coded, by node and filling code, each filled on first use.
 
 The algebra runs on a ``CodedVector``: each tabloid's small integer factor
 codes (``Tabloid.codes``) with its coefficient's ascending
@@ -32,8 +32,6 @@ decoded on exit.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 from .crystal import SpinColumn, spin_apply
 from .laurent import ONE_TERMS, LaurentPoly, SparseVector, plus, times
@@ -59,16 +57,10 @@ def _factor_powers(f, i: int) -> tuple[int, tuple[tuple[tuple[object, LaurentPol
     return a, tuple(powers)
 
 
-@lru_cache(maxsize=None)
-def _coded_powers(slot: SlotTable, i: int) -> list:
-    """By filling code: ``_factor_powers`` of the slot's filling with its
-    outputs coded, or None until ``_heads`` first asks for it."""
-    return [None] * len(slot.fillings)
-
-
 def _heads(tables: list[tuple[SlotTable, list]], codes: tuple[int, ...], i: int) -> list[tuple[int, tuple]]:
     """Each factor's t_i exponent and non-zero f_i^(k), as (code, terms) pairs,
-    read from the (slot, ``_coded_powers(slot, i)``) pairs of its shape's slots."""
+    read from the (slot, ``slot.powers[i]``) pairs of its shape's slots; a code
+    not asked for before is filled from ``_factor_powers``."""
     out = []
     for (slot, table), c in zip(tables, codes):
         h = table[c]
@@ -167,9 +159,7 @@ def module_f_divided(v: CodedVector | SparseVector, i: int, m: int) -> CodedVect
         return v
     expansions = u.memo.setdefault((i, m), {})
     tables = shape_tables(shape)
-    interned, powers = tables.terms, tables.powers.get(i)
-    if powers is None:
-        powers = tables.powers[i] = tuple((slot, _coded_powers(slot, i)) for slot in shape.slots)
+    interned, powers = tables.terms, tables.powers[i]
     acc: dict[tuple[int, ...], tuple] = {}
     for codes, terms in u.terms.items():
         flat = expansions.get(codes)

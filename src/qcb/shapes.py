@@ -8,16 +8,18 @@ optional spin column in front); orthogonal tableaux are the tabloids whose
 reading lies in the crystal of the irreducible module: the component of the
 highest tableau's reading, or equivalently the readings that raise to it.
 A tabloid's factors fill tensor slots; a slot's fillings depend only on its
-kind, a column height or a spin class, which has one ``slot_table`` with its
-fillings' weights.  A tabloid is its shape and its codes, each a factor's
-index in its slot's ascending fillings.  What depends only on the shape
-lives in its ``shape_tables``, which hands out one tabloid object per
+kind, a column height or a spin class, which has one ``slot_table``: its
+fillings' weights, their crystal rows at each node, and the coded divided
+powers ``modvec`` fills.  A tabloid is its shape and its codes, each a
+factor's index in its slot's ascending fillings.  What depends only on the
+shape lives in its ``shape_tables``, which hands out one tabloid object per
 filling, its slots' tables per node and its packed weights.  The crystal
 runs on those codes: a reading is the tensor product of its fillings, so the
-signature rule over the fillings' own (eps_i, phi_i) rows (``crystal_row``,
-one table per (slot table, node)) gives the reading's, and the filling it
-selects moves by its own e_i or f_i code.  The component is searched that
-way; the ``Word`` crystal on readings is the oracle.
+signature rule over the fillings' own (eps_i, phi_i) rows
+(``SlotTable.crystal``) gives the reading's (``ShapeTables.eps_phi``), and
+the filling it selects moves by its own e_i or f_i code
+(``ShapeTables.apply``).  The component is searched that way; the ``Word``
+crystal on readings is the oracle.
 """
 
 from __future__ import annotations
@@ -418,12 +420,42 @@ def _columns_by_letters(kind: AlgebraKind, p: int) -> dict[tuple[Letter, ...], C
 
 @dataclass(frozen=True, eq=False)
 class SlotTable:
-    """The fillings of one kind of tensor slot (cached: do not mutate)."""
+    """The fillings of one kind of tensor slot (cached: do not mutate, but for
+    the entries of ``powers`` that ``modvec`` fills).
+
+    ``crystal`` holds each filling's crystal row at each node, all built on
+    first use.  ``powers`` holds, by node and code, the filling's t_i exponent
+    and coded divided powers, None until ``modvec`` first asks for the code.
+    """
 
     fillings: tuple  # ascending; a filling's code is its position here
     index: dict  # each filling's code
     weights: tuple[Weight2, ...]  # each code's weight
     texts: tuple[str, ...]  # each code's printed filling
+    powers: dict[int, list]  # by node i, each code's coded f_i powers or None
+
+    @cached_property
+    def crystal(self) -> dict[int, tuple[tuple, ...]]:
+        """By node i, each code's row (eps_i, phi_i, e_i code, f_i code, highest).
+
+        A code is None where the operator vanishes; highest says every eps_j
+        is 0.  A row comes from the signature rule over the filling's letters
+        (a spin column is one factor).
+        """
+        kind = self.fillings[0].kind
+        nodes = range(1, kind.rank + 1)
+        per_filling = []
+        for f in self.fillings:
+            spin = isinstance(f, SpinColumn)
+            factors = (f,) if spin else f.letters
+            rows = []
+            for j in nodes:
+                moved = [tensor_apply(kind, factors, j, d) for d in "ef"]
+                codes = [None if m is None else self.index[m[0] if spin else Column(kind, m)] for m in moved]
+                rows.append((*tensor_eps_phi(kind, factors, j), *codes))
+            highest = not any(r[0] for r in rows)
+            per_filling.append([(*r, highest) for r in rows])
+        return {j: tuple(rows[j - 1] for rows in per_filling) for j in nodes}
 
 
 @lru_cache(maxsize=None)
@@ -431,54 +463,13 @@ def slot_table(kind: AlgebraKind, slot: int | str) -> SlotTable:
     """The table of a column height, or of a spin class ("B", "D+" or "D-")."""
     fillings = tuple(enumerate_spin_columns(kind, slot[-1]) if isinstance(slot, str) else enumerate_columns(kind, slot))
     index = {f: c for c, f in enumerate(fillings)}
-    return SlotTable(fillings, index, tuple(f.weight2() for f in fillings), tuple(map(str, fillings)))
+    powers = {i: [None] * len(fillings) for i in range(1, kind.rank + 1)}
+    return SlotTable(fillings, index, tuple(f.weight2() for f in fillings), tuple(map(str, fillings)), powers)
 
 
 def tabloid_of_codes(shape: Shape, codes: tuple[int, ...]) -> Tabloid:
     """The tabloid with these codes: one object per filling while the shape's tables are kept."""
     return shape_tables(shape).tabloid(codes)
-
-
-@lru_cache(maxsize=None)
-def _crystal_table(slot: SlotTable, i: int) -> list:
-    """By filling code: None until ``crystal_row`` first asks for the code."""
-    return [None] * len(slot.fillings)
-
-
-def crystal_row(slot: SlotTable, i: int, c: int) -> tuple:
-    """The node-i crystal of filling c: (eps_i, phi_i, e_i code, f_i code, highest).
-
-    A code is None where the operator vanishes; highest says every eps_j is
-    0.  The first ask for a code fills its row at every node, by the
-    signature rule over the filling's letters (a spin column is one factor).
-    """
-    row = _crystal_table(slot, i)[c]
-    if row is None:
-        f = slot.fillings[c]
-        kind = f.kind
-        spin = isinstance(f, SpinColumn)
-        factors = (f,) if spin else f.letters
-        nodes = range(1, kind.rank + 1)
-        rows = []
-        for j in nodes:
-            moved = [tensor_apply(kind, factors, j, d) for d in "ef"]
-            codes = [None if m is None else slot.index[m[0] if spin else Column(kind, m)] for m in moved]
-            rows.append((*tensor_eps_phi(kind, factors, j), *codes))
-        highest = not any(r[0] for r in rows)
-        for j, r in zip(nodes, rows):
-            _crystal_table(slot, j)[c] = (*r, highest)
-        row = _crystal_table(slot, i)[c]
-    return row
-
-
-def codes_eps_phi(shape: Shape, codes: tuple[int, ...], i: int) -> tuple[int, int]:
-    """(eps_i, phi_i) of the reading of the tabloid with these codes."""
-    return signature_rule([crystal_row(s, i, c) for s, c in zip(shape.slots, codes)])[:2]
-
-
-def codes_apply(shape: Shape, codes: tuple[int, ...], i: int, direction: str) -> tuple[int, ...] | None:
-    """The Kashiwara operator on the reading of the tabloid with these codes (``ShapeTables.apply``)."""
-    return shape_tables(shape).apply(codes, i, direction)
 
 
 def tabloid_weight_counts(shape: Shape) -> Counter[Weight2]:
@@ -528,10 +519,10 @@ class ShapeTables:
     tuple with ``terms``, where ``modvec`` keeps one tuple per value.  A
     hot path looks the shape up once a step, then indexes: ``crystal`` and
     ``powers`` hold, per node, each slot's crystal rows and coded divided
-    powers (shared by the shapes, filled on first use), and weights add as
-    ints in one packing (``pack``, ``packs``, ``suffix_counts``).  What a
-    request needs only while it runs, such as its divided-power memo, is
-    not kept here.  Do not mutate the others.
+    powers, read from its ``SlotTable`` (so shared by the shapes), and
+    weights add as ints in one packing (``pack``, ``packs``,
+    ``suffix_counts``).  What a request needs only while it runs, such as
+    its divided-power memo, is not kept here.  Do not mutate the others.
     """
 
     def __init__(self, shape: Shape):
@@ -552,19 +543,18 @@ class ShapeTables:
         return t
 
     @cached_property
-    def crystal(self) -> dict[int, tuple[tuple[SlotTable, list], ...]]:
-        """Per node i, each slot with its ``_crystal_table(slot, i)``, in reading order."""
-        return {i: tuple((s, _crystal_table(s, i)) for s in self.shape.slots) for i in range(1, self.shape.kind.rank + 1)}
+    def crystal(self) -> dict[int, tuple[tuple[tuple, ...], ...]]:
+        """Per node i, each slot's ``SlotTable.crystal`` rows at i, in reading order."""
+        return {i: tuple(s.crystal[i] for s in self.shape.slots) for i in range(1, self.shape.kind.rank + 1)}
 
-    def row(self, x: int, i: int, c: int) -> tuple:
-        """``crystal_row`` of slot x's filling c at node i, read from ``crystal``."""
-        slot, rows = self.crystal[i][x]
-        return rows[c] or crystal_row(slot, i, c)
+    def eps_phi(self, codes: tuple[int, ...], i: int) -> tuple[int, int]:
+        """(eps_i, phi_i) of the reading of the tabloid with these codes."""
+        return signature_rule([by_code[c] for by_code, c in zip(self.crystal[i], codes)])[:2]
 
     def apply(self, codes: tuple[int, ...], i: int, direction: str) -> tuple[int, ...] | None:
         """The Kashiwara operator on the reading of the tabloid with these codes: the
         slot the signature rule picks moves by its own operator; None where it vanishes."""
-        rows = [t[c] or crystal_row(s, i, c) for (s, t), c in zip(self.crystal[i], codes)]
+        rows = [by_code[c] for by_code, c in zip(self.crystal[i], codes)]
         pos = signature_rule(rows, direction)[2]
         if pos is None:
             return None
@@ -572,9 +562,8 @@ class ShapeTables:
 
     @cached_property
     def powers(self) -> dict[int, tuple[tuple[SlotTable, list], ...]]:
-        """Per node i, each slot with its ``modvec._coded_powers(slot, i)``, in
-        reading order, as ``modvec.module_f_divided`` first asks for node i."""
-        return {}
+        """Per node i, each slot with its ``SlotTable.powers`` list at i, in reading order."""
+        return {i: tuple((s, s.powers[i]) for s in self.shape.slots) for i in range(1, self.shape.kind.rank + 1)}
 
     def pack(self, w: Weight2) -> int | None:
         """The weight as the int sum of w_j * base^j, base = 4 boxes + 4, or None

@@ -192,13 +192,14 @@ def _pairs(flat):
 
 
 def _shape_a_vectors(shape):
-    """Each A(T) in the shape's table as {codes: terms}, read through the builder
-    (which builds nothing new)."""
-    from qcb.canonical import _MonomialBuilder
+    """Each A(T) in the shape's table as {codes: terms}, after ``_build`` has
+    run on them (which builds nothing new)."""
+    from qcb.canonical import _build
 
-    built = list(shape_tables(shape).vectors)
-    build = _MonomialBuilder(built)
-    return {t: _pairs(build.vector(t)) for t in built}
+    vectors = shape_tables(shape).vectors
+    built = list(vectors)
+    _build(built)
+    return {t: _pairs(vectors[t]) for t in built}
 
 
 @pytest.mark.parametrize("kind,lam", ORACLE_MODULES)
@@ -225,12 +226,12 @@ def test_memoised_a_vectors_match_replay(kind, lam):
 def test_builder_builds_each_tabloid_once(kind, lam):
     """Within one request, equal fillings in the A(T) vectors are one codes
     tuple, and in the rows and the columns one Tabloid object."""
-    from qcb.canonical import _MonomialBuilder
+    from qcb.canonical import _build
 
     _clear_shape_tables()
     tabs = enumerate_tableaux(lam, kind)
-    build = _MonomialBuilder(tabs)
-    vectors = [_pairs(build.vector(t)) for t in tabs]
+    _build(tabs)
+    vectors = [_pairs(shape_tables(tabs[0].shape).vectors[t]) for t in tabs]
     seen = {}
     for v in vectors:
         for codes in v:
@@ -328,16 +329,17 @@ def test_coded_correction_matches_reference(kind, lam):
     """On every weight space, the coded correction gives the reference's G(T),
     term for term, and its gamma log.  The lambda = 0 shape has no slots, so
     its one tabloid's codes are ()."""
-    from qcb.canonical import _correct_group, _MonomialBuilder
+    from qcb.canonical import _build, _correct_group
     from qcb.laurent import SparseVector
     from qcb.shapes import tabloid_of_codes
 
     shape = shape_for_lambda(lam, kind)
-    groups = shape_tables(shape).by_weight
-    build = _MonomialBuilder(enumerate_tableaux(lam, kind))
+    tables = shape_tables(shape)
+    groups = tables.by_weight
+    _build(enumerate_tableaux(lam, kind))
     gammas = 0
     for tabs in groups.values():
-        flats = [build.vector(t) for t in tabs]
+        flats = [tables.vectors[t] for t in tabs]
         got, log = _correct_group(flats, list(tabs))
         sparse = [SparseVector({tabloid_of_codes(shape, c): LaurentPoly(t) for c, t in _pairs(f).items()}) for f in flats]
         want, want_log = _reference_correct_group(sparse, tabs)
@@ -492,11 +494,10 @@ def test_weight_request_filters_the_whole_list(kind, lam):
 
 
 def _clear_shape_tables():
-    """Empty the per-shape tables, and the slot tables, crystal rows and coded powers that shapes share."""
-    from qcb.modvec import _coded_powers
-    from qcb.shapes import _crystal_table, slot_table
+    """Empty the per-shape tables, and the slot tables (with their crystal rows and coded powers) that shapes share."""
+    from qcb.shapes import slot_table
 
-    for table in (shape_tables, slot_table, _crystal_table, _coded_powers):
+    for table in (shape_tables, slot_table):
         table.cache_clear()
 
 
@@ -531,24 +532,29 @@ KNOWN_RAISING_FAILURES = {
 RAISING_STEPS_DIGEST = "2fa30a8ae88daf3c80a9d28e913725dbf40fe940e6864edf2ebd5f986203fbec"
 
 
-def test_raising_sweep_fails_only_on_known_modules():
-    """One raising step from every tableau of every small module (B2 |lam| <= 7,
-    B3 and D3 <= 5, D4 <= 4, dimension <= 500) stays in the crystal, except on
-    the known spin modules; and every step that succeeds is the one pinned by
-    ``RAISING_STEPS_DIGEST``."""
-    import hashlib
-
+def sweep_modules():
+    """The small modules, B2 |lam| <= 7, B3 and D3 <= 5, D4 <= 4, of dimension <= 500."""
     from test_dimensions import weyl_dim
 
-    from qcb.canonical import _raise_once
-    from qcb.rootdata import InvariantViolation
-
-    modules = [
+    return [
         (kind, lam)
         for kind, top in ((B2, 7), (B3, 5), (D3, 5), (D4, 4))
         for lam in itertools.product(range(top + 1), repeat=kind.rank)
         if 1 <= sum(lam) <= top and weyl_dim(lam, kind) <= 500
     ]
+
+
+def test_raising_sweep_fails_only_on_known_modules():
+    """One raising step from every tableau of every small module
+    (``sweep_modules``) stays in the crystal, except on the known spin
+    modules; and every step that succeeds is the one pinned by
+    ``RAISING_STEPS_DIGEST``."""
+    import hashlib
+
+    from qcb.canonical import _raise_once
+    from qcb.rootdata import InvariantViolation
+
+    modules = sweep_modules()
     assert len(modules) == 136
     failing = set()
     digest = hashlib.sha256()
@@ -700,33 +706,27 @@ def test_builder_and_a_path_share_the_walk(kind, lam, monkeypatch):
 
 @pytest.mark.parametrize("kind,lam", [(B3, (3, 1, 0)), (AlgebraKind("B", 5), (0, 1, 0, 0, 1))])
 def test_hot_paths_look_the_shape_up_once_a_step(kind, lam):
-    """A whole-module request on cleared shape tables (the crystal rows and
-    coded powers, shared by the shapes, already filled) looks the shape's
-    tables up at most 2 times a tableau: about once a divided power, while
-    the raising walk and its membership tests read the tables the builder
-    holds; then it indexes their per-node lists.  It asks ``_crystal_table``
-    and ``_coded_powers`` only to build those lists."""
-    from qcb.modvec import _coded_powers
-    from qcb.shapes import _crystal_table
-
-    caches = (shape_tables, _crystal_table, _coded_powers)
+    """A whole-module request on cleared shape tables (the slot tables, with
+    their crystal rows and coded powers, shared by the shapes and already
+    filled) looks the shape's tables up at most 2 times a tableau: about
+    once a divided power, while the raising walk and its membership tests
+    read the tables the builder holds; then it indexes their per-node
+    tuples."""
     canonical_matrix(lam, kind)
     shape_tables.cache_clear()
-    before = [c.cache_info().hits for c in caches]
+    before = shape_tables.cache_info().hits
     M = canonical_matrix(lam, kind)
-    tables, rows, powers = (c.cache_info().hits - b for c, b in zip(caches, before))
+    tables = shape_tables.cache_info().hits - before
     assert tables <= 2 * len(M.cols), tables / len(M.cols)
-    assert rows < 50 and powers < 50, (rows, powers)
     _clear_shape_tables()
 
 
 def test_per_shape_tables_stay_bounded():
     """Weight requests on more shapes than a cache keeps leave every per-shape
-    table bounded.  The slot tables and coded powers are shared by the shapes:
-    B2 has three slot kinds (heights 1 and 2, and the spin class) and two nodes,
-    so at most six coded-power tables and six crystal tables."""
-    from qcb.modvec import _coded_powers
-    from qcb.shapes import _crystal_table, slot_table
+    table bounded.  The slot tables, which hold the crystal rows and coded
+    powers, are shared by the shapes: B2 has three slot kinds (heights 1 and 2,
+    and the spin class)."""
+    from qcb.shapes import slot_table
 
     _clear_shape_tables()
     lams = [(1, 0), (0, 1), (0, 2), (1, 1), (2, 0), (0, 3), (2, 2), (1, 2), (3, 0), (0, 4)]
@@ -736,8 +736,6 @@ def test_per_shape_tables_stay_bounded():
         assert canonical_matrix(lam, B2, weight2_of_tabloid(tabs[len(tabs) // 2])).cols
     assert shape_tables.cache_info().currsize <= 8
     assert slot_table.cache_info().currsize <= 3
-    assert _coded_powers.cache_info().currsize <= 6
-    assert _crystal_table.cache_info().currsize <= 6
 
 
 def _swap_last_letter(text: str, n: int) -> str:

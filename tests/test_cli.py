@@ -249,6 +249,23 @@ def test_empty_output_path_fails_before_any_work(capsys, monkeypatch):
     assert err.splitlines() == ["qcb: cannot write : No such file or directory"]
 
 
+def test_directory_output_fails_before_any_work(capsys, tmp_path, monkeypatch):
+    """An ``--output`` path that is a directory fails before any work, with
+    exit 1 and the message a failed open gives, and leaves the directory as
+    it was."""
+    import qcb.cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("canonical_matrix ran before the output path was checked")
+
+    monkeypatch.setattr(qcb.cli, "canonical_matrix", refuse)
+    (tmp_path / "kept").write_text("")
+    code, out, err = run_cli(capsys, "--type", "B", "--rank", "3", "canonical", "--lambda", "3,1,0", "--output", str(tmp_path))
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [f"qcb: cannot write {tmp_path}: Is a directory"]
+    assert [p.name for p in tmp_path.iterdir()] == ["kept"]
+
+
 def _golden(name):
     with open(os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", name), "rb") as fh:
         return fh.read()

@@ -169,7 +169,7 @@ def test_factor_powers_table():
 
 def test_recursion_split_associativity():
     """Splitting the factor chain at any point gives the same coefficients."""
-    from qcb.modvec import _coded_powers, _expand_divided, _heads
+    from qcb.modvec import _expand_divided, _heads
     from qcb.rootdata import weight2_add, weight2_zero
 
     def polys(pairs):
@@ -189,7 +189,7 @@ def test_recursion_split_associativity():
         for i in range(1, kind.rank + 1):
             d = d_by_i[i]
             codes = tab.codes
-            heads = _heads([(s, _coded_powers(s, i)) for s in tab.shape.slots], codes, i)
+            heads = _heads([(s, s.powers[i]) for s in tab.shape.slots], codes, i)
             for m in (1, 2, 3):
                 whole = polys(_expand_divided(codes, heads, m, d))
                 for cut in range(1, len(factors)):
@@ -241,7 +241,7 @@ def test_kernel_matches_reference():
     B3 (3,1,0), at every node and for m = 1, 2, 3, the kernel gives the
     reference's non-zero outputs, term for term and in the same order."""
     from qcb.laurent import terms_of
-    from qcb.modvec import _coded_powers, _expand_divided, _heads
+    from qcb.modvec import _expand_divided, _heads
 
     cases = 0
     for kind, lam in ORACLE_MODULES + [(B3, (3, 1, 0))]:
@@ -249,7 +249,7 @@ def test_kernel_matches_reference():
         tabs = enumerate_tabloids(shape)
         for i in range(1, kind.rank + 1):
             d = qi_exponent(kind, i)
-            tables = [(s, _coded_powers(s, i)) for s in shape.slots]
+            tables = [(s, s.powers[i]) for s in shape.slots]
             for tab in tabs:
                 heads = _heads(tables, tab.codes, i)
                 for m in (1, 2, 3):
@@ -358,7 +358,7 @@ def test_each_factor_power_is_computed_once(monkeypatch):
     for kind, lam in ORACLE_MODULES:
         canonical_matrix(lam, kind)
     slots = {(s, kind.rank) for kind, lam in ORACLE_MODULES for s in shape_for_lambda(lam, kind).slots}
-    filled = sum(h is not None for s, n in slots for i in range(1, n + 1) for h in modvec._coded_powers(s, i))
+    filled = sum(h is not None for s, n in slots for i in range(1, n + 1) for h in s.powers[i])
     assert len(calls) == filled > 0
     shape_tables.cache_clear()
     del heads[:]

@@ -9,7 +9,7 @@ from math import comb
 import pytest
 from test_canonical import ORACLE_MODULES
 
-from qcb.crystal import SpinColumn, Word, component_bfs, enumerate_spin_columns, word_sort_key
+from qcb.crystal import SpinColumn, Word, component_bfs, enumerate_spin_columns, word_apply, word_eps_phi, word_sort_key
 from qcb.rootdata import AlgebraKind, alphabet
 from qcb.shapes import (
     Column,
@@ -444,6 +444,33 @@ def test_slot_texts_need_no_json_escaping():
             for slot in (*range(1, n + 1), *spins):
                 for text in slot_table(kind, slot).texts:
                     assert json.dumps(text) == f'"{text}"', (family, n, slot, text)
+
+
+def test_slot_crystal_matches_word_crystal_on_every_filling():
+    """Each slot kind's crystal rows, on every filling of B2-B5 and D3-D5 and
+    not only those in some tableau: at every node (eps, phi) is the ``Word``
+    crystal's, the e and f codes code the words ``word_apply`` gives, and
+    highest says every eps is 0."""
+    fillings = 0
+    for family, ranks in (("B", range(2, 6)), ("D", range(3, 6))):
+        for n in ranks:
+            kind = AlgebraKind(family, n)
+            spins = ("B",) if family == "B" else ("D+", "D-")
+            for slot in (*range(1, n + 1), *spins):
+                table = slot_table(kind, slot)
+                assert sorted(table.crystal) == list(range(1, n + 1))
+                for c, f in enumerate(table.fillings):
+                    w = Word(kind, (), f) if isinstance(f, SpinColumn) else f.word()
+                    for i in range(1, n + 1):
+                        eps, phi, e, fc, highest = table.crystal[i][c]
+                        assert (eps, phi) == word_eps_phi(w, i), (kind, slot, str(f), i)
+                        for code, d in ((e, "e"), (fc, "f")):
+                            v = word_apply(w, i, d)
+                            want = None if v is None else table.index[v.spin if v.spin is not None else Column(kind, v.letters)]
+                            assert code == want, (kind, slot, str(f), i, d)
+                        assert highest == all(word_eps_phi(w, j)[0] == 0 for j in range(1, n + 1)), (kind, slot, str(f))
+                fillings += len(table.fillings)
+    assert fillings == 2844
 
 
 @pytest.mark.parametrize("kind,lam", ORACLE_MODULES)
