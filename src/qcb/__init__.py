@@ -13,7 +13,7 @@ from .canonical import (
 )
 from .crystal import SpinColumn, Word, component_bfs, raise_to_highest, spin_apply, vec_edge, word_apply, word_eps_phi
 from .laurent import InexactDivision, LaurentPoly, NegativePower, SparseVector, divide_exact, quantum_factorial, quantum_int
-from .modvec import apply_monomial, highest_vector, module_f_divided
+from .modvec import CodedVector, apply_monomial, decoded, highest_vector, module_f_divided
 from .rootdata import AlgebraKind, InvariantViolation, NonIntegralPairing, cartan_exponent, letter_weight2, qi_exponent
 from .shapes import (
     Column,

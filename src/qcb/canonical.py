@@ -22,7 +22,7 @@ from itertools import chain
 
 from .crystal import Word, raise_to_highest, signature_rule, vec_edge, word_apply, word_eps_phi
 from .laurent import ONE_TERMS, LaurentPoly, SparseVector, plus, times
-from .modvec import CodedVector, apply_monomial
+from .modvec import CodedVector, apply_monomial, decoded
 from .rootdata import AlgebraKind, InvariantViolation, Weight2
 from .shapes import (
     Column,
@@ -241,7 +241,7 @@ def a_path(tab: Tabloid) -> APath:
 
 def a_vector(path: APath) -> SparseVector:
     """The bar-invariant monomial vector A(T) of the tableau the path starts at."""
-    return apply_monomial(SparseVector.unit(path.base), list(path.steps))
+    return decoded(apply_monomial(CodedVector.unit(path.base), list(path.steps)))
 
 
 def _build(tabs: list[Tabloid]) -> None:

@@ -5,8 +5,9 @@ the space is unbounded) and returns one pass/fail record.  The suite covers
 the ring axioms and bar involution, crystal edge symmetry and schedule
 independence, the crystal on slot codes against the ``Word`` crystal (its
 oracle), the counting identities, closed-form/oracle agreement on the
-wedge modules, integrality and weight homogeneity of operator outputs, and
-the congruence, triangularity and bar-symmetry of the canonical bases.
+wedge modules, integrality and weight homogeneity of operator outputs, the
+quantum Serre relations on the divided powers, and the congruence,
+triangularity and bar-symmetry of the canonical bases.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from .crystal import (
     word_apply,
     word_eps_phi,
 )
-from .laurent import LaurentPoly, divide_exact, quantum_factorial, quantum_int
-from .modvec import highest_vector, module_f_divided
+from .laurent import LaurentPoly, SparseVector, divide_exact, quantum_factorial, quantum_int
+from .modvec import apply_monomial, decoded, highest_vector, module_f_divided
 from .rootdata import (
     AlgebraKind,
     alphabet,
@@ -345,24 +346,56 @@ def check_modvec(kinds: list[AlgebraKind], lambdas, rng: random.Random) -> list[
                 i = rng.randint(1, n)
                 m = rng.randint(1, 2)
                 w = module_f_divided(v, i, m)
-                if w.is_zero():
+                if not w.terms:
                     continue
-                mu = weight2_of_tabloid(next(iter(v.terms))[0])
+                mu = weight2_of_tabloid(next(iter(decoded(v).terms))[0])
                 alpha = _simple_root2(kind, i)
                 target = tuple(a - m * b for a, b in zip(mu, alpha))
-                if any(weight2_of_tabloid(t) != target for t, _c in w.terms):
+                if any(weight2_of_tabloid(t) != target for t, _c in decoded(w).terms):
                     weight_ok = False
                 # f_i f_i = [2]_i f_i^(2) ties the recursion exponents down
                 twice = module_f_divided(module_f_divided(v, i, 1), i, 1)
                 half = module_f_divided(v, i, 2)
                 two = quantum_int(2, qi_exponent(kind, i))
-                if twice != half.scale(two):
+                if decoded(twice) != decoded(half).scale(two):
                     compose_ok = False
                 v = w
+    cases, failures = serre_relations([(kind, lam) for kind in kinds for lam in lambdas(kind)])
     return [
         CheckResult("modvec.weight_homogeneous", weight_ok),
         CheckResult("modvec.divided_power_composition", compose_ok),
+        CheckResult("modvec.serre_relations", cases > 0 and not failures),
     ]
+
+
+def serre_relations(modules: list[tuple[AlgebraKind, tuple[int, ...]]]) -> tuple[int, list]:
+    """The quantum Serre relations on the divided powers: for i != j with
+    a_ij = <alpha_i^vee, alpha_j> non-zero,
+    sum_k (-1)^k f_i^(1-a_ij-k) f_j f_i^(k) kills the highest vector of each
+    (kind, lam) and each of its non-zero lowerings by one or two f's.
+    Returns the number of cases and the failing ones as (kind, lam, i, j)."""
+    cases, failures = 0, []
+    for kind, lam in modules:
+        nodes = range(1, kind.rank + 1)
+        level = [highest_vector(lam, kind)]
+        vectors = list(level)
+        for _depth in (1, 2):
+            level = [w for v in level for k in nodes if (w := module_f_divided(v, k, 1)).terms]
+            vectors += level
+        for i in nodes:
+            for j in nodes:
+                a = cartan_exponent(_simple_root2(kind, j), i, kind)
+                if i == j or a == 0:
+                    continue
+                for v in vectors:
+                    acc = SparseVector.zero()
+                    for k in range(2 - a):
+                        w = decoded(apply_monomial(v, [(i, 1 - a - k), (j, 1), (i, k)]))
+                        acc = acc - w if k % 2 else acc + w
+                    if not acc.is_zero():
+                        failures.append((kind, lam, i, j))
+                    cases += 1
+    return cases, failures
 
 
 def check_canonical(kinds: list[AlgebraKind], lambdas) -> list[CheckResult]:

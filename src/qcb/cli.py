@@ -50,7 +50,6 @@ from .shapes import (
     shape_for_lambda,
     tabloid_labels,
     tabloid_reading,
-    tabloid_sort_key,
 )
 
 USAGE_EXIT = 64
@@ -330,7 +329,8 @@ def _cmd_apath(kind: AlgebraKind, args) -> dict:
         "direct": ap.direct,
         "base": str(ap.base),
         "intermediates": [str(t) for t in ap.intermediates],
-        "terms": _json_terms(vec, "tabloid", tabloid_sort_key),
+        # the terms share one shape, whose code order is its reading order
+        "terms": _json_terms(vec, "tabloid", lambda t: t.codes),
     }
 
 

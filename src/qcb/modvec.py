@@ -27,8 +27,8 @@ tabloid met again in the same request is not expanded again.  The memo's
 codes, and so every output's, are those of the shape's one tabloid for
 them, and its term tuples the shape's one tuple per value (the ``terms``
 table of ``shapes.shape_tables``); so on coded vectors a tabloid is looked
-up only on a memo miss.  A ``SparseVector`` argument is coded on entry and
-decoded on exit.
+up only on a memo miss.  ``CodedVector.unit`` is the one way in and
+``decoded`` the one way out, to a ``SparseVector`` on tabloids.
 """
 
 from __future__ import annotations
@@ -36,12 +36,12 @@ from __future__ import annotations
 from .crystal import SpinColumn, spin_apply
 from .laurent import ONE_TERMS, LaurentPoly, SparseVector, plus, times
 from .rootdata import AlgebraKind, cartan_exponent, qi_exponent
-from .shapes import Shape, SlotTable, highest_tabloid, shape_for_lambda, shape_tables, tabloid_of_codes
+from .shapes import Shape, SlotTable, Tabloid, highest_tabloid, shape_for_lambda, shape_tables, tabloid_of_codes
 from .wedge import wedge_f_divided
 
 
-def highest_vector(lam: tuple[int, ...], kind: AlgebraKind) -> SparseVector:
-    return SparseVector.unit(highest_tabloid(shape_for_lambda(lam, kind)))
+def highest_vector(lam: tuple[int, ...], kind: AlgebraKind) -> CodedVector:
+    return CodedVector.unit(highest_tabloid(shape_for_lambda(lam, kind)))
 
 
 def _factor_powers(f, i: int) -> tuple[int, tuple[tuple[tuple[object, LaurentPoly], ...], ...]]:
@@ -131,37 +131,33 @@ class CodedVector:
     def __init__(self, shape: Shape, terms: dict, memo: dict):
         self.shape, self.terms, self.memo = shape, terms, memo
 
+    @classmethod
+    def unit(cls, t: Tabloid) -> CodedVector:
+        """A tabloid's basis vector, with a fresh memo."""
+        return cls(t.shape, {t.codes: ONE_TERMS}, {})
 
-def _coded(v: SparseVector) -> CodedVector:
-    shape = next(iter(v.terms))[0].shape
-    return CodedVector(shape, {t.codes: c.terms() for t, c in v.terms}, {})
 
-
-def _decoded(v: CodedVector) -> SparseVector:
+def decoded(v: CodedVector) -> SparseVector:
+    """The vector as a ``SparseVector`` on the shape's tabloids."""
     return SparseVector({tabloid_of_codes(v.shape, codes): LaurentPoly(terms) for codes, terms in v.terms.items()})
 
 
-def module_f_divided(v: CodedVector | SparseVector, i: int, m: int) -> CodedVector | SparseVector:
+def module_f_divided(v: CodedVector, i: int, m: int) -> CodedVector:
     """Apply the divided power f_i^(m) to a vector on the tabloid basis.
 
-    A negative m, or a node outside 1..n, raises ValueError.  The zero
-    SparseVector names no module, so there only m is checked.
+    A negative m, or a node outside 1..n, raises ValueError.
     """
     if m < 0:
         raise ValueError(f"divided power f_{i}^({m}) needs m >= 0")
-    sparse = isinstance(v, SparseVector)
-    if sparse and not v.terms:
-        return v
-    u = _coded(v) if sparse else v
-    shape = u.shape
+    shape = v.shape
     d = qi_exponent(shape.kind, i)
     if m == 0:
         return v
-    expansions = u.memo.setdefault((i, m), {})
+    expansions = v.memo.setdefault((i, m), {})
     tables = shape_tables(shape)
     interned, powers = tables.terms, tables.powers[i]
     acc: dict[tuple[int, ...], tuple] = {}
-    for codes, terms in u.terms.items():
+    for codes, terms in v.terms.items():
         flat = expansions.get(codes)
         if flat is None:
             flat = []
@@ -175,14 +171,11 @@ def module_f_divided(v: CodedVector | SparseVector, i: int, m: int) -> CodedVect
             cur = acc.get(out)
             acc[out] = poly if cur is None else plus(cur, poly)
     summed = {out: interned.setdefault(poly, poly) for out, poly in acc.items() if poly}
-    w = CodedVector(shape, summed, u.memo)
-    return _decoded(w) if sparse else w
+    return CodedVector(shape, summed, v.memo)
 
 
-def apply_monomial(v0: CodedVector | SparseVector, path: list[tuple[int, int]]) -> CodedVector | SparseVector:
+def apply_monomial(v: CodedVector, path: list[tuple[int, int]]) -> CodedVector:
     """Apply a monomial of divided powers, rightmost factor first."""
-    sparse = isinstance(v0, SparseVector) and bool(v0.terms)
-    v = _coded(v0) if sparse else v0
     for i, r in reversed(path):
         v = module_f_divided(v, i, r)
-    return _decoded(v) if sparse else v
+    return v

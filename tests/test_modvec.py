@@ -11,7 +11,8 @@ from test_canonical import ORACLE_MODULES, _clear_shape_tables
 from qcb.canonical import canonical_matrix
 from qcb.crystal import SpinColumn, enumerate_spin_columns, spin_apply
 from qcb.laurent import LaurentPoly, SparseVector, divide_exact, quantum_factorial
-from qcb.modvec import apply_monomial, highest_vector, module_f_divided
+from qcb.checks import serre_relations
+from qcb.modvec import CodedVector, apply_monomial, decoded, highest_vector, module_f_divided
 from qcb.rootdata import AlgebraKind, cartan_exponent, qi_exponent
 from qcb.shapes import (
     enumerate_columns,
@@ -62,14 +63,14 @@ def brute_divided(v: SparseVector, i: int, m: int, kind: AlgebraKind) -> SparseV
 def test_divided_power_example():
     v = highest_vector((2, 0), B2)
     out = module_f_divided(v, 1, 2)
-    assert [(str(t), str(c)) for t, c in out.terms] == [("2/2", "1")]
+    assert [(str(t), str(c)) for t, c in decoded(out).terms] == [("2/2", "1")]
 
 
 def test_base_cases():
     v = highest_vector((0, 2), B2)  # single wedge factor
-    assert module_f_divided(v, 2, 0) == v
+    assert module_f_divided(v, 2, 0) is v
     out = module_f_divided(v, 2, 1)
-    assert [(str(t), str(c)) for t, c in out.terms] == [("1,0", "1")]
+    assert [(str(t), str(c)) for t, c in decoded(out).terms] == [("1,0", "1")]
 
 
 def test_recursion_matches_brute_force():
@@ -84,9 +85,9 @@ def test_recursion_matches_brute_force():
         for _ in range(10):
             i = rng.randrange(1, kind.rank + 1)
             m = rng.randrange(0, 4)  # 3 is past the reach of most factors
-            assert module_f_divided(v, i, m) == brute_divided(v, i, m, kind)
+            assert decoded(module_f_divided(v, i, m)) == brute_divided(decoded(v), i, m, kind)
             nv = module_f_divided(v, rng.randrange(1, kind.rank + 1), rng.randrange(1, 3))
-            if not nv.is_zero():
+            if nv.terms:
                 v = nv
 
 
@@ -99,29 +100,29 @@ def test_divided_power_past_the_reach_is_zero():
         v = highest_vector(lam, kind)
         for i in range(1, kind.rank + 1):
             nv = module_f_divided(v, i, 1)
-            if not nv.is_zero():
+            if nv.terms:
                 v = nv
-        tab = min((t for t, _c in v.terms), key=tabloid_sort_key)
-        unit = SparseVector.unit(tab)
+        tab = min((t for t, _c in decoded(v).terms), key=tabloid_sort_key)
+        unit = CodedVector.unit(tab)
         for i in range(1, kind.rank + 1):
             reach = sum(len(_factor_powers(f, i)[1]) - 1 for f in tabloid_factors(tab))
-            assert not module_f_divided(unit, i, reach).is_zero()
-            assert module_f_divided(unit, i, reach + 1).is_zero()
-            assert brute_divided(unit, i, reach + 1, kind).is_zero()
+            assert module_f_divided(unit, i, reach).terms
+            assert not module_f_divided(unit, i, reach + 1).terms
+            assert brute_divided(decoded(unit), i, reach + 1, kind).is_zero()
 
 
 def test_weight_homogeneity():
     v = highest_vector((1, 1, 2), B3)
-    ((top, _c),) = v.terms
+    ((top, _c),) = decoded(v).terms
     mu = weight2_of_tabloid(top)
     out = module_f_divided(v, 3, 2)
-    for t, _c in out.terms:
+    for t, _c in decoded(out).terms:
         assert weight2_of_tabloid(t) == (mu[0], mu[1], mu[2] - 4)
 
 
 def test_apply_monomial():
     v = highest_vector((1, 1, 2), B3)
-    assert apply_monomial(v, []) == v
+    assert apply_monomial(v, []) is v
     # f_2 f_1^(3) f_3^(3) f_2^(2) f_3 applied rightmost-first
     path = [(2, 1), (1, 3), (3, 3), (2, 2), (3, 1)]
     out = apply_monomial(v, path)
@@ -132,14 +133,14 @@ def test_apply_monomial():
         2,
         1,
     )
-    assert out == lhs
+    assert decoded(out) == decoded(lhs)
 
 
 def test_highest_vector_spin_shapes():
-    ((t, _c),) = highest_vector((1, 1, 3), B3).terms
+    ((t, _c),) = decoded(highest_vector((1, 1, 3), B3)).terms
     assert t.spin.letters() == (1, 2, 3)
     assert str(t) == "s:1,2,3/1,2,3/1,2/1"
-    ((t, _c),) = highest_vector((0, 2, 1), D3).terms
+    ((t, _c),) = decoded(highest_vector((0, 2, 1), D3)).terms
     assert t.spin.letters() == (1, 2, -3)
     assert [c.letters for c in t.columns] == [(1, 2)]
 
@@ -182,9 +183,9 @@ def test_recursion_split_associativity():
         for _ in range(8):
             i = rng.randrange(1, kind.rank + 1)
             nv = module_f_divided(v, i, rng.randrange(1, 3))
-            if not nv.is_zero():
+            if nv.terms:
                 v = nv
-        tab = min((t for t, _c in v.terms), key=tabloid_sort_key)
+        tab = min((t for t, _c in decoded(v).terms), key=tabloid_sort_key)
         factors = tabloid_factors(tab)
         for i in range(1, kind.rank + 1):
             d = d_by_i[i]
@@ -260,19 +261,6 @@ def test_kernel_matches_reference():
     assert cases == 81906
 
 
-def _simple_root2(kind: AlgebraKind, j: int) -> tuple[int, ...]:
-    """The simple root alpha_j as a doubled weight."""
-    n = kind.rank
-    w = [0] * n
-    if j < n:
-        w[j - 1], w[j] = 2, -2
-    elif kind.family == "B":
-        w[n - 1] = 2
-    else:
-        w[n - 2] = w[n - 1] = 2
-    return tuple(w)
-
-
 SERRE_MODULES = [
     (B2, (1, 1)), (B2, (0, 1)), (B2, (2, 1)),
     (B3, (1, 0, 1)), (B3, (1, 1, 0)), (B3, (0, 1, 1)),
@@ -282,30 +270,12 @@ SERRE_MODULES = [
 
 
 def test_quantum_serre_relations():
-    """The divided powers keep the quantum Serre relations: for i != j with
-    a_ij = <alpha_i^vee, alpha_j> non-zero,
+    """The divided powers keep the quantum Serre relations (``checks.serre_relations``):
+    for i != j with a_ij = <alpha_i^vee, alpha_j> non-zero,
     sum_k (-1)^k f_i^(1-a_ij-k) f_j f_i^(k) kills the highest vector and each
     of its non-zero lowerings by one or two f's."""
-    cases = 0
-    for kind, lam in SERRE_MODULES:
-        nodes = range(1, kind.rank + 1)
-        level = [highest_vector(lam, kind)]
-        vectors = list(level)
-        for _depth in (1, 2):
-            level = [w for v in level for k in nodes if not (w := module_f_divided(v, k, 1)).is_zero()]
-            vectors += level
-        for i in nodes:
-            for j in nodes:
-                a = cartan_exponent(_simple_root2(kind, j), i, kind)
-                if i == j or a == 0:
-                    continue
-                for v in vectors:
-                    acc = SparseVector.zero()
-                    for k in range(1 - a + 1):
-                        w = module_f_divided(module_f_divided(module_f_divided(v, i, k), j, 1), i, 1 - a - k)
-                        acc = acc - w if k % 2 else acc + w
-                    assert acc.is_zero(), (kind, lam, i, j, v)
-                    cases += 1
+    cases, failures = serre_relations(SERRE_MODULES)
+    assert not failures
     assert cases == 318
 
 
@@ -322,23 +292,16 @@ def test_term_tuple_arithmetic():
 def test_bad_arguments_are_refused():
     """A negative m, or a node outside 1..n, raises ValueError for every m and
     on an empty vector too, before the request's memo is touched."""
-    from qcb.modvec import CodedVector, _coded
-
     v = highest_vector((1, 1), B2)
     for i, m in [(1, -1), (3, 0), (3, 1), (0, 0), (0, 2)]:
         with pytest.raises(ValueError):
             module_f_divided(v, i, m)
         with pytest.raises(ValueError):
             apply_monomial(v, [(i, m)])
-        coded = _coded(v)
+        assert v.memo == {}
         with pytest.raises(ValueError):
-            module_f_divided(coded, i, m)
-        assert coded.memo == {}
-        with pytest.raises(ValueError):
-            module_f_divided(CodedVector(coded.shape, {}, coded.memo), i, m)
-        assert coded.memo == {}
-    with pytest.raises(ValueError):
-        module_f_divided(SparseVector.zero(), 1, -1)
+            module_f_divided(CodedVector(v.shape, {}, v.memo), i, m)
+        assert v.memo == {}
     with pytest.raises(ValueError):
         apply_monomial(v, [(1, 1), (2, -2)])
     assert module_f_divided(v, 2, 0) is v
