@@ -20,7 +20,6 @@ from .shapes import (
     MalformedWord,
     NotInOmegaPlus,
     Shape,
-    ShapeMismatch,
     Tabloid,
     decompose_lambda,
     enumerate_columns,
@@ -35,10 +34,7 @@ from .shapes import (
     shape_for_lambda,
     shape_of,
     tabloid_factors,
-    tabloid_leq,
-    tabloid_of_factors,
     tabloid_reading,
-    tabloid_weight_counts,
     weight2_of_tabloid,
     word_to_tabloid,
 )

@@ -160,6 +160,8 @@ def _raise_once(cur: Tabloid, tables: ShapeTables) -> tuple[int, int, Tabloid] |
     a row (``tables.crystal[i][x][code]`` for slot x at node i), and a
     reading's is the signature rule over its slots' rows.  Slots follow the
     reading, so the columns come right to left after the spin column.
+    Where the block's target leaves the component, the step climbs a whole
+    crystal string instead (``_string_step``).
     """
     codes = cur.codes
     if codes == tables.highest.codes:
@@ -205,8 +207,33 @@ def _raise_once(cur: Tabloid, tables: ShapeTables) -> tuple[int, int, Tabloid] |
         r += 1
     nxt = tables.tabloid(tuple(new))
     if nxt not in tables.component:
-        raise InvariantViolation(f"raising left the crystal at {nxt}")
+        return _string_step(cur, tables)
     return i1, r, nxt
+
+
+def _string_step(cur: Tabloid, tables: ShapeTables) -> tuple[int, int, Tabloid]:
+    """A step (i, eps_i, e_i^eps_i cur) up a whole i-string, for the first node i
+    at which f_i^(eps_i) A(next) has coefficient 1 at cur and no tabloid above it.
+
+    The crystal operators keep next in the component, and an accepted A(cur) is
+    again a unitriangular divided-power monomial on the highest vector, so the
+    correction pins the same G(cur).  A(next) is built and kept by ``_build``.
+    """
+    codes = cur.codes
+    for i in tables.crystal:
+        eps = tables.eps_phi(codes, i)[0]
+        if not eps:
+            continue
+        up = codes
+        for _ in range(eps):
+            up = tables.apply(up, i, "e")
+        nxt = tables.tabloid(up)
+        _build([nxt])
+        pairs = iter(tables.vectors[nxt])
+        v = apply_monomial(CodedVector(tables.shape, dict(zip(pairs, pairs)), {}), [(i, eps)]).terms
+        if v.get(codes) == ONE_TERMS and max(v) == codes:
+            return i, eps, nxt
+    raise InvariantViolation(f"raising left the crystal at {cur}: no string step passes")
 
 
 def _walk(tab: Tabloid, tables: ShapeTables, known: Container[Tabloid] = ()) -> Iterator[Tabloid]:

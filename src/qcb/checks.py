@@ -59,7 +59,6 @@ from .wedge import straighten, tensor_lift_f, wedge_f, wedge_f_divided
 class CheckResult:
     name: str
     ok: bool
-    detail: str = ""
 
 
 def _simple_root2(kind: AlgebraKind, i: int) -> tuple[int, ...]:

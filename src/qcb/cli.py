@@ -38,7 +38,7 @@ from functools import lru_cache
 from itertools import islice
 
 from .canonical import CanonicalMatrix, a_path, a_vector, canonical_matrix, marsh
-from .crystal import component_bfs, enumerate_spin_columns, word_apply, word_sort_key
+from .crystal import component_bfs, enumerate_spin_columns, word_apply
 from .laurent import LaurentPoly, SparseVector
 from .rootdata import AlgebraKind, parse_int, parse_weight
 from .shapes import (
@@ -48,6 +48,7 @@ from .shapes import (
     parse_column,
     parse_tabloid,
     shape_for_lambda,
+    slot_table,
     tabloid_labels,
     tabloid_reading,
 )
@@ -314,7 +315,8 @@ def _cmd_marsh(kind: AlgebraKind, args) -> dict:
         "command": "marsh",
         "column": str(col),
         "path": [list(s) for s in path],
-        "terms": _json_terms(vec, "column", lambda col: word_sort_key(col.word())),
+        # the terms fill one slot, whose code order is its reading order
+        "terms": _json_terms(vec, "column", slot_table(kind, col.height).index.__getitem__),
     }
 
 

@@ -65,10 +65,6 @@ class MalformedWord(ValueError):
     """A word does not parse back into a tabloid of the requested shape."""
 
 
-class ShapeMismatch(ValueError):
-    """Two tabloids of different shapes were compared."""
-
-
 def _key_tie(x: Letter, n: int, family: str) -> int:
     # For D, n and -n share a key so stable sorts keep their relative order.
     if family == "D" and x == -n:
@@ -317,14 +313,9 @@ def tabloid_labels(tabloids: Sequence[Tabloid]) -> Iterator[str]:
         yield "/".join([texts[codes[i]] for i, texts in order])
 
 
-def tabloid_of_factors(shape: Shape, factors: Sequence) -> Tabloid:
-    """Inverse of tabloid_factors: the shape's one tabloid with these factors."""
-    return tabloid_of_codes(shape, shape.codes_of(factors))
-
-
 def tabloid_of_columns(shape: Shape, spin: SpinColumn | None, columns: Sequence[Column]) -> Tabloid:
     """The shape's one tabloid with this spin column (or None) and these columns, left to right."""
-    return tabloid_of_factors(shape, columns[::-1] if spin is None else (spin, *columns[::-1]))
+    return tabloid_of_codes(shape, shape.codes_of(columns[::-1] if spin is None else (spin, *columns[::-1])))
 
 
 def tabloid_reading(t: Tabloid) -> Word:
@@ -343,14 +334,12 @@ def word_to_tabloid(w: Word, shape: Shape) -> Tabloid:
         raise MalformedWord("spin factor does not match the shape")
     if len(w.letters) != shape.boxes:
         raise MalformedWord(f"word has {len(w.letters)} letters, shape has {shape.boxes} boxes")
-    factors = [] if w.spin is None else [w.spin]
-    idx = 0
-    for p in reversed(shape.heights):
-        factors.append(_columns_by_letters(shape.kind, p).get(w.letters[idx : idx + p]))
-        idx += p
-    codes = tuple(s.index.get(f) for s, f in zip(shape.slots, factors))
-    if None in codes:
-        raise MalformedWord(f"{w} does not fill the slots of the shape")
+    ends = tuple(itertools.accumulate(reversed(shape.heights), initial=0))
+    try:
+        cols = [Column(shape.kind, w.letters[a:b]) for a, b in zip(ends, ends[1:])]
+        codes = shape.codes_of(cols if w.spin is None else [w.spin, *cols])
+    except ValueError as e:
+        raise MalformedWord(f"{w} does not fill the slots of the shape") from e
     return tabloid_of_codes(shape, codes)
 
 
@@ -362,13 +351,6 @@ def weight2_of_tabloid(t: Tabloid) -> Weight2:
 
 def tabloid_sort_key(t: Tabloid) -> tuple:
     return word_sort_key(tabloid_reading(t))
-
-
-def tabloid_leq(t1: Tabloid, t2: Tabloid) -> bool:
-    """The total order on tabloids of one shape (lexicographic on readings)."""
-    if t1.shape != t2.shape:
-        raise ShapeMismatch(f"{t1.shape} vs {t2.shape}")
-    return tabloid_sort_key(t1) <= tabloid_sort_key(t2)
 
 
 # -- membership tests -------------------------------------------------------
@@ -410,12 +392,6 @@ def enumerate_columns(kind: AlgebraKind, p: int, admissible_only: bool = False) 
         words = [w + (x,) for w in words for x in alphabet(kind) if not w or first_violation(kind, (w[-1], x)) is None]
     cols = [Column(kind, w) for w in words]
     return tuple(c for c in cols if is_admissible(c)) if admissible_only else tuple(cols)
-
-
-@lru_cache(maxsize=None)
-def _columns_by_letters(kind: AlgebraKind, p: int) -> dict[tuple[Letter, ...], Column]:
-    """The height-p columns keyed by their letters, so equal fillings share one object."""
-    return {c.letters: c for c in enumerate_columns(kind, p)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -470,12 +446,6 @@ def slot_table(kind: AlgebraKind, slot: int | str) -> SlotTable:
 def tabloid_of_codes(shape: Shape, codes: tuple[int, ...]) -> Tabloid:
     """The tabloid with these codes: one object per filling while the shape's tables are kept."""
     return shape_tables(shape).tabloid(codes)
-
-
-def tabloid_weight_counts(shape: Shape) -> Counter[Weight2]:
-    """The number of tabloids of the shape of each weight."""
-    tables = shape_tables(shape)
-    return Counter({tables.unpack(p): k for p, k in tables.suffix_counts[0].items()})
 
 
 def enumerate_tabloids(shape: Shape, weight2: Weight2 | None = None) -> list[Tabloid]:
@@ -594,8 +564,7 @@ class ShapeTables:
         shape = self.shape
         kind = shape.kind
         n = kind.rank
-        letters = [(*range(1, h), -n if h == n and shape.d_sign == "-" else h) for h in shape.heights]
-        cols = [_columns_by_letters(kind, len(c))[c] for c in letters]
+        cols = [Column(kind, (*range(1, h), -n if h == n and shape.d_sign == "-" else h)) for h in shape.heights]
         spin = None
         if shape.spin_class in ("B", "D+"):
             spin = SpinColumn.highest(kind)

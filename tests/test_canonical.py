@@ -515,21 +515,8 @@ def test_shared_tables_match_cold_requests(kind, lam):
     _clear_shape_tables()
 
 
-# the modules whose raising walk leaves the crystal (ROADMAP item 1); the fix empties this set
-KNOWN_RAISING_FAILURES = {
-    (B2, (2, 3)),
-    (B2, (3, 3)),
-    (B2, (2, 5)),
-    (B2, (4, 3)),
-    (D3, (2, 0, 3)),
-    (D3, (2, 3, 0)),
-    (D3, (2, 1, 2)),
-    (D3, (2, 2, 1)),
-}
-
-
-# SHA-256 of every successful step of the sweep below, one line per step
-RAISING_STEPS_DIGEST = "2fa30a8ae88daf3c80a9d28e913725dbf40fe940e6864edf2ebd5f986203fbec"
+# SHA-256 of every step of the sweep below, one line per step
+RAISING_STEPS_DIGEST = "9f3d1086a1b7c011464650711b2b23c86aa8168fe04cf8f1615ab89e23ad16c2"
 
 
 def sweep_modules():
@@ -544,30 +531,23 @@ def sweep_modules():
     ]
 
 
-def test_raising_sweep_fails_only_on_known_modules():
+def test_raising_sweep_stays_in_the_crystal():
     """One raising step from every tableau of every small module
-    (``sweep_modules``) stays in the crystal, except on the known spin
-    modules; and every step that succeeds is the one pinned by
-    ``RAISING_STEPS_DIGEST``."""
+    (``sweep_modules``) is made, the spin modules' crystal-string steps
+    among them, and every step is the one pinned by ``RAISING_STEPS_DIGEST``."""
     import hashlib
 
     from qcb.canonical import _raise_once
-    from qcb.rootdata import InvariantViolation
 
     modules = sweep_modules()
     assert len(modules) == 136
-    failing = set()
     digest = hashlib.sha256()
     for kind, lam in modules:
-        try:
-            for t in enumerate_tableaux(lam, kind):
-                step = _raise_once(t, shape_tables(t.shape))
-                if step is not None:
-                    i, r, nxt = step
-                    digest.update(f"{kind} {lam} {t} {i} {r} {nxt}\n".encode())
-        except InvariantViolation:
-            failing.add((kind, lam))
-    assert failing == KNOWN_RAISING_FAILURES
+        for t in enumerate_tableaux(lam, kind):
+            step = _raise_once(t, shape_tables(t.shape))
+            if step is not None:
+                i, r, nxt = step
+                digest.update(f"{kind} {lam} {t} {i} {r} {nxt}\n".encode())
     assert digest.hexdigest() == RAISING_STEPS_DIGEST
 
 
@@ -750,6 +730,10 @@ def _swap_last_letter(text: str, n: int) -> str:
         (D3, (1, 0, 1), (1, 1, 0), 28),
         (D4, (1, 0, 0, 1), (1, 0, 1, 0), 80),
         (D4, (0, 0, 1, 2), (0, 0, 2, 1), 816),
+        # modules whose raising walks take crystal-string steps
+        (D3, (2, 1, 2), (2, 2, 1), 5250),
+        (D3, (2, 0, 3), (2, 3, 0), 4354),
+        (D4, (2, 1, 0, 1), (2, 1, 1, 0), 55154),
     ],
 )
 def test_diagram_automorphism_of_D(kind, lam, image, entries):

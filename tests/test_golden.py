@@ -7,7 +7,9 @@ cases pin the order in which vector terms are printed, and how each format
 writes their coefficients; the ``canonical``
 cases pin whole-module and single-weight matrices (JSON, CSV and TeX),
 including a weight outside the module (empty lists); the
-``crystal`` cases pin the vertex and edge lists of two spin modules.
+``crystal`` cases pin the vertex and edge lists of two spin modules.  The
+two ``_string`` cases run B2 (2,3), whose raising walks take crystal-string
+steps (``canonical._string_step``).
 
 Regenerate the files (only when an output change is intended) with
 
@@ -35,6 +37,7 @@ CASES = {
     "apath_B4_spin.json": ["--type", "B", "--rank", "4", "apath", "--tabloid", "s:-1,-2,3,-4/4,-2"],
     "apath_D4.json": ["--type", "D", "--rank", "4", "apath", "--tabloid", "2,-2/-2"],
     "apath_D4_spin.json": ["--type", "D", "--rank", "4", "apath", "--tabloid", "s:-1,-2,-3,4/2,-4"],
+    "apath_B2_string.json": ["--type", "B", "--rank", "2", "apath", "--tabloid", "s:1,-2/1,0/1/-2"],
     "canonical_B2.json": ["--type", "B", "--rank", "2", "canonical", "--lambda", "1,1"],
     "canonical_B2.csv": ["--type", "B", "--rank", "2", "canonical", "--lambda", "1,1", "--format", "csv"],
     "canonical_B2_outside_weight.json": [
@@ -46,6 +49,9 @@ CASES = {
         "--type", "B", "--rank", "3", "canonical", "--lambda", "1,1,2", "--weight", "0,2,-1",
     ],
     "canonical_B3_spin.json": ["--type", "B", "--rank", "3", "canonical", "--lambda", "0,1,1"],
+    "canonical_B2_string_weight.json": [
+        "--type", "B", "--rank", "2", "canonical", "--lambda", "2,3", "--weight", "5/2,-3/2",
+    ],
     "canonical_D4_spin.json": ["--type", "D", "--rank", "4", "canonical", "--lambda", "0,1,0,1"],
     "canonical_B4_spin_weight.json": [
         "--type", "B", "--rank", "4", "canonical", "--lambda", "1,1,0,1", "--weight", "1/2,1/2,1/2,1/2",

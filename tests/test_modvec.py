@@ -20,7 +20,7 @@ from qcb.shapes import (
     shape_for_lambda,
     shape_tables,
     tabloid_factors,
-    tabloid_of_factors,
+    tabloid_of_codes,
     tabloid_sort_key,
     weight2_of_tabloid,
 )
@@ -46,7 +46,7 @@ def plain_f(v: SparseVector, i: int, kind: AlgebraKind) -> SparseVector:
             else:
                 rows = list(wedge_f(f, i).terms)
             for g, c in rows:
-                t = tabloid_of_factors(shape, factors[:j] + (g,) + factors[j + 1 :])
+                t = tabloid_of_codes(shape, shape.codes_of(factors[:j] + (g,) + factors[j + 1 :]))
                 acc[t] = acc.get(t, LaurentPoly.zero()) + coeff * c * tpref
             tpref = tpref * LaurentPoly.q(d * cartan_exponent(f.weight2(), i, kind))
     return SparseVector(acc)

@@ -6,8 +6,9 @@ imports stay inside the package.  It holds no ``assert`` statement, since
 ``python -O`` strips them: invariant checks raise ``InvariantViolation``.
 One ``lru_cache`` is keyed by a ``Shape``: ``shapes.shape_tables``, the
 one owner of a shape's tables, and it keeps at most 8 shapes.  Every
-module-level function and class is named somewhere else in the package, so
-a helper that no caller uses does not stay; and every name a module imports
+module-level function and class is named somewhere else in the package,
+``__init__``'s re-exports aside, so a helper that no caller uses does not
+stay; and every name a module imports
 is used in it (``__init__`` excepted: its imports are its exports).
 """
 
@@ -113,10 +114,13 @@ def _references(tree):
 
 
 def test_every_module_level_definition_has_a_caller():
-    """A module-level function or class that only its own body names is dead code, tests or not."""
+    """A module-level function or class that only its own body names is dead code, tests or not;
+    ``__init__``'s re-export is not a caller, so a helper that only its export keeps alive is dead too."""
     trees = dict(_sources())
     callers: dict[str, set] = {}
     for name, tree in trees.items():
+        if name == "__init__.py":
+            continue
         for ref, owner in _references(tree):
             callers.setdefault(ref, set()).add((name, owner))
     dead = [

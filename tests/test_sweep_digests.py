@@ -2,9 +2,8 @@
 
 ``golden/sweep_digests.json`` holds, for each module of the raising sweep
 (``test_canonical.sweep_modules``), the SHA-256 of the JSON bytes that
-``qcb canonical`` writes for the whole module, or exit 2 for the modules
-whose raising walk leaves the crystal (``KNOWN_RAISING_FAILURES``), and the
-commit the file was made at.  The bytes are hashed as the writer yields
+``qcb canonical`` writes for the whole module, and the commit the file was
+made at.  The bytes are hashed as the writer yields
 them, with no file.
 
 Regenerate the file (only when an output change is intended) with
@@ -20,7 +19,7 @@ import os
 import subprocess
 import sys
 
-from test_canonical import KNOWN_RAISING_FAILURES, sweep_modules
+from test_canonical import sweep_modules
 
 from qcb.canonical import canonical_matrix
 from qcb.cli import _canonical_json_chunks
@@ -46,13 +45,11 @@ def module_result(kind, lam):
 
 
 def test_sweep_output_matches_digests():
-    """Every module of the sweep writes the pinned bytes, and exactly the
-    known modules exit 2; every module that differs is reported."""
+    """Every module of the sweep writes the pinned bytes; every module that differs is reported."""
     with open(DIGESTS) as fh:
         want = json.load(fh)["modules"]
     modules = sweep_modules()
     assert sorted(want) == sorted(_key(kind, lam) for kind, lam in modules)
-    assert {k for k, v in want.items() if v == {"exit": 2}} == {_key(kind, lam) for kind, lam in KNOWN_RAISING_FAILURES}
     differ = [(key, got, want[key]) for kind, lam in modules if (got := module_result(kind, lam)) != want[(key := _key(kind, lam))]]
     assert differ == [], "\n".join(f"{key}: got {got}, pinned {pinned}" for key, got, pinned in differ)
 
