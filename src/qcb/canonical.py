@@ -276,10 +276,11 @@ def _build(tabs: list[Tabloid]) -> None:
 
     The shape's tables hold each tableau's raising step (``steps``) and
     A(T) (``vectors``, a flat (codes, terms, ...) tuple), shared by every
-    request on the shape and by ``a_path``.  First each tableau is walked
-    until it meets one whose step is already stored, or ends, so every step
-    the request needs is made before any algebra.  (On whole-module runs
-    that order is faster than raising and building tableau by tableau.)
+    request on the shape and by ``a_path``.  A tableau whose A(T) is stored
+    needs nothing.  First each other tableau is walked until it meets one
+    whose step is already stored, or ends, so every step the request needs
+    is made before any algebra.  (On whole-module runs that order is faster
+    than raising and building tableau by tableau.)
     Then each walk follows the stored steps to the first tableau whose A(T)
     is stored and builds down them, storing every A(T) it makes, so each
     A(T) is built once while the shape stays cached.  ``memo`` keeps each
@@ -288,6 +289,7 @@ def _build(tabs: list[Tabloid]) -> None:
     """
     tables = shape_tables(tabs[0].shape)
     steps, vectors = tables.steps, tables.vectors
+    tabs = [t for t in tabs if t not in vectors]
     for t in tabs:
         for _ in _walk(t, tables, steps):
             pass
@@ -354,9 +356,10 @@ def _correct_group(
 
     Each A(T) comes as a flat (codes, terms, ...) tuple and each G(T) leaves
     as a {codes: terms} dict.  The correction runs on the term tuples too: a
-    non-zero gamma adds minus gamma times an earlier G(T) with
-    ``laurent.times`` and ``laurent.plus``, and a coefficient that cancels
-    leaves the dict.
+    coefficient at an earlier G(T) whose lowest exponent is 1 or more already
+    lies in qZ[q], so its gamma is 0 and nothing is built for it.  A non-zero
+    gamma adds minus gamma times that G(T) with ``laurent.times`` and
+    ``laurent.plus``, and a coefficient that cancels leaves the dict.
     """
     codes = [t.codes for t in tableaux]
     out: list[dict] = []
@@ -366,7 +369,7 @@ def _correct_group(
         v = dict(zip(pairs, pairs))
         for j in range(idx - 1, -1, -1):
             c = v.get(codes[j])
-            if c is None:
+            if c is None or c[0][0] > 0:
                 continue
             gamma = _gamma_symmetrize(c)
             if not gamma:

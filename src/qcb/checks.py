@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from math import comb, factorial
 
-from .canonical import a_path, a_vector, canonical_matrix, marsh
+from .canonical import CanonicalMatrix, a_path, a_vector, canonical_matrix, marsh
 from .crystal import (
     SpinColumn,
     Word,
@@ -397,8 +397,41 @@ def serre_relations(modules: list[tuple[AlgebraKind, tuple[int, ...]]]) -> tuple
     return cases, failures
 
 
+def _indices_by_weight(tabloids) -> dict[tuple, list[int]]:
+    """The indices of the tabloids of each weight, ascending."""
+    groups: dict[tuple, list[int]] = {}
+    for i, t in enumerate(tabloids):
+        groups.setdefault(weight2_of_tabloid(t), []).append(i)
+    return groups
+
+
+def weight_requests_match_module(M: CanonicalMatrix) -> bool:
+    """Every weight request of M's module equals the whole-module matrix M
+    restricted to that weight: the rows by label, the columns, the entries
+    and the gammas, with M's indices renumbered within the weight space."""
+    rows, cols = _indices_by_weight(M.rows), _indices_by_weight(M.cols)
+    local_row, local_col = ({i: k for members in g.values() for k, i in enumerate(members)} for g in (rows, cols))
+    col_weight = {c: mu for mu, members in cols.items() for c in members}
+    entries: dict[tuple, dict] = {mu: {} for mu in cols}
+    for (r, c), poly in M.entries.items():
+        entries[col_weight[c]][(local_row[r], local_col[c])] = poly
+    gamma: dict[tuple, list] = {mu: [] for mu in cols}
+    for c, j, g in M.gamma:
+        gamma[col_weight[c]].append((local_col[c], local_col[j], g))
+    for mu, members in cols.items():
+        W = canonical_matrix(M.lam, M.kind, mu)
+        if (
+            [str(t) for t in W.rows] != [str(M.rows[r]) for r in rows[mu]]
+            or list(W.cols) != [M.cols[c] for c in members]
+            or W.entries != entries[mu]
+            or list(W.gamma) != gamma[mu]
+        ):
+            return False
+    return True
+
+
 def check_canonical(kinds: list[AlgebraKind], lambdas) -> list[CheckResult]:
-    cong_ok = triangle_ok = integral_ok = bar_ok = marsh_ok = apath_ok = True
+    cong_ok = triangle_ok = integral_ok = bar_ok = marsh_ok = apath_ok = requests_ok = True
     for kind in kinds:
         n = kind.rank
         for p in range(1, n + 1):
@@ -435,6 +468,7 @@ def check_canonical(kinds: list[AlgebraKind], lambdas) -> list[CheckResult]:
             for _c, _j, g in M.gamma:
                 if g.bar() != g:
                     bar_ok = False
+            requests_ok = requests_ok and weight_requests_match_module(M)
             for t in enumerate_tableaux(lam, kind)[:20]:
                 v = a_vector(a_path(t))
                 if v.coeff(t) != LaurentPoly.one():
@@ -448,6 +482,7 @@ def check_canonical(kinds: list[AlgebraKind], lambdas) -> list[CheckResult]:
         CheckResult("canonical.gamma_bar_symmetric", bar_ok),
         CheckResult("canonical.marsh_congruence", marsh_ok),
         CheckResult("canonical.monomial_basis_properties", apath_ok),
+        CheckResult("canonical.weight_requests_match_module", requests_ok),
     ]
 
 

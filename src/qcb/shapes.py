@@ -25,6 +25,7 @@ crystal on readings is the oracle.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import Counter
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
@@ -281,7 +282,15 @@ def shape_of(lam_prime: tuple[int, ...], spin_tag: str | None, kind: AlgebraKind
     return Shape(kind, tuple(sorted(heights, reverse=True)), spin_tag, d_sign)
 
 
-def shape_for_lambda(lam: tuple[int, ...], kind: AlgebraKind) -> Shape:
+def shape_for_lambda(lam: Sequence[int], kind: AlgebraKind) -> Shape:
+    """The shape of the dominant weight lam: one object per (lam, kind), lam
+    read as a tuple, so a request finds the shape and its cached hash and
+    slots without building or checking them again."""
+    return _shape_for_lambda(tuple(lam), kind)
+
+
+@lru_cache(maxsize=256)
+def _shape_for_lambda(lam: tuple[int, ...], kind: AlgebraKind) -> Shape:
     tag, lam_prime = decompose_lambda(lam, kind)
     return shape_of(lam_prime, tag, kind)
 
@@ -456,7 +465,8 @@ def enumerate_tabloids(shape: Shape, weight2: Weight2 | None = None) -> list[Tab
     tabloid is the shape's one object for its filling (``ShapeTables.tabloid``).
     A weight is filled exactly, on packed weights (``ShapeTables.pack``): a
     code enters only when the weight it leaves missing is one the remaining
-    slots can make, which after the last slot is none.
+    slots can make, and the last slot's codes are looked up by the weight
+    still missing (``ShapeTables.tails``).
     """
     tables = shape_tables(shape)
     if weight2 is None:
@@ -464,9 +474,10 @@ def enumerate_tabloids(shape: Shape, weight2: Weight2 | None = None) -> list[Tab
     if (need := tables.pack(weight2)) not in tables.suffix_counts[0]:  # None: no tabloid's weight
         return []
     partial = [((), need)]  # (codes so far, the packed weight still missing), ascending
-    for packs, rest in zip(tables.packs, tables.suffix_counts[1:]):
+    for packs, rest in zip(tables.packs[:-1], tables.suffix_counts[1:]):
         partial = [(codes + (c,), left) for codes, missing in partial for c, w in enumerate(packs) if (left := missing - w) in rest]
-    return [tables.tabloid(codes) for codes, _ in partial]
+    tails = tables.tails
+    return [tables.tabloid(codes + tail) for codes, missing in partial for tail in tails[missing]]
 
 
 def orthogonal_tableaux(shape: Shape) -> dict[Tabloid, Weight2]:
@@ -490,9 +501,13 @@ class ShapeTables:
     hot path looks the shape up once a step, then indexes: ``crystal`` and
     ``powers`` hold, per node, each slot's crystal rows and coded divided
     powers, read from its ``SlotTable`` (so shared by the shapes), and
-    weights add as ints in one packing (``pack``, ``packs``,
-    ``suffix_counts``).  What a request needs only while it runs, such as
-    its divided-power memo, is not kept here.  Do not mutate the others.
+    weights add as ints in one packing, whose place values (``packing``)
+    every ``pack`` and ``unpack`` reads: each slot's packed weights
+    (``packs``), the weight counts of each run of last slots
+    (``suffix_counts``) and the last slot's codes by packed weight
+    (``tails``), so a weight space's rows are filled without building a
+    weight.  What a request needs only while it runs, such as its
+    divided-power memo, is not kept here.  Do not mutate the others.
     """
 
     def __init__(self, shape: Shape):
@@ -535,14 +550,21 @@ class ShapeTables:
         """Per node i, each slot with its ``SlotTable.powers`` list at i, in reading order."""
         return {i: tuple((s, s.powers[i]) for s in self.shape.slots) for i in range(1, self.shape.kind.rank + 1)}
 
+    @cached_property
+    def packing(self) -> tuple[int, tuple[int, ...]]:
+        """(base/2, each coordinate's place value base^j), base = 4 boxes + 4."""
+        base = 4 * self.shape.boxes + 4
+        return base // 2, tuple(base**j for j in range(self.shape.kind.rank))
+
     def pack(self, w: Weight2) -> int | None:
         """The weight as the int sum of w_j * base^j, base = 4 boxes + 4, or None
         unless each |w_j| < base/2, where packing is exact (so (base, -1, 0, ...)
-        does not alias zero); a tabloid weight's |w_j| is at most 2 boxes + 1."""
-        base = 4 * self.shape.boxes + 4
-        if len(w) != self.shape.kind.rank or any(2 * abs(x) >= base for x in w):
+        does not alias zero); a tabloid weight's |w_j| is at most 2 boxes + 1.
+        The place values are read from ``packing``."""
+        half, places = self.packing
+        if len(w) != len(places) or max(map(abs, w)) >= half:
             return None
-        return sum(x * base**j for j, x in enumerate(w))
+        return sum(map(operator.mul, w, places))
 
     @cached_property
     def packs(self) -> tuple[tuple[int, ...], ...]:
@@ -551,9 +573,9 @@ class ShapeTables:
 
     def unpack(self, p: int) -> Weight2:
         """The weight that packs to p: shifted by base/2, its coordinates are p's digits."""
-        base, n = 4 * self.shape.boxes + 4, self.shape.kind.rank
-        p += sum(base // 2 * base**j for j in range(n))
-        return tuple(p // base**j % base - base // 2 for j in range(n))
+        half, places = self.packing
+        p += half * sum(places)
+        return tuple(p // place % (2 * half) - half for place in places)
 
     def packed_weight(self, codes: tuple[int, ...]) -> int:
         """The packed weight of the tabloid with these codes."""
@@ -571,6 +593,17 @@ class ShapeTables:
         elif shape.spin_class == "D-":
             spin = SpinColumn.highest_minus(kind)
         return tabloid_of_columns(shape, spin, cols)
+
+    @cached_property
+    def tails(self) -> dict[int, tuple[tuple[int, ...], ...]]:
+        """The last slot's codes by packed weight, each as a one-code tuple,
+        ascending; a shape with no slot has the empty tuple at weight 0."""
+        if not self.packs:
+            return {0: ((),)}
+        index: dict[int, list[tuple[int, ...]]] = {}
+        for c, w in enumerate(self.packs[-1]):
+            index.setdefault(w, []).append((c,))
+        return {w: tuple(tails) for w, tails in index.items()}
 
     @cached_property
     def suffix_counts(self) -> tuple[Counter[int], ...]:

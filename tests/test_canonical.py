@@ -494,10 +494,12 @@ def test_weight_request_filters_the_whole_list(kind, lam):
 
 
 def _clear_shape_tables():
-    """Empty the per-shape tables, and the slot tables (with their crystal rows and coded powers) that shapes share."""
-    from qcb.shapes import slot_table
+    """Empty the per-shape tables, the slot tables (with their crystal rows and
+    coded powers) that shapes share, and the shapes by weight, whose cached
+    ``slots`` would keep the old slot tables."""
+    from qcb.shapes import _shape_for_lambda, slot_table
 
-    for table in (shape_tables, slot_table):
+    for table in (shape_tables, slot_table, _shape_for_lambda):
         table.cache_clear()
 
 
@@ -613,6 +615,23 @@ def test_skipped_correction_is_refused(monkeypatch):
     with pytest.raises(InvariantViolation, match=r"off the diagonal but not in qZ\[q\]"):
         canonical_matrix((0, 1, 2), B3)
     _clear_shape_tables()
+
+
+@pytest.mark.parametrize(
+    "kind,lam,calls",
+    [(B3, (3, 1, 0), 109), (AlgebraKind("B", 5), (0, 1, 0, 0, 1), 95), (AlgebraKind("D", 5), (0, 1, 0, 0, 1), 28)],
+)
+def test_gamma_is_built_only_where_it_is_not_zero(kind, lam, calls, monkeypatch):
+    """A coefficient whose lowest exponent is 1 or more has gamma 0, and the
+    correction builds none for it: on a whole module ``_gamma_symmetrize``
+    runs once for each logged gamma (1490, 1519 and 459 times without the skip)."""
+    import qcb.canonical as canonical
+
+    seen = []
+    gamma = canonical._gamma_symmetrize
+    monkeypatch.setattr(canonical, "_gamma_symmetrize", lambda c: seen.append(c) or gamma(c))
+    M = canonical_matrix(lam, kind)
+    assert len(seen) == len(M.gamma) == calls
 
 
 def test_repeated_request_raises_nothing(monkeypatch):

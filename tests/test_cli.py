@@ -135,6 +135,26 @@ def test_domain_errors_say_what_is_wrong(capsys):
     assert (code, out, err) == (1, "", "qcb: 2/1 is not an orthogonal tableau of its shape\n")
 
 
+def test_weight_requests_build_no_shape_after_the_first(tmp_path, monkeypatch):
+    """Forty --weight requests on B4 (1,1,0,1) find the shape built by the first."""
+    from qcb.rootdata import AlgebraKind
+    from qcb.shapes import Shape, _shape_for_lambda, shape_for_lambda, shape_tables
+
+    lam = (1, 1, 0, 1)
+    weights = sorted(shape_tables(shape_for_lambda(lam, AlgebraKind("B", 4))).by_weight)[:40]
+    _shape_for_lambda.cache_clear()
+    built = []
+    post_init = Shape.__post_init__
+    monkeypatch.setattr(Shape, "__post_init__", lambda self: built.append(self) or post_init(self))
+    out = str(tmp_path / "out.json")
+    counts = []
+    for mu in weights:
+        eps = ",".join(f"{x}/2" if x % 2 else str(x // 2) for x in mu)
+        assert main(["--type", "B", "--rank", "4", "canonical", "--lambda", "1,1,0,1", "--weight=" + eps, "--output", out]) == 0
+        counts.append(len(built))
+    assert len(weights) == 40 and counts == [1] * 40
+
+
 def test_mixed_parity_weight_is_a_domain_error(capsys):
     code, out, err = run_cli(capsys, "--type", "B", "--rank", "2", "canonical", "--lambda", "1,1", "--weight", "1/2,1")
     assert (code, out) == (1, "")

@@ -104,6 +104,12 @@ def test_shape_for_lambda_is_injective():
         assert len(shapes) == len(lams), kind
 
 
+def test_shape_for_lambda_is_one_object_per_weight():
+    """A weight given as a list or a tuple finds the same cached shape."""
+    for kind, lam in ORACLE_MODULES:
+        assert shape_for_lambda(list(lam), kind) is shape_for_lambda(lam, kind)
+
+
 def test_highest_tabloid():
     t = highest_tabloid(shape_for_lambda((1, 1, 2), B3))
     assert str(t) == "1,2,3/1,2/1"
