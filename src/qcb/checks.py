@@ -44,7 +44,6 @@ from .shapes import (
     enumerate_columns,
     enumerate_tableaux,
     enumerate_tabloids,
-    is_orthogonal_tableau,
     shape_for_lambda,
     shape_tables,
     tabloid_reading,
@@ -280,9 +279,12 @@ def check_shapes(kinds: list[AlgebraKind], lambdas) -> list[CheckResult]:
             tableaux = enumerate_tableaux(lam, kind)
             keys = [tabloid_sort_key(t) for t in tableaux]
             order_ok = order_ok and keys == sorted(keys) and len(set(keys)) == len(keys)
-            # the raising route decides membership independently of the component search
-            listed = set(tableaux)
-            bfs_ok = bfs_ok and all((t in listed) == is_orthogonal_tableau(t) for t in enumerate_tabloids(shape))
+            # the Word crystal decides membership independently of the component search:
+            # a tabloid is a tableau when its reading raises to the highest tableau's
+            listed, top = set(tableaux), tabloid_reading(shape_tables(shape).highest)
+            bfs_ok = bfs_ok and all(
+                (t in listed) == (raise_to_highest(tabloid_reading(t))[0] == top) for t in enumerate_tabloids(shape)
+            )
     return [
         CheckResult("shapes.enumeration_sorted_unique", order_ok),
         CheckResult("shapes.tableaux_match_crystal_component", bfs_ok),

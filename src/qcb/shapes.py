@@ -175,17 +175,16 @@ class Tabloid:
     A tabloid is its shape and its ``codes``, each factor's code in its
     slot, in reading order; equality and hash are on those two, and the
     spin column and the columns are read back from the slot tables.
-    ``Tabloid(shape, spin, columns)`` finds the codes, which checks that
-    every factor fills its slot; ``tabloid_of_codes`` builds a tabloid from
-    codes it holds, without that check.
+    ``Tabloid(shape, spin, columns)`` finds the codes (``Shape.codes_of``,
+    which checks that every factor fills its slot) and returns the shape's
+    one object for them, as ``tabloid_of_codes`` does for codes it holds.
     """
 
     __slots__ = ("shape", "codes", "_hash")
 
-    def __init__(self, shape: Shape, spin: SpinColumn | None, columns: Sequence[Column]):
+    def __new__(cls, shape: Shape, spin: SpinColumn | None, columns: Sequence[Column]):
         cols = tuple(columns)[::-1]
-        object.__setattr__(self, "codes", shape.codes_of(cols if spin is None else (spin, *cols)))
-        object.__setattr__(self, "shape", shape)
+        return tabloid_of_codes(shape, shape.codes_of(cols if spin is None else (spin, *cols)))
 
     def __setattr__(self, name, value):
         raise AttributeError("Tabloid is immutable")
@@ -322,11 +321,6 @@ def tabloid_labels(tabloids: Sequence[Tabloid]) -> Iterator[str]:
         yield "/".join([texts[codes[i]] for i, texts in order])
 
 
-def tabloid_of_columns(shape: Shape, spin: SpinColumn | None, columns: Sequence[Column]) -> Tabloid:
-    """The shape's one tabloid with this spin column (or None) and these columns, left to right."""
-    return tabloid_of_codes(shape, shape.codes_of(columns[::-1] if spin is None else (spin, *columns[::-1])))
-
-
 def tabloid_reading(t: Tabloid) -> Word:
     """The letters of the column factors in order, led by the spin column."""
     factors = tabloid_factors(t)
@@ -379,8 +373,8 @@ def is_admissible(col: Column) -> bool:
 
 
 def is_orthogonal_tableau(t: Tabloid) -> bool:
-    hw, _ = raise_to_highest(tabloid_reading(t))
-    return hw == tabloid_reading(highest_tabloid(t.shape))
+    """True when the tabloid lies in the crystal component of its shape's highest tableau."""
+    return t in shape_tables(t.shape).component
 
 
 # -- enumeration ------------------------------------------------------------
@@ -489,7 +483,9 @@ class ShapeTables:
     """What the requests on one shape share, each part built on first use.
 
     ``tabloids`` holds the tabloids built so far by their codes, so every
-    route to a filling gets one object (``tabloid``).  ``canonical`` fills
+    route to a filling gets one object (``tabloid``, which ``Tabloid(...)``,
+    ``tabloid_of_codes`` and ``word_to_tabloid`` go through); ``component``
+    is the one membership test for orthogonal tableaux.  ``canonical`` fills
     ``steps`` with each tableau's raising step (i, r, next), next = e_i^r of
     the tableau, or None where the walk ends, made by the first walk to
     reach the tableau and read by every later one, the builder's and
@@ -501,13 +497,13 @@ class ShapeTables:
     hot path looks the shape up once a step, then indexes: ``crystal`` and
     ``powers`` hold, per node, each slot's crystal rows and coded divided
     powers, read from its ``SlotTable`` (so shared by the shapes), and
-    weights add as ints in one packing, whose place values (``packing``)
-    every ``pack`` and ``unpack`` reads: each slot's packed weights
-    (``packs``), the weight counts of each run of last slots
-    (``suffix_counts``) and the last slot's codes by packed weight
-    (``tails``), so a weight space's rows are filled without building a
-    weight.  What a request needs only while it runs, such as its
-    divided-power memo, is not kept here.  Do not mutate the others.
+    weights add as ints in one packing (``pack``, by the place values of
+    ``packing``): each slot's packed weights (``packs``), the weight counts
+    of each run of last slots (``suffix_counts``) and the last slot's codes
+    by packed weight (``tails``), so a weight space's rows are filled
+    without building a weight.  What a request needs only while it runs,
+    such as its divided-power memo, is not kept here.  Do not mutate the
+    others.
     """
 
     def __init__(self, shape: Shape):
@@ -571,12 +567,6 @@ class ShapeTables:
         """Each slot's packed weights by code, in reading order."""
         return tuple(tuple(map(self.pack, s.weights)) for s in self.shape.slots)
 
-    def unpack(self, p: int) -> Weight2:
-        """The weight that packs to p: shifted by base/2, its coordinates are p's digits."""
-        half, places = self.packing
-        p += half * sum(places)
-        return tuple(p // place % (2 * half) - half for place in places)
-
     def packed_weight(self, codes: tuple[int, ...]) -> int:
         """The packed weight of the tabloid with these codes."""
         return sum(p[c] for p, c in zip(self.packs, codes))
@@ -592,7 +582,7 @@ class ShapeTables:
             spin = SpinColumn.highest(kind)
         elif shape.spin_class == "D-":
             spin = SpinColumn.highest_minus(kind)
-        return tabloid_of_columns(shape, spin, cols)
+        return Tabloid(shape, spin, cols)
 
     @cached_property
     def tails(self) -> dict[int, tuple[tuple[int, ...], ...]]:
@@ -662,7 +652,10 @@ def enumerate_tableaux(lam: tuple[int, ...], kind: AlgebraKind, weight2: Weight2
 
 
 def parse_column(text: str, kind: AlgebraKind) -> Column:
+    """Parse '2,0,-2' style text into a column of 1..n letters."""
     letters = tuple(parse_int(tok.strip(), "letter") for tok in text.split(",") if tok.strip() != "")
+    if not 1 <= len(letters) <= kind.rank:
+        raise ValueError(f"column {text!r} has {len(letters)} letters, not 1..{kind.rank}")
     for x in letters:
         check_letter(kind, x)
     return Column(kind, letters)
@@ -672,7 +665,7 @@ def parse_tabloid(text: str, kind: AlgebraKind, d_sign: str | None = None) -> Ta
     """Parse 's:1,-2/2,0,-2/2,-3/2' style text into a tabloid.
 
     For type D fillings containing a height-n column the shape marker is
-    ambiguous, so d_sign must be supplied.
+    ambiguous, so d_sign must be supplied; elsewhere it is ignored.
     """
     parts = [p for p in text.split("/") if p.strip() != ""]
     spin = None
@@ -686,15 +679,8 @@ def parse_tabloid(text: str, kind: AlgebraKind, d_sign: str | None = None) -> Ta
     cols = tuple(parse_column(p, kind) for p in parts)
     heights = tuple(c.height for c in cols)
     if kind.family == "B":
-        shape = Shape(kind, heights, "B" if spin is not None else None, None)
+        spin_class, d_sign = (None if spin is None else "B"), None
     else:
-        spin_class = None
-        if spin is not None:
-            spin_class = "D+" if spin.sign_class() == "+" else "D-"
-        if any(h == kind.rank for h in heights):
-            if d_sign not in ("+", "-"):
-                raise ValueError("type D filling with height-n columns needs d_sign '+' or '-'")
-            shape = Shape(kind, heights, spin_class, d_sign)
-        else:
-            shape = Shape(kind, heights, spin_class, "0")
-    return tabloid_of_columns(shape, spin, cols)
+        spin_class = None if spin is None else ("D+" if spin.sign_class() == "+" else "D-")
+        d_sign = d_sign if kind.rank in heights else "0"
+    return Tabloid(Shape(kind, heights, spin_class, d_sign), spin, cols)

@@ -14,6 +14,7 @@ from qcb.canonical import (
     canonical_matrix,
     marsh,
 )
+from qcb.crystal import raise_to_highest
 from qcb.laurent import LaurentPoly
 from qcb.rootdata import AlgebraKind
 from qcb.shapes import (
@@ -27,6 +28,7 @@ from qcb.shapes import (
     parse_tabloid,
     shape_for_lambda,
     shape_tables,
+    tabloid_reading,
     tabloid_sort_key,
     weight2_of_tabloid,
 )
@@ -472,12 +474,14 @@ def test_a_path_suffix_is_walk_of_next(kind, lam):
 
 @pytest.mark.parametrize("kind,lam", ORACLE_MODULES)
 def test_membership_by_lookup_matches_raising(kind, lam):
-    """The cached table holds exactly the tabloids that raise to the highest
-    tableau, each with its own weight, in ascending order."""
+    """The cached table holds exactly the tabloids whose readings raise to the
+    highest tableau's by the ``Word`` crystal, each with its own weight, in
+    ascending order; ``is_orthogonal_tableau`` looks a tabloid up in it."""
     shape = shape_for_lambda(lam, kind)
     table = orthogonal_tableaux(shape)
+    top = tabloid_reading(highest_tabloid(shape))
     for t in enumerate_tabloids(shape):
-        assert is_orthogonal_tableau(t) == (t in table), t
+        assert (raise_to_highest(tabloid_reading(t))[0] == top) == (t in table) == is_orthogonal_tableau(t), t
     for t, mu in table.items():
         assert mu == weight2_of_tabloid(t), t
     keys = [tabloid_sort_key(t) for t in table]
@@ -601,6 +605,37 @@ def test_raising_and_component_build_no_word(monkeypatch):
     assert canonical_matrix(lam, kind).cols
     assert counts["hot"] == 0
     assert counts["rows"] > 0  # the crystal rows were filled during the request
+    _clear_shape_tables()
+
+
+def test_a_path_builds_no_word(monkeypatch):
+    """Once the slot tables are built, ``a_path`` on cold shape tables builds
+    no ``Word`` and raises none: it tests membership by lookup in the shape's
+    component and walks on slot codes."""
+    import qcb.canonical as canonical
+    import qcb.shapes as shapes
+    from qcb.crystal import Word
+
+    _clear_shape_tables()
+    tab = parse_tabloid("s:-1,-2,3,-4/4,-2", B4)
+    first = a_path(tab)  # fills the slot tables' crystal rows
+    shape_tables.cache_clear()
+    counts = {"words": 0, "raised": 0}
+    post_init = Word.__post_init__
+
+    def counting_post_init(self):
+        counts["words"] += 1
+        post_init(self)
+
+    def counting_raise(w):
+        counts["raised"] += 1
+        return raise_to_highest(w)
+
+    monkeypatch.setattr(Word, "__post_init__", counting_post_init)
+    for module in (canonical, shapes):
+        monkeypatch.setattr(module, "raise_to_highest", counting_raise)
+    assert a_path(tab) == first
+    assert counts == {"words": 0, "raised": 0}
     _clear_shape_tables()
 
 

@@ -135,6 +135,17 @@ def test_domain_errors_say_what_is_wrong(capsys):
     assert (code, out, err) == (1, "", "qcb: 2/1 is not an orthogonal tableau of its shape\n")
 
 
+@pytest.mark.parametrize(
+    "command,text,column,letters",
+    [("marsh", ",", ",", 0), ("marsh", "0,0,0,0", "0,0,0,0", 4), ("apath", "1,2/,", ",", 0), ("apath", "0,0,0,0/1", "0,0,0,0", 4)],
+)
+def test_column_of_no_or_too_many_letters_is_refused(capsys, command, text, column, letters):
+    """A column needs 1..n letters; it is refused as it is read, by its letter count."""
+    flag = "--column" if command == "marsh" else "--tabloid"
+    err = f"qcb: column {column!r} has {letters} letters, not 1..3\n"
+    assert run_cli(capsys, "--type", "B", "--rank", "3", command, flag, text) == (1, "", err)
+
+
 def test_weight_requests_build_no_shape_after_the_first(tmp_path, monkeypatch):
     """Forty --weight requests on B4 (1,1,0,1) find the shape built by the first."""
     from qcb.rootdata import AlgebraKind

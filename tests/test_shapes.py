@@ -305,8 +305,10 @@ def test_weight_outside_the_packing_range_has_no_tabloids():
     for w in ((base, -1), (-base, 1), (base // 2, 0), (0, -(base // 2)), (0,), (0, 0, 0)):
         assert tables.pack(w) is None, w
         assert enumerate_tabloids(shape, w) == [], w
-    for p in tables.suffix_counts[0]:
-        assert tables.pack(tables.unpack(p)) == p
+    # every tabloid weight packs, distinct weights to distinct ints
+    packed = {mu: tables.pack(mu) for mu in map(weight2_of_tabloid, enumerate_tabloids(shape))}
+    assert None not in packed.values() and len(set(packed.values())) == len(packed)
+    assert set(packed.values()) == set(tables.suffix_counts[0])
 
 
 @pytest.mark.parametrize(
@@ -327,8 +329,7 @@ def test_tabloid_weight_counts(kind, lam):
     """The shape's weight counts (``ShapeTables.suffix_counts``) count its tabloids of each weight."""
     shape = shape_for_lambda(lam, kind)
     tables = shape_tables(shape)
-    counts = Counter({tables.unpack(p): k for p, k in tables.suffix_counts[0].items()})
-    assert counts == Counter(weight2_of_tabloid(t) for t in enumerate_tabloids(shape))
+    assert tables.suffix_counts[0] == Counter(tables.pack(weight2_of_tabloid(t)) for t in enumerate_tabloids(shape))
 
 
 @pytest.mark.parametrize(
@@ -390,13 +391,19 @@ def test_one_filling_is_one_object(kind, lam):
 
 @pytest.mark.parametrize("kind,lam", ORACLE_MODULES)
 def test_tabloid_is_a_value_of_its_shape_and_codes(kind, lam):
-    """Rebuilt from its spin column and columns a tabloid is equal, with an
-    equal hash; its factors lead back to the shape's one object; its text is
-    that of its parts; and none of its attributes can be set or deleted."""
+    """Rebuilt from its spin column and columns a tabloid is the shape's one
+    object; rebuilt after the shape's tables are dropped it is another
+    object, equal, with an equal hash; its factors lead back to the shape's
+    one object; its text is that of its parts; and none of its attributes
+    can be set or deleted."""
     shape = shape_for_lambda(lam, kind)
-    for t in enumerate_tabloids(shape):
+    rows = enumerate_tabloids(shape)
+    shape_tables.cache_clear()
+    for t in rows:
         u = Tabloid(shape, t.spin, t.columns)
         assert u == t and hash(u) == hash(t) and u is not t
+    for t in enumerate_tabloids(shape):
+        assert Tabloid(shape, t.spin, t.columns) is t
         assert tabloid_of_codes(shape, shape.codes_of(tabloid_factors(t))) is t
         parts = [str(c) for c in t.columns]
         assert str(t) == "/".join(parts if t.spin is None else [str(t.spin), *parts])
