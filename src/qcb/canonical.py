@@ -16,14 +16,13 @@ expansions assembled into one matrix per weight space.
 from __future__ import annotations
 
 from collections.abc import Container, Iterator
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 
 from .crystal import Word, raise_to_highest, signature_rule, vec_edge, word_apply, word_eps_phi
 from .laurent import ONE_TERMS, LaurentPoly, SparseVector, plus, times
 from .modvec import CodedVector, apply_monomial, decoded
-from .rootdata import AlgebraKind, InvariantViolation, Weight2
+from .rootdata import AlgebraKind, InvariantViolation, Value, Weight2
 from .shapes import (
     Column,
     ShapeTables,
@@ -54,8 +53,7 @@ class IterationLimit(RuntimeError):
 MAX_RAISING_STEPS = 100_000
 
 
-@dataclass(frozen=True)
-class APath:
+class APath(Value):
     """The monomial recipe for A(T): steps in composition order.
 
     ``steps[0]`` is the outermost divided power (applied last), matching the
@@ -65,10 +63,8 @@ class APath:
     is the canonical one, by weight-space uniqueness).
     """
 
-    steps: tuple[tuple[int, int], ...]
-    direct: bool
-    base: Tabloid
-    intermediates: tuple[Tabloid, ...]
+    def __init__(self, steps: tuple[tuple[int, int], ...], direct: bool, base: Tabloid, intermediates: tuple[Tabloid, ...]):
+        self._init(steps, direct, base, intermediates)
 
 
 @lru_cache(maxsize=None)
@@ -319,17 +315,20 @@ def _gamma_symmetrize(c) -> LaurentPoly:
     return LaurentPoly(terms)
 
 
-@dataclass(frozen=True)
-class CanonicalMatrix:
+class CanonicalMatrix(Value):
     """One weight space (or all of them) of a canonical basis expansion."""
 
-    kind: AlgebraKind
-    lam: tuple[int, ...]
-    weight2: Weight2 | None
-    rows: tuple[Tabloid, ...]
-    cols: tuple[Tabloid, ...]
-    entries: dict[tuple[int, int], LaurentPoly]
-    gamma: tuple[tuple[int, int, LaurentPoly], ...]
+    def __init__(
+        self,
+        kind: AlgebraKind,
+        lam: tuple[int, ...],
+        weight2: Weight2 | None,
+        rows: tuple[Tabloid, ...],
+        cols: tuple[Tabloid, ...],
+        entries: dict[tuple[int, int], LaurentPoly],
+        gamma: tuple[tuple[int, int, LaurentPoly], ...],
+    ):
+        self._init(kind, lam, weight2, rows, cols, entries, gamma)
 
     def entry(self, r: int, c: int) -> LaurentPoly:
         return self.entries.get((r, c), LaurentPoly.zero())

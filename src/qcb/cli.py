@@ -57,6 +57,7 @@ USAGE_EXIT = 64
 DOMAIN_EXIT = 1
 INTERNAL_EXIT = 2
 _CHUNK = 256  # items of a long JSON list per output chunk
+_BATCH = 8192  # characters joined per write to an --output file, the size of a text file's buffer
 
 
 class _Parser(argparse.ArgumentParser):
@@ -369,19 +370,38 @@ _COMMANDS = {
 }
 
 
+def _write_batch(fd: int, batch: list[str]) -> None:
+    """Write the batch's chunks to fd as UTF-8, looping on short writes, and empty it."""
+    data = memoryview("".join(batch).encode())
+    batch.clear()
+    while data:
+        data = data[os.write(fd, data) :]
+
+
 def _write(chunks: Iterator[str], path: str | None) -> None:
     """Write the chunks in place to the file at path (opened only now, after
     the computation) or to standard output."""
     if path is not None:
         # no O_TRUNC: truncating a file to zero can make the file system flush it at close
         fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
-        with open(fd, "w") as fh:
+        batch: list[str] = []
+        size = 0
+        try:
             try:
-                fh.writelines(chunks)
-                fh.flush()
-            finally:  # cut a regular file where the writes stopped, so no old byte is left after them
+                for chunk in chunks:
+                    batch.append(chunk)
+                    size += len(chunk)
+                    if size >= _BATCH:
+                        _write_batch(fd, batch)
+                        size = 0
+            finally:  # what came before a chunk that failed is written too
+                _write_batch(fd, batch)
+        finally:
+            try:  # cut a regular file where the writes stopped, so no old byte is left after them
                 if stat.S_ISREG(os.fstat(fd).st_mode):
                     os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
+            finally:
+                os.close(fd)
         return
     try:
         sys.stdout.writelines(chunks)

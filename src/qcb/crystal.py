@@ -19,15 +19,14 @@ the ``Word`` crystal is their oracle (``checks.check_code_crystal``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .rootdata import (
     AlgebraKind,
     InvariantViolation,
     Letter,
+    Value,
     alphabet,
-    cache_hash,
     check_letter,
     letter_key,
     letter_weight2,
@@ -37,17 +36,15 @@ from .rootdata import (
 )
 
 
-@cache_hash
-@dataclass(frozen=True)
-class SpinColumn:
+class SpinColumn(Value):
     """A height-n spin column: one letter from each pair {k, -k}.
 
     ``barred`` is the set of indices chosen barred.  For type D the parity
     of |barred| fixes the class: even = plus, odd = minus.
     """
 
-    kind: AlgebraKind
-    barred: frozenset[int]
+    def __init__(self, kind: AlgebraKind, barred: frozenset[int]):
+        self._init(kind, barred)
 
     def __post_init__(self):
         if not all(1 <= k <= self.kind.rank for k in self.barred):
@@ -136,13 +133,11 @@ def spin_apply(s: SpinColumn, i: int, direction: str) -> SpinColumn | None:
     return _moves(s.kind, i, direction)[0].get(s)
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(Value):
     """A vertex of the tensor crystal: letters, optionally led by a spin column."""
 
-    kind: AlgebraKind
-    letters: tuple[Letter, ...]
-    spin: SpinColumn | None = None
+    def __init__(self, kind: AlgebraKind, letters: tuple[Letter, ...], spin: SpinColumn | None = None):
+        self._init(kind, letters, spin)
 
     def __post_init__(self):
         for x in self.letters:
@@ -150,8 +145,8 @@ class Word:
         if self.spin is not None and self.spin.kind != self.kind:
             raise ValueError("spin column kind mismatch")
 
-    def __hash__(self) -> int:
-        return hash((self.kind, letters_hash_key(self.letters), self.spin))
+    def _hash_key(self) -> tuple:
+        return self.kind, letters_hash_key(self.letters), self.spin
 
     def factors(self) -> tuple:
         if self.spin is None:

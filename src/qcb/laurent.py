@@ -21,7 +21,7 @@ tabloids of a tensor module, and spin columns.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
 
 class InexactDivision(ArithmeticError):

@@ -10,7 +10,7 @@ weight share one parity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
 
 Letter = int
 Weight2 = tuple[int, ...]
@@ -28,39 +28,61 @@ class InvariantViolation(RuntimeError):
     """
 
 
-def cache_hash(cls):
-    """Make a frozen dataclass compute its field hash once per instance.
-
-    The value is kept out of pickles: a hash involving a string is salted
-    per process, so one computed in another interpreter would be wrong here.
+class Value:
+    """A frozen value, equal only to an object of its own class with equal
+    fields.  The fields are the subclass's ``__init__`` parameters, handed in
+    order to ``_init``, which stores them and calls ``__post_init__``.  The
+    hash (of the field tuple, or of ``_hash_key``) is computed once and kept
+    out of pickles: a hash of a string is salted per process.
     """
-    field_hash = cls.__hash__
+
+    def __init_subclass__(cls):
+        code = cls.__init__.__code__
+        cls._fields = code.co_varnames[1 : code.co_argcount]
+        cls._key = operator.attrgetter(*cls._fields)  # a tuple: every subclass has two fields or more
+
+    def _init(self, *values) -> None:
+        vars(self).update(zip(self._fields, values))
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        pass
+
+    def _hash_key(self) -> tuple:
+        return self._key(self)
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
 
     def __hash__(self) -> int:
         try:
             return self._hash
         except AttributeError:
-            h = field_hash(self)
+            h = hash(self._hash_key())
             object.__setattr__(self, "_hash", h)
             return h
 
     def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        state.pop("_hash", None)
-        return state
+        return {k: v for k, v in vars(self).items() if k != "_hash"}
 
-    cls.__hash__ = __hash__
-    cls.__getstate__ = __getstate__
-    return cls
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}({', '.join(f'{f}={getattr(self, f)!r}' for f in self._fields)})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
 
 
-@dataclass(frozen=True)
-class AlgebraKind:
+class AlgebraKind(Value):
     """The algebra family (B = odd orthogonal, D = even orthogonal) and rank."""
 
-    family: str
-    rank: int
-    experimental: bool = False
+    def __init__(self, family: str, rank: int, experimental: bool = False):
+        self._init(family, rank, experimental)
 
     def __post_init__(self):
         if self.family not in ("B", "D"):

@@ -28,7 +28,6 @@ import itertools
 import operator
 from collections import Counter
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .crystal import (
@@ -46,9 +45,9 @@ from .laurent import ONE_TERMS
 from .rootdata import (
     AlgebraKind,
     Letter,
+    Value,
     Weight2,
     alphabet,
-    cache_hash,
     check_letter,
     is_valid_letter,
     letter_key,
@@ -91,20 +90,18 @@ def is_valid_column_letters(kind: AlgebraKind, letters: tuple[Letter, ...]) -> b
     return all(is_valid_letter(kind, x) for x in letters) and first_violation(kind, letters) is None
 
 
-@cache_hash
-@dataclass(frozen=True)
-class Column:
+class Column(Value):
     """A column filling, letters top to bottom."""
 
-    kind: AlgebraKind
-    letters: tuple[Letter, ...]
+    def __init__(self, kind: AlgebraKind, letters: tuple[Letter, ...]):
+        self._init(kind, letters)
 
     def __post_init__(self):
         if not is_valid_column_letters(self.kind, self.letters):
             raise ValueError(f"invalid {self.kind} column {list(self.letters)}")
 
-    def __hash__(self) -> int:
-        return hash((self.kind, letters_hash_key(self.letters)))
+    def _hash_key(self) -> tuple:
+        return self.kind, letters_hash_key(self.letters)
 
     @property
     def height(self) -> int:
@@ -120,15 +117,12 @@ class Column:
         return ",".join(str(x) for x in self.letters)
 
 
-@cache_hash
-@dataclass(frozen=True)
-class Shape:
-    """Column heights plus the spin slot and the type-D height-n marker."""
+class Shape(Value):
+    """Column heights plus the spin slot (None, "B", "D+" or "D-") and the
+    type-D height-n marker ("+", "0" or "-" for D shapes, None for B)."""
 
-    kind: AlgebraKind
-    heights: tuple[int, ...]
-    spin_class: str | None = None  # None | "B" | "D+" | "D-"
-    d_sign: str | None = None  # "+" | "0" | "-" for D shapes, None for B
+    def __init__(self, kind: AlgebraKind, heights: tuple[int, ...], spin_class: str | None = None, d_sign: str | None = None):
+        self._init(kind, heights, spin_class, d_sign)
 
     def __post_init__(self):
         n = self.kind.rank
@@ -186,11 +180,8 @@ class Tabloid:
         cols = tuple(columns)[::-1]
         return tabloid_of_codes(shape, shape.codes_of(cols if spin is None else (spin, *cols)))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Tabloid is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("Tabloid is immutable")
+    __setattr__ = __delattr__ = Value.__setattr__
+    __hash__ = Value.__hash__
 
     def __reduce__(self):
         # rebuilt from (shape, codes): the cached hash, salted per process
@@ -202,13 +193,8 @@ class Tabloid:
             return NotImplemented
         return self.codes == other.codes and self.shape == other.shape
 
-    def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash((self.shape, self.codes))
-            object.__setattr__(self, "_hash", h)
-            return h
+    def _hash_key(self) -> tuple:
+        return self.shape, self.codes
 
     @property
     def spin(self) -> SpinColumn | None:
@@ -397,21 +383,23 @@ def enumerate_columns(kind: AlgebraKind, p: int, admissible_only: bool = False) 
     return tuple(c for c in cols if is_admissible(c)) if admissible_only else tuple(cols)
 
 
-@dataclass(frozen=True, eq=False)
-class SlotTable:
+class SlotTable(Value):
     """The fillings of one kind of tensor slot (cached: do not mutate, but for
-    the entries of ``powers`` that ``modvec`` fills).
+    the entries of ``powers`` that ``modvec`` fills), equal only to itself.
 
-    ``crystal`` holds each filling's crystal row at each node, all built on
-    first use.  ``powers`` holds, by node and code, the filling's t_i exponent
-    and coded divided powers, None until ``modvec`` first asks for the code.
+    ``fillings`` ascend, and a filling's code is its position there;
+    ``index`` maps each filling to its code, and ``weights`` and ``texts``
+    hold each code's weight and printed filling.  ``crystal`` holds each
+    filling's crystal row at each node, all built on first use.  ``powers``
+    holds, by node i and code, the filling's t_i exponent and coded divided
+    f_i powers, None until ``modvec`` first asks for the code.
     """
 
-    fillings: tuple  # ascending; a filling's code is its position here
-    index: dict  # each filling's code
-    weights: tuple[Weight2, ...]  # each code's weight
-    texts: tuple[str, ...]  # each code's printed filling
-    powers: dict[int, list]  # by node i, each code's coded f_i powers or None
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, fillings: tuple, index: dict, weights: tuple[Weight2, ...], texts: tuple[str, ...], powers: dict[int, list]):
+        self._init(fillings, index, weights, texts, powers)
 
     @cached_property
     def crystal(self) -> dict[int, tuple[tuple, ...]]:

@@ -22,7 +22,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .crystal import vec_edge, word_apply, word_eps_phi
-from .laurent import LaurentPoly, SparseVector, divide_exact, quantum_factorial
+from .laurent import LaurentPoly, SparseVector, divide_exact, quantum_int
 from .rootdata import AlgebraKind, InvariantViolation, Letter, cartan_exponent, letter_weight2, qi_exponent
 from .shapes import Column, _key_tie, first_violation
 
@@ -299,15 +299,14 @@ def _combine(pairs) -> SparseVector:
 
 @lru_cache(maxsize=None)
 def _divided_on_column(col: Column, i: int, k: int) -> SparseVector:
-    v = SparseVector.unit(col)
+    """f_i^(k) on one column: f_i of the cached f_i^(k-1), divided by [k]_i."""
     if k == 0:
+        return SparseVector.unit(col)
+    qk = quantum_int(k, qi_exponent(col.kind, i))  # a ValueError for k < 0, before any recursion
+    v = _combine((wedge_f(c, i), s) for c, s in _divided_on_column(col, i, k - 1).terms)
+    if k == 1 or v.is_zero():
         return v
-    for _ in range(k):
-        v = _combine((wedge_f(c, i), s) for c, s in v.terms)
-        if v.is_zero():
-            return v
-    fact = quantum_factorial(k, qi_exponent(col.kind, i))
-    return SparseVector({c: divide_exact(p, fact) for c, p in v.terms})
+    return SparseVector({c: divide_exact(p, qk) for c, p in v.terms})
 
 
 def wedge_f_divided(v: SparseVector | Column, i: int, k: int) -> SparseVector:

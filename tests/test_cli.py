@@ -376,6 +376,19 @@ def test_failed_write_leaves_no_old_byte_after_what_was_written(tmp_path):
     assert path.read_bytes() == b"first chunk\n"
 
 
+def test_short_writes_are_resumed(capsys, tmp_path, monkeypatch):
+    """An --output file written by an ``os.write`` that takes at most 7 bytes a
+    call holds the bytes standard output gets: every short write is resumed."""
+    argv = ["--type", "B", "--rank", "3", "canonical", "--lambda", "0,1,1"]
+    code, want, _ = run_cli(capsys, *argv)
+    write = os.write
+    monkeypatch.setattr(os, "write", lambda fd, data: write(fd, data[:7]))
+    path = tmp_path / "out.json"
+    path.write_bytes(b"old " * 20_000)
+    assert main([*argv, "--output", str(path)]) == code == 0
+    assert path.read_bytes() == want.encode() and len(want) > 30_000
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
 def test_full_device_is_a_write_error(capsys):
     """A write that fails in mid-stream exits 1 with one line and no traceback."""

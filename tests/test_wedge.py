@@ -1,10 +1,11 @@
 import pytest
 
+from qcb.checks import divided_powers_match_plain
 from qcb.cli import _json_terms
 from qcb.crystal import word_sort_key
 from qcb.laurent import LaurentPoly, SparseVector
 from qcb.rootdata import AlgebraKind, cartan_exponent, letter_weight2, weight2_add
-from qcb.shapes import Column, enumerate_columns
+from qcb.shapes import Column, enumerate_columns, slot_table
 from qcb.wedge import (
     StepLimitExceeded,
     straighten,
@@ -155,3 +156,13 @@ def test_vector_addition_and_json():
     # the JSON form lists columns in the letter order, whatever the insertion order
     v = SparseVector({Column(B2, (2, -2)): P((0, 1)), Column(B2, (1, 2)): P((1, 1))})
     assert [t["column"] for t in _json_terms(v, "column", lambda col: word_sort_key(col.word()))] == ["1,2", "2,-2"]
+
+
+@pytest.mark.parametrize("kind", [AlgebraKind("B", n) for n in range(2, 6)] + [AlgebraKind("D", n) for n in range(3, 6)], ids=str)
+def test_divided_powers_match_plain_powers(kind):
+    """On every filling of every column slot table, at every node, each f_i^(k)
+    equals k plain f_i steps divided exactly by [k]_i!, up to the first zero:
+    the ``qcb check`` property ``wedge.divided_powers_exact``."""
+    nodes = range(1, kind.rank + 1)
+    bad = [(str(col), i) for p in nodes for col in slot_table(kind, p).fillings for i in nodes if not divided_powers_match_plain(col, i)]
+    assert not bad
