@@ -10,14 +10,16 @@ and each shape keeps every step and every A(T) made so far for every
 later walk and request.  Stage three corrects A(T) down the total order
 with bar-symmetric coefficients until the expansion is regular at q=0,
 which pins the canonical basis G(T); the corrections are logged and the
-expansions assembled into one matrix per weight space.
+expansions assembled, row by row, into one matrix in compressed sparse rows.
 """
 
 from __future__ import annotations
 
-from collections.abc import Container, Iterator
+from array import array
+from bisect import bisect_left
+from collections.abc import Container, Iterator, Mapping
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, pairwise
 
 from .crystal import Word, raise_to_highest, signature_rule, vec_edge, word_apply, word_eps_phi
 from .laurent import ONE_TERMS, LaurentPoly, SparseVector, plus, times
@@ -315,6 +317,43 @@ def _gamma_symmetrize(c) -> LaurentPoly:
     return LaurentPoly(terms)
 
 
+class Entries(Mapping):
+    """A canonical matrix's entries, {(r, c): LaurentPoly}, read-only, in
+    compressed sparse rows: row r holds the columns ``cols[starts[r]:starts[r + 1]]``,
+    ascending, and entry k the coefficient ``polys[ids[k]]``, one LaurentPoly
+    per distinct coefficient.  It iterates row by row, and ``[]`` bisects
+    within the key's row."""
+
+    __slots__ = ("starts", "cols", "ids", "polys")
+
+    def __init__(self, starts: array, cols: array, ids: array, polys: tuple[LaurentPoly, ...]):
+        self.starts, self.cols, self.ids, self.polys = starts, cols, ids, polys
+
+    def __len__(self) -> int:
+        return len(self.cols)
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        cols = self.cols
+        for r, (lo, hi) in enumerate(pairwise(self.starts)):
+            for k in range(lo, hi):
+                yield r, cols[k]
+
+    def __getitem__(self, key: tuple[int, int]) -> LaurentPoly:
+        r, c = key
+        if 0 <= r < len(self.starts) - 1:
+            hi = self.starts[r + 1]
+            k = bisect_left(self.cols, c, self.starts[r], hi)
+            if k < hi and self.cols[k] == c:
+                return self.polys[self.ids[k]]
+        raise KeyError(key)
+
+    def __repr__(self) -> str:
+        return f"Entries({dict(self)!r})"
+
+    def __reduce__(self):
+        return (Entries, (self.starts, self.cols, self.ids, self.polys))
+
+
 class CanonicalMatrix(Value):
     """One weight space (or all of them) of a canonical basis expansion."""
 
@@ -325,7 +364,7 @@ class CanonicalMatrix(Value):
         weight2: Weight2 | None,
         rows: tuple[Tabloid, ...],
         cols: tuple[Tabloid, ...],
-        entries: dict[tuple[int, int], LaurentPoly],
+        entries: Entries,
         gamma: tuple[tuple[int, int, LaurentPoly], ...],
     ):
         self._init(kind, lam, weight2, rows, cols, entries, gamma)
@@ -350,22 +389,24 @@ class CanonicalMatrix(Value):
 
 def _correct_group(
     vectors: list[tuple], tableaux: list[Tabloid]
-) -> tuple[list[dict], list[tuple[int, int, LaurentPoly]]]:
+) -> tuple[list[tuple], list[tuple[int, int, LaurentPoly]]]:
     """Unitriangular correction of one weight space, in increasing order.
 
-    Each A(T) comes as a flat (codes, terms, ...) tuple and each G(T) leaves
-    as a {codes: terms} dict.  The correction runs on the term tuples too: a
-    coefficient at an earlier G(T) whose lowest exponent is 1 or more already
-    lies in qZ[q], so its gamma is 0 and nothing is built for it.  A non-zero
-    gamma adds minus gamma times that G(T) with ``laurent.times`` and
-    ``laurent.plus``, and a coefficient that cancels leaves the dict.
+    Each A(T) comes and each G(T) leaves as a flat (codes, terms, ...) tuple;
+    a G(T) that no gamma touched is its A(T)'s own tuple, so it costs nothing.
+    The correction runs on the term tuples too: a coefficient at an earlier
+    G(T) whose lowest exponent is 1 or more already lies in qZ[q], so its
+    gamma is 0 and nothing is built for it.  A non-zero gamma adds minus
+    gamma times that G(T) with ``laurent.times`` and ``laurent.plus``, and a
+    coefficient that cancels leaves the vector.
     """
     codes = [t.codes for t in tableaux]
-    out: list[dict] = []
+    out: list[tuple] = []
     log: list[tuple[int, int, LaurentPoly]] = []
     for idx, flat in enumerate(vectors):
         pairs = iter(flat)
         v = dict(zip(pairs, pairs))
+        logged = len(log)
         for j in range(idx - 1, -1, -1):
             c = v.get(codes[j])
             if c is None or c[0][0] > 0:
@@ -374,7 +415,8 @@ def _correct_group(
             if not gamma:
                 continue
             minus_gamma = (-gamma).terms()
-            for k, terms in out[j].items():
+            pairs = iter(out[j])
+            for k, terms in zip(pairs, pairs):
                 if s := plus(v.get(k, ()), times(terms, minus_gamma)):
                     v[k] = s
                 else:
@@ -385,7 +427,7 @@ def _correct_group(
             log.append((idx, j, gamma))
         if v.get(codes[idx]) != ONE_TERMS:
             raise InvariantViolation(f"diagonal of {tableaux[idx]} is not 1")
-        out.append(v)
+        out.append(flat if len(log) == logged else tuple(chain.from_iterable(v.items())))
     return out, log
 
 
@@ -398,7 +440,7 @@ def canonical_matrix(
     shape = shape_for_lambda(lam, kind)
     tableaux = enumerate_tableaux(lam, kind, weight2=weight2)
     if not tableaux:
-        return CanonicalMatrix(kind, tuple(lam), weight2, (), (), {}, ())
+        return CanonicalMatrix(kind, tuple(lam), weight2, (), (), Entries(array("i", [0]), array("i"), array("i"), ()), ())
     tables = shape_tables(shape)
     groups = tables.by_weight if weight2 is None else {weight2: tableaux}
     _build(tableaux)
@@ -426,13 +468,17 @@ def canonical_matrix(
     # the rows ascend in the total order, so row indices compare readings
     row_index = {t.codes: i for i, t in enumerate(rows)}
     col_index = {t: i for i, t in enumerate(tableaux)}
-    entries: dict[tuple[int, int], LaurentPoly] = {}
-    polys: dict[tuple, LaurentPoly] = {}  # one LaurentPoly per distinct terms
+    # each row's column, coefficient id, column, ...: a row's columns are one
+    # weight space's, which come in ascending order, so each row's arrive sorted
+    # (an array holds an entry in 8 bytes, a list in 16)
+    by_row = [array("i") for _ in rows]
+    ids: dict[tuple, int] = {}  # an id per distinct terms
     gamma: list[tuple[int, int, LaurentPoly]] = []
     for (mu, tabs), (vecs, log) in zip(groups.items(), results):
-        for t, v in zip(tabs, vecs):
+        for k, t in enumerate(tabs):
+            pairs, vecs[k] = iter(vecs[k]), None  # G(T) goes once it is copied
             ci, diag = col_index[t], row_index[t.codes]
-            for codes, terms in v.items():
+            for codes, terms in zip(pairs, pairs):
                 r = row_index.get(codes)
                 if terms[0][0] < 0:
                     tau = tabloid_of_codes(shape, codes)
@@ -443,11 +489,19 @@ def canonical_matrix(
                     raise InvariantViolation(f"G({t}) has {rows[r]} above the diagonal")
                 if r != diag and terms[0][0] < 1:
                     raise InvariantViolation(f"entry {LaurentPoly(terms)} at {rows[r]} in G({t}) is off the diagonal but not in qZ[q]")
-                p = polys.get(terms)
-                if p is None:
-                    p = polys[terms] = LaurentPoly(terms)
-                entries[(r, ci)] = p
+                i = ids.get(terms)
+                if i is None:
+                    i = ids[terms] = len(ids)
+                row = by_row[r]
+                row.append(ci)
+                row.append(i)
         for idx, j, g in log:
             gamma.append((col_index[tabs[idx]], col_index[tabs[j]], g))
     gamma.sort()
+    starts, flat = array("i", [0]), array("i")
+    for row in by_row:
+        flat += row
+        starts.append(len(flat) >> 1)
+    del by_row
+    entries = Entries(starts, flat[::2], flat[1::2], tuple(map(LaurentPoly, ids)))
     return CanonicalMatrix(kind, tuple(lam), weight2, rows, tuple(tableaux), entries, tuple(gamma))

@@ -16,7 +16,7 @@ import itertools
 import random
 from math import comb, factorial
 
-from .canonical import CanonicalMatrix, a_path, a_vector, canonical_matrix, marsh
+from .canonical import CanonicalMatrix, _build, a_path, a_vector, canonical_matrix, marsh
 from .crystal import (
     SpinColumn,
     Word,
@@ -27,7 +27,7 @@ from .crystal import (
     word_apply,
     word_eps_phi,
 )
-from .laurent import InexactDivision, LaurentPoly, SparseVector, divide_exact, quantum_factorial, quantum_int
+from .laurent import InexactDivision, LaurentPoly, SparseVector, divide_exact, plus, quantum_factorial, quantum_int, times
 from .modvec import apply_monomial, decoded, highest_vector, module_f_divided
 from .rootdata import (
     AlgebraKind,
@@ -444,8 +444,52 @@ def weight_requests_match_module(M: CanonicalMatrix) -> bool:
     return True
 
 
+def lusztig_certificate(M: CanonicalMatrix) -> bool:
+    """Lusztig's lemma, read back off a whole-module matrix.  In each weight
+    space, in increasing order, A(T) - G(T) must be a sum of gamma_j G(T_j)
+    over earlier T_j, each gamma_j bar-invariant: take the highest row left,
+    which must be some earlier T_j's diagonal, subtract gamma_j G(T_j) with
+    gamma_j its coefficient there, and go on until nothing is left.  The
+    recovered (column, j, gamma_j) triples must be M's gamma log, entry by
+    entry.  G is read only through ``M.entries``; A(T) is the shape's stored
+    vector, the one the correction started from."""
+    _build(list(M.cols))
+    vectors = shape_tables(shape_for_lambda(M.lam, M.kind)).vectors
+    row_of = {t.codes: r for r, t in enumerate(M.rows)}
+    G: list[dict[int, tuple]] = [{} for _ in M.cols]
+    for (r, c), poly in M.entries.items():
+        G[c][r] = poly.terms()
+    spaces: dict[tuple, list[int]] = {}
+    for c, t in enumerate(M.cols):
+        spaces.setdefault(weight2_of_tabloid(t), []).append(c)
+    found = []
+    for cols in spaces.values():
+        diagonal = {row_of[M.cols[c].codes]: c for c in cols}
+        for c in cols:
+            pairs = iter(vectors[M.cols[c]])
+            rest = {row_of.get(codes, -1): terms for codes, terms in zip(pairs, pairs)}
+            _add_scaled(rest, G[c], ((0, -1),))
+            while rest:
+                top = max(rest)  # an earlier T_j's diagonal, or the check fails
+                j, gamma = diagonal.get(top, c), LaurentPoly(rest[top])
+                if j >= c or gamma.bar() != gamma:
+                    return False
+                found.append((c, j, gamma))
+                _add_scaled(rest, G[j], (-gamma).terms())
+    return sorted(found, key=lambda f: f[:2]) == list(M.gamma)
+
+
+def _add_scaled(acc: dict[int, tuple], vec: dict[int, tuple], s: tuple) -> None:
+    """acc += s * vec on term tuples, dropping the coefficients that cancel."""
+    for r, terms in vec.items():
+        if total := plus(acc.get(r, ()), times(terms, s)):
+            acc[r] = total
+        else:
+            del acc[r]
+
+
 def check_canonical(kinds: list[AlgebraKind], lambdas) -> list[CheckResult]:
-    cong_ok = triangle_ok = integral_ok = bar_ok = marsh_ok = apath_ok = requests_ok = True
+    cong_ok = triangle_ok = integral_ok = bar_ok = marsh_ok = apath_ok = requests_ok = lusztig_ok = True
     for kind in kinds:
         n = kind.rank
         for p in range(1, n + 1):
@@ -483,6 +527,7 @@ def check_canonical(kinds: list[AlgebraKind], lambdas) -> list[CheckResult]:
                 if g.bar() != g:
                     bar_ok = False
             requests_ok = requests_ok and weight_requests_match_module(M)
+            lusztig_ok = lusztig_ok and lusztig_certificate(M)
             for t in enumerate_tableaux(lam, kind)[:20]:
                 v = a_vector(a_path(t))
                 if v.coeff(t) != LaurentPoly.one():
@@ -497,6 +542,7 @@ def check_canonical(kinds: list[AlgebraKind], lambdas) -> list[CheckResult]:
         CheckResult("canonical.marsh_congruence", marsh_ok),
         CheckResult("canonical.monomial_basis_properties", apath_ok),
         CheckResult("canonical.weight_requests_match_module", requests_ok),
+        CheckResult("canonical.lusztig_certificate", lusztig_ok),
     ]
 
 

@@ -14,9 +14,10 @@ missing directory or a directory fails before it) and without truncation,
 then, if it is a regular file, cut to the bytes written.  So a failed run leaves an existing
 file untouched, and a write that fails part-way leaves no old byte after what
 it wrote.  The writer never holds the whole document: ``canonical`` is written from
-the ``CanonicalMatrix``, a few hundred JSON items or one CSV/TeX row a chunk.
+the ``CanonicalMatrix``'s compressed rows, each row's entries in turn with no
+sort, a few hundred JSON items or one CSV/TeX row a chunk.
 That keeps writing out of the peak memory: whole-module B3 (2,2,0) JSON
-(11.6 MB) runs in about 51 MB max RSS, B3 (3,1,0) CSV in about 22 MB.  The
+(11.6 MB) runs in about 34 MB max RSS, B3 (3,1,0) CSV in about 20 MB.  The
 CSV and TeX matrices are dense, one cell per (row, column): 25 MB for
 B3 (3,1,0).  A write that fails (a full device, a reader that closed the
 pipe) exits 1.
@@ -35,7 +36,7 @@ import stat
 import sys
 from collections.abc import Iterator
 from functools import lru_cache
-from itertools import islice
+from itertools import chain, islice, pairwise, repeat
 
 from .canonical import CanonicalMatrix, a_path, a_vector, canonical_matrix, marsh
 from .crystal import component_bfs, enumerate_spin_columns, word_apply
@@ -185,15 +186,14 @@ def _terms_block(terms: tuple[tuple[int, int], ...]) -> str:
 
 def _canonical_json_chunks(M: CanonicalMatrix) -> Iterator[str]:
     """``json.dumps({**M.json(), "command": "canonical"}, indent=2) + "\\n"``, written from
-    the matrix directly: each distinct coefficient's block is rendered once from its
-    terms, and the labels from the slot texts, which JSON prints unescaped."""
-    blocks: dict[LaurentPoly, str] = {}
-
-    def triple(a: int, b: int, c: LaurentPoly) -> str:
-        block = blocks.get(c)
-        if block is None:
-            block = blocks[c] = _terms_block(c.terms())
-        return f"[\n      {a},\n      {b},\n      {block}\n    ]"
+    the matrix directly: the entries row by row from their compressed rows, each
+    distinct coefficient's block rendered once from its terms, and the labels from
+    the slot texts, which JSON prints unescaped."""
+    E = M.entries
+    # an entry is its row's head, its column and its coefficient's tail
+    tails = [f",\n      {_terms_block(p.terms())}\n    ]" for p in E.polys]
+    heads = chain.from_iterable(repeat(f"[\n      {r},\n      ", hi - lo) for r, (lo, hi) in enumerate(pairwise(E.starts)))
+    entries = (f"{h}{c}{tails[i]}" for h, c, i in zip(heads, E.cols, E.ids))
 
     fields = {
         "kind": [json.dumps(M.kind.family)],
@@ -202,8 +202,8 @@ def _canonical_json_chunks(M: CanonicalMatrix) -> Iterator[str]:
         "weight2": ["null"] if M.weight2 is None else _json_list(map(str, M.weight2)),
         "rows": _json_list(f'"{label}"' for label in tabloid_labels(M.rows)),
         "cols": _json_list(f'"{label}"' for label in tabloid_labels(M.cols)),
-        "entries": _json_list(triple(r, c, M.entries[r, c]) for r, c in sorted(M.entries)),
-        "gamma": _json_list(triple(*g) for g in M.gamma),
+        "entries": _json_list(entries),
+        "gamma": _json_list(f"[\n      {c},\n      {j},\n      {_terms_block(g.terms())}\n    ]" for c, j, g in M.gamma),
         "command": ['"canonical"'],
     }
     sep = "{\n"
@@ -215,19 +215,15 @@ def _canonical_json_chunks(M: CanonicalMatrix) -> Iterator[str]:
 
 
 def _matrix_rows(M: CanonicalMatrix, render, blank: str) -> Iterator[tuple]:
-    """Each row label with its cells: render(coefficient) once per distinct coefficient, blank elsewhere."""
-    text: dict[LaurentPoly, str] = {}
-    keys = iter(sorted(M.entries))
-    key = next(keys, None)
-    for r, row in enumerate(tabloid_labels(M.rows)):
+    """Each row label with its cells, filled from the row's compressed entries:
+    render(coefficient) once per distinct coefficient, blank elsewhere."""
+    E = M.entries
+    text = [render(p) for p in E.polys]
+    cols, ids = E.cols, E.ids
+    for row, (lo, hi) in zip(tabloid_labels(M.rows), pairwise(E.starts)):
         cells = [blank] * len(M.cols)
-        while key is not None and key[0] == r:
-            coeff = M.entries[key]
-            cell = text.get(coeff)
-            if cell is None:
-                cell = text[coeff] = render(coeff)
-            cells[key[1]] = cell
-            key = next(keys, None)
+        for k in range(lo, hi):
+            cells[cols[k]] = text[ids[k]]
         yield row, cells
 
 

@@ -329,7 +329,8 @@ def _reference_correct_group(vectors, tableaux):
 @pytest.mark.parametrize("kind,lam", ORACLE_MODULES + [(B3, (3, 1, 0)), (B2, (0, 0))])
 def test_coded_correction_matches_reference(kind, lam):
     """On every weight space, the coded correction gives the reference's G(T),
-    term for term, and its gamma log.  The lambda = 0 shape has no slots, so
+    term for term, and its gamma log; a G(T) that no gamma touched is its
+    A(T)'s own tuple.  The lambda = 0 shape has no slots, so
     its one tabloid's codes are ()."""
     from qcb.canonical import _build, _correct_group
     from qcb.laurent import SparseVector
@@ -345,7 +346,9 @@ def test_coded_correction_matches_reference(kind, lam):
         got, log = _correct_group(flats, list(tabs))
         sparse = [SparseVector({tabloid_of_codes(shape, c): LaurentPoly(t) for c, t in _pairs(f).items()}) for f in flats]
         want, want_log = _reference_correct_group(sparse, tabs)
-        assert got == [{tau.codes: c.terms() for tau, c in w.terms} for w in want]
+        assert [_pairs(g) for g in got] == [{tau.codes: c.terms() for tau, c in w.terms} for w in want]
+        corrected = {idx for idx, _j, _g in log}
+        assert all((got[idx] is flats[idx]) == (idx not in corrected) for idx in range(len(tabs)))
         assert log == want_log
         gammas += len(log)
     assert gammas == len(canonical_matrix(lam, kind).gamma)
@@ -859,6 +862,94 @@ def test_canonical_matrix_fundamental_matches_global():
 def test_canonical_matrix_empty_weight_space():
     M = canonical_matrix((1, 0), B2, weight2=(6, 0))
     assert M.rows == () and M.cols == () and not M.entries
+
+
+# whole-module B3 (3,1,0), whose rows all hold entries, and a D3 (0,1,3)
+# weight request whose first and last rows hold none
+ENTRIES_CASES = [(B3, (3, 1, 0), None, 20654), (D3, (0, 1, 3), (-4, -2, 0), 3)]
+
+
+@pytest.mark.parametrize("kind,lam,weight2,size", ENTRIES_CASES)
+def test_entries_view_reads_the_compressed_rows(kind, lam, weight2, size):
+    """``M.entries`` is a read-only mapping over the compressed rows: it iterates
+    in strictly increasing (r, c), has one item per entry, agrees with
+    ``entry``, and off the support ``entry`` is 0, ``[]`` raises, ``get``
+    returns its default and ``in`` is false.  It survives a pickle, and the
+    whole module's arrays take under 16 bytes an entry."""
+    import pickle
+    import sys
+    from itertools import pairwise
+
+    M = canonical_matrix(lam, kind, weight2)
+    E = M.entries
+    keys = list(E)
+    assert len(E) == len(keys) == size
+    assert all(a < b for a, b in pairwise(keys))
+    assert all(M.entry(r, c) == E[r, c] == E.get((r, c)) and (r, c) in E for r, c in keys)
+    support = set(keys)
+    last = dict(keys)  # each row's last column
+    empty = [r for r in range(len(M.rows)) if r not in last]
+    assert bool(empty) == (weight2 is not None)
+    r, c = min(last.items(), key=lambda item: item[1])
+    past = [(r, c + 1), (r, len(M.cols))]  # columns past a row's last entry
+    off = [(r, c) for r in empty for c in range(len(M.cols))] + past + [(len(M.rows), 0), (-1, 0)]
+    for key in off:
+        assert key not in support and key not in E
+        assert M.entry(*key) == LaurentPoly.zero() and E.get(key) is None and E.get(key, "default") == "default"
+        with pytest.raises(KeyError):
+            E[key]
+    assert E == dict(E.items()) and E != {**dict(E.items()), keys[0]: LaurentPoly.q(5)}
+    back = pickle.loads(pickle.dumps(M))
+    assert back == M and list(back.entries.items()) == list(E.items()) and repr(back.entries) == repr(E)
+    if weight2 is None:
+        arrays = sum(sys.getsizeof(a) for a in (E.starts, E.cols, E.ids))
+        assert arrays < 16 * size, (arrays, size)
+
+
+def test_whole_module_peak_memory():
+    """Building whole-module B3 (3,1,0) on cold shape and slot tables peaks
+    under 5.6 MB of traced memory: 4.7-4.8 MB in compressed rows, 6.2-6.3 MB
+    when the entries were a {(r, c): LaurentPoly} dict (CPython 3.11)."""
+    import gc
+
+    _clear_shape_tables()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        M = canonical_matrix((3, 1, 0), B3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(M.entries) == 20654
+    assert peak < 5_600_000, peak
+
+
+def test_lusztig_certificate_refuses_a_changed_matrix(monkeypatch):
+    """The certificate passes the true B2 (5,0) matrix and refuses it with one
+    gamma dropped from the log, with one entry changed, and when the gammas
+    lose their mirror image, so q^-2 + q^2 is applied as q^-2."""
+    import qcb.canonical as canonical
+    from qcb.canonical import CanonicalMatrix
+    from qcb.checks import lusztig_certificate
+
+    M = canonical_matrix((5, 0), B2)
+    assert M.gamma and lusztig_certificate(M)
+    fields = {f: getattr(M, f) for f in M._fields}
+    assert not lusztig_certificate(CanonicalMatrix(**{**fields, "gamma": M.gamma[1:]}))
+    E = M.entries
+    k = E.starts[-1] - 1  # the last row's last entry
+    ids = E.ids[:]
+    ids[k] = next(i for i in range(len(E.polys)) if i != E.ids[k])
+    changed = canonical.Entries(E.starts, E.cols, ids, E.polys)
+    assert not lusztig_certificate(CanonicalMatrix(**{**fields, "entries": changed}))
+
+    def no_mirror(c):
+        return LaurentPoly({e: a for e, a in c if e <= 0})
+
+    monkeypatch.setattr(canonical, "_gamma_symmetrize", no_mirror)
+    _clear_shape_tables()
+    assert not lusztig_certificate(canonical_matrix((5, 0), B2))
+    _clear_shape_tables()
 
 
 def test_component_is_computed_once_per_shape(monkeypatch):
