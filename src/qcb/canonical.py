@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from collections.abc import Container, Iterator, Mapping
+from collections.abc import Container, ItemsView, Iterator, Mapping, ValuesView
 from functools import lru_cache
 from itertools import chain, pairwise
 
@@ -227,8 +227,7 @@ def _string_step(cur: Tabloid, tables: ShapeTables) -> tuple[int, int, Tabloid]:
             up = tables.apply(up, i, "e")
         nxt = tables.tabloid(up)
         _build([nxt])
-        pairs = iter(tables.vectors[nxt])
-        v = apply_monomial(CodedVector(tables.shape, dict(zip(pairs, pairs)), {}), [(i, eps)]).terms
+        v = apply_monomial(CodedVector(tables.shape, tables.vectors[nxt], {}), [(i, eps)]).terms
         if v.get(codes) == ONE_TERMS and max(v) == codes:
             return i, eps, nxt
     raise InvariantViolation(f"raising left the crystal at {cur}: no string step passes")
@@ -300,9 +299,7 @@ def _build(tabs: list[Tabloid]) -> None:
             flat = vectors[t] = (t.codes, ONE_TERMS)
         for c in reversed(walked):
             i, r, _next = steps[c]
-            pairs = iter(flat)
-            v = apply_monomial(CodedVector(tables.shape, dict(zip(pairs, pairs)), memo), [(i, r)])
-            flat = vectors[c] = tuple(chain.from_iterable(v.terms.items()))
+            flat = vectors[c] = apply_monomial(CodedVector(tables.shape, flat, memo), [(i, r)]).flat
 
 
 def _gamma_symmetrize(c) -> LaurentPoly:
@@ -322,7 +319,8 @@ class Entries(Mapping):
     compressed sparse rows: row r holds the columns ``cols[starts[r]:starts[r + 1]]``,
     ascending, and entry k the coefficient ``polys[ids[k]]``, one LaurentPoly
     per distinct coefficient.  It iterates row by row, and ``[]`` bisects
-    within the key's row."""
+    within the key's row; ``items()`` and ``values()`` walk the entries in
+    the same order and read each once."""
 
     __slots__ = ("starts", "cols", "ids", "polys")
 
@@ -347,11 +345,31 @@ class Entries(Mapping):
                 return self.polys[self.ids[k]]
         raise KeyError(key)
 
+    def items(self) -> ItemsView:
+        return _EntryItems(self)
+
+    def values(self) -> ValuesView:
+        return _EntryValues(self)
+
     def __repr__(self) -> str:
         return f"Entries({dict(self)!r})"
 
     def __reduce__(self):
         return (Entries, (self.starts, self.cols, self.ids, self.polys))
+
+
+class _EntryItems(ItemsView):
+    __slots__ = ()
+
+    def __iter__(self):  # the keys come in entry order
+        return zip(self._mapping, _EntryValues(self._mapping))
+
+
+class _EntryValues(ValuesView):
+    __slots__ = ()
+
+    def __iter__(self):
+        return map(self._mapping.polys.__getitem__, self._mapping.ids)
 
 
 class CanonicalMatrix(Value):
@@ -380,9 +398,7 @@ class CanonicalMatrix(Value):
             "weight2": list(self.weight2) if self.weight2 is not None else None,
             "rows": [str(t) for t in self.rows],
             "cols": [str(t) for t in self.cols],
-            "entries": [
-                [r, c, self.entries[(r, c)].json_terms()] for (r, c) in sorted(self.entries)
-            ],
+            "entries": [[r, c, poly.json_terms()] for (r, c), poly in self.entries.items()],
             "gamma": [[c, j, g.json_terms()] for c, j, g in self.gamma],
         }
 

@@ -2,7 +2,8 @@
 
 Each check sweeps small ranks exhaustively (or with a seeded sample where
 the space is unbounded) and returns one pass/fail record.  The suite covers
-the ring axioms and bar involution, crystal edge symmetry and schedule
+the ring axioms and bar involution, the term-tuple products and sums
+against a plain reference, crystal edge symmetry and schedule
 independence, the crystal on slot codes against the ``Word`` crystal (its
 oracle), the counting identities, closed-form/oracle agreement on the
 wedge modules, integrality and weight homogeneity of operator outputs, the
@@ -129,6 +130,37 @@ def check_laurent(rng: random.Random) -> list[CheckResult]:
         )
     )
     return res
+
+
+def term_arithmetic_holds(a: tuple, b: tuple) -> bool:
+    """``laurent.times`` and ``laurent.plus`` of two term tuples give tuples
+    strictly ascending in exponent and equal, as maps, to the non-zero terms of
+    a plain {exponent: coefficient} reference (so with no zero coefficient)."""
+    prod, total = {}, dict(a)
+    for ea, ca in a:
+        for eb, cb in b:
+            prod[ea + eb] = prod.get(ea + eb, 0) + ca * cb
+    for e, c in b:
+        total[e] = total.get(e, 0) + c
+    return all(
+        type(got) is tuple
+        and all(x[0] < y[0] for x, y in zip(got, got[1:]))
+        and dict(got) == {e: c for e, c in want.items() if c}
+        for got, want in ((times(a, b), prod), (plus(a, b), total))
+    )
+
+
+def check_term_arithmetic(rng: random.Random) -> list[CheckResult]:
+    """``term_arithmetic_holds`` on 0-5 random terms a side, exponents in -4..4
+    and coefficients in +-1, +-2, so products and sums often cancel; and each
+    tuple against its own negative, whose sum is 0."""
+
+    def terms(n: int) -> tuple:
+        return tuple((e, rng.choice((-2, -1, 1, 2))) for e in sorted(rng.sample(range(-4, 5), n)))
+
+    cases = [(terms(la), terms(lb)) for la in range(6) for lb in range(6) for _ in range(20)]
+    cases += [(a, tuple((e, -c) for e, c in a)) for a, _b in cases]
+    return [CheckResult("laurent.term_arithmetic", all(term_arithmetic_holds(a, b) for a, b in cases))]
 
 
 def check_rootdata(kinds: list[AlgebraKind]) -> list[CheckResult]:
@@ -551,6 +583,7 @@ def run_all(max_rank_b: int = 3, max_rank_d: int = 3, seed: int = 20240801) -> l
     kinds = _kinds(max_rank_b, max_rank_d)
     results: list[CheckResult] = []
     results += check_laurent(rng)
+    results += check_term_arithmetic(random.Random(seed))  # its own draws, so the later checks' stay
     results += check_rootdata(kinds)
     results += check_crystal(kinds, rng)
     results += check_code_crystal()

@@ -2,10 +2,11 @@
 
 A polynomial is stored as its term tuple: ((exponent, coefficient), ...),
 strictly ascending in exponent and with no zero coefficient.  The ring
-operations are written once on such tuples (``times``, with a fast path for
-single terms, and ``plus``; ``terms_of`` turns an exponent -> coefficient map
-into one), and ``LaurentPoly`` wraps a tuple and calls them, so the A(T)
-kernel and the correction, which run on bare tuples, share them with it.
+operations are written once on such tuples (``times``, with fast paths
+where either side is a single term, and ``plus``; ``terms_of`` turns an
+exponent -> coefficient map into one), and ``LaurentPoly`` wraps a tuple and
+calls them, so the A(T) kernel and the correction, which run on bare
+tuples, share them with it.
 Coefficients are Python ints (arbitrary precision), so overflow is never a
 correctness concern.  Values are immutable after construction and safe to
 share.
@@ -44,6 +45,9 @@ def times(a: tuple, b: tuple) -> tuple:
     """The product of two term tuples."""
     if len(a) == 1 == len(b):
         return ((a[0][0] + b[0][0], a[0][1] * b[0][1]),)
+    if len(a) == 1 or len(b) == 1:  # c q^s times the other: a shift and a scale
+        ((s, c),), b = (a, b) if len(a) == 1 else (b, a)
+        return tuple([(e + s, x * c) for e, x in b])
     poly: dict[int, int] = {}
     for ea, ca in a:
         for e, c in b:

@@ -12,15 +12,19 @@ closed-form wedge action on a column, the coefficient-free crystal edge on a
 spin column (f^(k) = 0 there for k >= 2).  ``SlotTable.powers`` keeps them,
 with their outputs coded, by node and filling code, each filled on first use.
 
-The algebra runs on a ``CodedVector``: each tabloid's small integer factor
-codes (``Tabloid.codes``) with its coefficient's ascending
-((exponent, coefficient), ...) terms.  ``_expand_divided`` unrolls the
-recursion on one tabloid: only the active factors, where f_i does not
-vanish, branch; an inactive factor just shifts the exponents of the
-branches after it by its t_i exponent; and coefficients stay term tuples,
-multiplied by ``laurent.times`` with its fast path for single terms.  No
-output of one tabloid needs merging, so only ``module_f_divided``, which
-sums the outputs of several tabloids, adds term tuples (``laurent.plus``).
+The algebra runs on a ``CodedVector``: a flat (codes, terms, ...) tuple of
+each tabloid's small integer factor codes (``Tabloid.codes``) and its
+coefficient's ascending ((exponent, coefficient), ...) terms, the form in
+which ``ShapeTables.vectors`` stores A(T), so no vector is copied on its
+way in or out; its ``terms`` dict is a view built on first read.
+``_expand_divided`` unrolls the recursion on one tabloid: only the active
+factors, where f_i does not vanish, branch; an inactive factor just shifts
+the exponents of the branches after it by its t_i exponent; and
+coefficients stay term tuples.  Nearly all of them are single terms, whose
+products and exponent shifts are written inline; only the rest call
+``laurent.times``.  No output of one tabloid needs merging, so only
+``module_f_divided``, which sums the outputs of several tabloids, scaled by
+their coefficients as above, adds term tuples (``laurent.plus``).
 It reads node i's tables from ``ShapeTables.powers``, and keeps each
 tabloid's expansion in a memo, keyed by (i, m) and then by its codes, so a
 tabloid met again in the same request is not expanded again.  The memo's
@@ -59,16 +63,17 @@ def _factor_powers(f, i: int) -> tuple[int, tuple[tuple[tuple[object, LaurentPol
 
 def _heads(tables: list[tuple[SlotTable, list]], codes: tuple[int, ...], i: int) -> list[tuple[int, tuple]]:
     """Each factor's t_i exponent and non-zero f_i^(k), as (code, terms) pairs,
-    read from the (slot, ``slot.powers[i]``) pairs of its shape's slots; a code
-    not asked for before is filled from ``_factor_powers``."""
-    out = []
-    for (slot, table), c in zip(tables, codes):
-        h = table[c]
-        if h is None:
-            a, powers = _factor_powers(slot.fillings[c], i)
-            h = table[c] = (a, tuple(tuple((slot.index[g], cg.terms()) for g, cg in p) for p in powers))
-        out.append(h)
-    return out
+    read from the (slot, ``slot.powers[i]``) pairs of its shape's slots; only
+    a code not asked for before is filled, by ``_head``."""
+    return [table[c] or _head(slot, table, c, i) for (slot, table), c in zip(tables, codes)]
+
+
+def _head(slot: SlotTable, table: list, c: int, i: int) -> tuple[int, tuple]:
+    """Fill a slot's entry for code c at node i from ``_factor_powers``."""
+    a, powers = _factor_powers(slot.fillings[c], i)
+    one = LaurentPoly.one()  # its terms are ONE_TERMS itself, which the kernel skips by identity
+    table[c] = h = (a, tuple(tuple((slot.index[g], (one if cg == one else cg).terms()) for g, cg in p) for p in powers))
+    return h
 
 
 def _expand_divided(codes: tuple[int, ...], heads: list[tuple[int, tuple]], m: int, d: int) -> list[tuple[tuple, tuple]]:
@@ -91,50 +96,75 @@ def _expand_divided(codes: tuple[int, ...], heads: list[tuple[int, tuple]], m: i
             active.append((j, before, powers))
         before += a
     if m == 1:  # one output per active factor's f_i, in the order of the loop below
-        return [
-            (codes[:j] + (g,) + codes[j + 1 :], times(cg, ((d * before, 1),)) if before else cg)
-            for j, before, powers in reversed(active)
-            for g, cg in powers[1]
-        ]
+        out = []
+        for j, before, powers in reversed(active):
+            s = d * before
+            for g, cg in powers[1]:
+                if s:  # q^s cg, inline on a single term
+                    cg = ((cg[0][0] + s, cg[0][1]),) if len(cg) == 1 else times(cg, ((s, 1),))
+                out.append((codes[:j] + (g,) + codes[j + 1 :], cg))
+        return out
     room = sum(len(powers) - 1 for _j, _b, powers in active)  # the most the active factors to come absorb
     if m > room:
         return []
     states = [(0, 0, codes, ONE_TERMS)]  # (placed, exponent / d, codes, terms)
     for j, before, powers in active:
-        room -= len(powers) - 1
+        top = len(powers) - 1
+        room -= top
         nxt = []
         for state in states:
             placed, e, out, terms = state
             left = m - placed
-            for k in range(max(0, left - room), min(left, len(powers) - 1) + 1):
-                if k == 0:
-                    nxt.append(state)
-                    continue
-                ek = e + k * (before - placed)
+            k = left - room
+            if k <= 0:  # this factor may take nothing
+                nxt.append(state)
+                k = 1
+            shift = before - placed
+            one = len(terms) == 1
+            for k in range(k, min(left, top) + 1):
+                ek = e + k * shift
                 for g, cg in powers[k]:
-                    nxt.append((placed + k, ek, out[:j] + (g,) + out[j + 1 :], times(terms, cg)))
+                    if cg is ONE_TERMS:
+                        cg = terms
+                    elif terms is not ONE_TERMS:  # terms cg, inline on single terms
+                        cg = ((terms[0][0] + cg[0][0], terms[0][1] * cg[0][1]),) if one and len(cg) == 1 else times(terms, cg)
+                    nxt.append((placed + k, ek, out[:j] + (g,) + out[j + 1 :], cg))
         states = nxt
-    return [(out, times(terms, ((d * e, 1),)) if e else terms) for _p, e, out, terms in states]
+    return [  # times q^(d e), inline on a single term
+        (out, (((terms[0][0] + d * e, terms[0][1]),) if len(terms) == 1 else times(terms, ((d * e, 1),))) if e else terms)
+        for _p, e, out, terms in states
+    ]
 
 
 class CodedVector:
-    """A vector on one shape's tabloid basis: {codes: terms}, each terms an
+    """A vector on one shape's tabloid basis, held as ``flat``: (codes, terms,
+    codes, terms, ...), the form ``ShapeTables.vectors`` stores, each terms an
     ascending ((exponent, coefficient), ...) tuple with no zero coefficient.
+    ``module_f_divided`` reads and writes only ``flat``, with single-term
+    products inline; ``terms`` is a {codes: terms} view of it, built on first
+    read, for the readers that look a tabloid up.
 
     ``memo`` holds the single-tabloid expansions made so far, by (i, m) and
     then by codes, each a flat (codes, terms, ...) tuple; the vectors of one
     request share it, and it goes with them.
     """
 
-    __slots__ = ("shape", "terms", "memo")
+    __slots__ = ("shape", "flat", "memo", "_terms")
 
-    def __init__(self, shape: Shape, terms: dict, memo: dict):
-        self.shape, self.terms, self.memo = shape, terms, memo
+    def __init__(self, shape: Shape, flat: tuple, memo: dict):
+        self.shape, self.flat, self.memo, self._terms = shape, flat, memo, None
+
+    @property
+    def terms(self) -> dict:
+        if self._terms is None:
+            pairs = iter(self.flat)
+            self._terms = dict(zip(pairs, pairs))
+        return self._terms
 
     @classmethod
     def unit(cls, t: Tabloid) -> CodedVector:
         """A tabloid's basis vector, with a fresh memo."""
-        return cls(t.shape, {t.codes: ONE_TERMS}, {})
+        return cls(t.shape, (t.codes, ONE_TERMS), {})
 
 
 def decoded(v: CodedVector) -> SparseVector:
@@ -155,23 +185,28 @@ def module_f_divided(v: CodedVector, i: int, m: int) -> CodedVector:
         return v
     expansions = v.memo.setdefault((i, m), {})
     tables = shape_tables(shape)
-    interned, powers = tables.terms, tables.powers[i]
+    tabloids, interned, powers = tables.tabloids, tables.terms, tables.powers[i]
     acc: dict[tuple[int, ...], tuple] = {}
-    for codes, terms in v.terms.items():
+    pairs = iter(v.flat)
+    for codes, terms in zip(pairs, pairs):
         flat = expansions.get(codes)
         if flat is None:
             flat = []
             for out, poly in _expand_divided(codes, _heads(powers, codes, i), m, d):
-                flat += (tables.tabloid(out).codes, interned.setdefault(poly, poly))
+                flat += ((tabloids.get(out) or tables.tabloid(out)).codes, interned.setdefault(poly, poly))
             flat = expansions[codes] = tuple(flat)
-        pairs = iter(flat)
-        for out, poly in zip(pairs, pairs):
-            if terms is not ONE_TERMS:
-                poly = times(poly, terms)
+        (s, c), one = terms[0], len(terms) == 1
+        outs = iter(flat)
+        for out, poly in zip(outs, outs):
+            if terms is not ONE_TERMS:  # c q^s poly, inline on single terms
+                poly = ((poly[0][0] + s, poly[0][1] * c),) if one and len(poly) == 1 else times(poly, terms)
             cur = acc.get(out)
             acc[out] = poly if cur is None else plus(cur, poly)
-    summed = {out: interned.setdefault(poly, poly) for out, poly in acc.items() if poly}
-    return CodedVector(shape, summed, v.memo)
+    flat = []
+    for out, poly in acc.items():
+        if poly:
+            flat += (out, interned.setdefault(poly, poly))
+    return CodedVector(shape, tuple(flat), v.memo)
 
 
 def apply_monomial(v: CodedVector, path: list[tuple[int, int]]) -> CodedVector:

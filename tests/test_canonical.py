@@ -924,6 +924,47 @@ def test_whole_module_peak_memory():
     assert peak < 5_600_000, peak
 
 
+def test_whole_module_term_arithmetic_calls(monkeypatch):
+    """Cold whole-module B3 (3,1,0) calls ``laurent.times`` at most 8,000 times
+    and ``laurent.plus`` 3,934 times, counted through the names ``modvec`` and
+    ``canonical`` import: the kernel multiplies and shifts single terms inline
+    (44,293 ``times`` calls when every product went through it)."""
+    import qcb.canonical as canonical
+    import qcb.modvec as modvec
+    from qcb import laurent
+
+    calls = {"times": 0, "plus": 0}
+
+    def counted(name):
+        fn = getattr(laurent, name)
+        return lambda a, b: calls.__setitem__(name, calls[name] + 1) or fn(a, b)
+
+    for name in calls:
+        wrapper = counted(name)
+        for module in (modvec, canonical):
+            monkeypatch.setattr(module, name, wrapper)
+    _clear_shape_tables()
+    canonical_matrix((3, 1, 0), B3)
+    assert calls["times"] <= 8000 and calls["plus"] == 3934, calls
+    _clear_shape_tables()
+
+
+def test_lusztig_certificate_reads_entries_in_one_walk(monkeypatch):
+    """``Entries.items()`` walks the compressed rows, so the certificate on
+    whole-module B3 (3,1,0) looks no entry up by key (a bisecting ``[]`` per
+    entry, 20,654 of them, when the items were Mapping's)."""
+    from qcb.canonical import Entries
+    from qcb.checks import lusztig_certificate
+
+    M = canonical_matrix((3, 1, 0), B3)
+    lookups = []
+    getitem = Entries.__getitem__
+    monkeypatch.setattr(Entries, "__getitem__", lambda self, key: lookups.append(key) or getitem(self, key))
+    assert lusztig_certificate(M)
+    assert lookups == []
+    assert list(M.entries.values()) == [M.entries[k] for k in M.entries] and len(lookups) == 20654
+
+
 def test_lusztig_certificate_refuses_a_changed_matrix(monkeypatch):
     """The certificate passes the true B2 (5,0) matrix and refuses it with one
     gamma dropped from the log, with one entry changed, and when the gammas

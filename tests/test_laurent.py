@@ -3,6 +3,7 @@ import pickle
 import pytest
 from hypothesis import example, given, strategies as st
 
+from qcb.checks import term_arithmetic_holds
 from qcb.laurent import (
     InexactDivision,
     LaurentPoly,
@@ -20,6 +21,13 @@ def P(*terms):
 
 maps = st.dictionaries(st.integers(-8, 8), st.integers(-9, 9), max_size=6)
 polys = maps.map(LaurentPoly)
+
+
+def term_tuples(min_size):
+    """Valid term tuples: ascending exponents, no zero coefficient; narrow
+    ranges, so products and sums cancel often."""
+    coeffs = st.integers(-3, 3).filter(bool)
+    return st.dictionaries(st.integers(-5, 5), coeffs, min_size=min_size, max_size=6).map(lambda d: tuple(sorted(d.items())))
 
 
 def test_arith_examples():
@@ -201,3 +209,21 @@ def test_sparse_vector_arithmetic():
     assert pickle.loads(pickle.dumps(v)) == v
     with pytest.raises(AttributeError):
         v._terms = {}
+
+
+@given(term_tuples(0), term_tuples(0))
+@example(((0, 1), (1, 1)), ((0, 1), (1, -1)))  # (1 + q)(1 - q) = 1 - q^2
+@example(((2, 3),), ((-1, 1), (1, 2)))
+@example(((-1, 1), (1, 2)), ((2, -3),))
+def test_term_arithmetic_matches_reference(a, b):
+    """``laurent.times`` and ``laurent.plus`` against ``checks.term_arithmetic_holds``'s
+    plain reference, on every size from 0 to 6 terms a side."""
+    assert term_arithmetic_holds(a, b)
+
+
+@given(term_tuples(3), term_tuples(3))
+@example(((-1, 1), (0, 1), (1, 1)), ((-1, 1), (0, -1), (1, 1)))
+def test_term_arithmetic_on_three_or_more_terms(a, b):
+    """The product of two tuples of 3 or more terms each, where the n x n path
+    merges and cancels, and their sum."""
+    assert term_arithmetic_holds(a, b)
